@@ -234,18 +234,21 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
         }
     });
 
-    // Full runs take the best of three repetitions per cell: wall-clock
+    // Every run takes the best of three repetitions per cell: wall-clock
     // throughput on a shared host is scheduler-noisy and the peak is the
-    // stable statistic for a regression gate. Accounting is identical
+    // stable statistic for a regression gate. (A quick cell lasts a couple
+    // of milliseconds, so one host stall in a lone repetition would halve
+    // it and fail the "pipelining wins" check.) Accounting is identical
     // across repetitions (the op stream is seeded), so picking the
     // fastest repetition cannot skew the deterministic fields.
-    let (requests_per_conn, reps) = if quick { (250, 1) } else { (2_500, 3) };
+    const REPS: usize = 3;
+    let requests_per_conn = if quick { 250 } else { 2_500 };
 
     let mut cells: Vec<Cell> = Vec::new();
     for &(mode, depth) in &[("serial", 1), ("pipelined", DEPTH)] {
         for &conns in &CONNS {
             let mut best: Option<Cell> = None;
-            for _ in 0..reps {
+            for _ in 0..REPS {
                 let cell = run_cell(mode, conns, depth, requests_per_conn);
                 if best
                     .as_ref()
@@ -254,7 +257,7 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
                     best = Some(cell);
                 }
             }
-            cells.push(best.expect("reps > 0"));
+            cells.push(best.expect("REPS > 0"));
         }
     }
 

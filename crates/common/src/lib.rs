@@ -5,8 +5,9 @@
 //!
 //! * [`clock`] — a [`Clock`] abstraction with a wall-clock
 //!   implementation and a deterministic simulated clock for experiments.
-//! * [`hash`] — stable 64-bit hash functions (FNV-1a and a splitmix-based
-//!   mixer) used for page placement and consistent hashing.
+//! * [`hash`] — stable 64-bit hash functions: FNV-1a and a splitmix-based
+//!   mixer for page placement and consistent hashing, XXH64 for page
+//!   checksums.
 //! * [`ring`] — a consistent-hash ring with virtual nodes, bounded replica
 //!   lookup, and the paper's "lazy data movement" node-timeout behaviour
 //!   (§7 of the paper).

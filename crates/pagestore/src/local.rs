@@ -13,7 +13,11 @@
 //! (§4.3), so a cold restart can rebuild the in-memory index purely from a
 //! directory scan ([`LocalPageStore::recover`]).
 //!
-//! Each page file is `payload ‖ checksum(8 bytes, FNV-1a LE) ‖ magic(4 bytes)`.
+//! Each page file is `payload ‖ checksum(8 bytes, XXH64 LE) ‖ magic(4 bytes, "ECP2")`.
+//! The magic names the checksum algorithm: a page written before the bump
+//! (`ECP1`, FNV-1a) fails the trailer check like any other corrupt page and
+//! is evicted and refetched once (§8). Payload offsets did not move, so
+//! ranged reads of such a page stay byte-correct.
 //! Writes go to a temporary name and are published with an atomic `rename`,
 //! so a concurrent reader sees the old state or the new state, never a torn
 //! page. Full-page reads verify the checksum and surface
@@ -33,17 +37,25 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::hash::fnv1a64;
 use edgecache_metrics::Tracer;
 
 use crate::crash::{CrashPlan, CrashSite};
-use crate::page::{FileId, PageId};
+use crate::page::{page_checksum, FileId, PageId};
 use crate::store::PageStore;
 
-/// Trailer magic marking a complete edgecache page file.
-const PAGE_MAGIC: &[u8; 4] = b"ECP1";
+/// Trailer magic marking a complete edgecache page file whose checksum is
+/// XXH64.
+const PAGE_MAGIC: &[u8; 4] = b"ECP2";
 /// Trailer length: 8-byte checksum + 4-byte magic.
 const TRAILER_LEN: u64 = 12;
+
+/// The trailer that follows `payload` in a page file.
+fn trailer(payload: &[u8]) -> [u8; TRAILER_LEN as usize] {
+    let mut t = [0u8; TRAILER_LEN as usize];
+    t[..8].copy_from_slice(&page_checksum(payload).to_le_bytes());
+    t[8..].copy_from_slice(PAGE_MAGIC);
+    t
+}
 
 /// Configuration for a [`LocalPageStore`].
 #[derive(Debug, Clone)]
@@ -231,7 +243,7 @@ impl LocalPageStore {
                 .try_into()
                 .expect("8-byte checksum slice"),
         );
-        if fnv1a64(&raw[..payload_len]) != stored {
+        if page_checksum(&raw[..payload_len]) != stored {
             return Err(Error::Corrupted(format!("page {id}: checksum mismatch")));
         }
         let mut payload = raw;
@@ -256,8 +268,7 @@ impl PageStore for LocalPageStore {
         let write = (|| -> Result<()> {
             let mut f = fs::File::create(&tmp_path)?;
             f.write_all(data)?;
-            f.write_all(&fnv1a64(data).to_le_bytes())?;
-            f.write_all(PAGE_MAGIC)?;
+            f.write_all(&trailer(data))?;
             Ok(())
         })();
         if let Err(e) = write {
@@ -316,8 +327,13 @@ impl PageStore for LocalPageStore {
         let take = len.min(payload_len - offset);
         let mut f = fs::File::open(&path)?;
         f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; take as usize];
-        f.read_exact(&mut buf)?;
+        // Appending into reserved capacity skips the zero fill that
+        // `vec![0; n]` + `read_exact` pays on every byte.
+        let mut buf = Vec::with_capacity(take as usize);
+        f.take(take).read_to_end(&mut buf)?;
+        if (buf.len() as u64) < take {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
         Ok(Bytes::from(buf))
     }
 
@@ -406,6 +422,8 @@ impl PageStore for LocalPageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::bit_flip_sites;
+    use edgecache_common::hash::fnv1a64;
     use std::collections::HashSet;
 
     fn temp_store() -> (LocalPageStore, PathBuf) {
@@ -509,6 +527,72 @@ mod tests {
             store.get_full(pid(4, 0)),
             Err(Error::Corrupted(_))
         ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_page_is_corrupted_on_full_read() {
+        let (store, dir) = temp_store();
+        let page: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        store.put(pid(4, 2), &page).unwrap();
+        let path = store.page_path(pid(4, 2));
+        let intact = fs::read(&path).unwrap();
+        for (byte, mask) in bit_flip_sites(page.len()) {
+            let mut raw = intact.clone();
+            raw[byte] ^= mask;
+            fs::write(&path, &raw).unwrap();
+            assert!(
+                matches!(store.get_full(pid(4, 2)), Err(Error::Corrupted(_))),
+                "flip of bit {mask:#04x} in byte {byte} went undetected"
+            );
+        }
+        fs::write(&path, &intact).unwrap();
+        assert_eq!(store.get_full(pid(4, 2)).unwrap().as_ref(), &page[..]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Writes `payload` as a pre-bump page file: FNV-1a checksum, `ECP1`.
+    fn write_ecp1_page(store: &LocalPageStore, id: PageId, payload: &[u8]) {
+        fs::create_dir_all(store.file_dir(id.file)).unwrap();
+        let mut raw = payload.to_vec();
+        raw.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        raw.extend_from_slice(b"ECP1");
+        fs::write(store.page_path(id), raw).unwrap();
+    }
+
+    #[test]
+    fn pre_bump_ecp1_page_is_corrupted_whole_but_ranged_reads_stay_correct() {
+        let (store, dir) = temp_store();
+        let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        write_ecp1_page(&store, pid(6, 0), &payload);
+        assert!(matches!(
+            store.get_full(pid(6, 0)),
+            Err(Error::Corrupted(_))
+        ));
+        // Payload offsets and trailer length did not change with the bump.
+        assert_eq!(
+            store.get(pid(6, 0), 100, 900).unwrap().as_ref(),
+            &payload[100..1000]
+        );
+        assert_eq!(
+            store.get(pid(6, 0), 4990, 100).unwrap().as_ref(),
+            &payload[4990..]
+        );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn recovery_with_verification_drops_pre_bump_ecp1_pages() {
+        let dir = std::env::temp_dir().join(format!("edgecache-ecp1-{}", rand_suffix()));
+        let config = LocalStoreConfig {
+            verify_on_recovery: true,
+            ..Default::default()
+        };
+        let store = LocalPageStore::open(&dir, config).unwrap();
+        store.put(pid(1, 0), b"current").unwrap();
+        write_ecp1_page(&store, pid(1, 1), b"pre-bump");
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 7)]);
+        assert!(!store.page_path(pid(1, 1)).exists());
         let _ = fs::remove_dir_all(dir);
     }
 

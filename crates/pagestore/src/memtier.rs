@@ -8,7 +8,7 @@
 //! remote-backed eviction.
 //!
 //! Frame layout (after the Nexus page-cache spec): the payload plus a
-//! 64-bit FNV-1a checksum computed at publish time, a pin count that shields
+//! 64-bit XXH64 checksum computed at publish time, a pin count that shields
 //! the frame from demotion while integrations hold a reference into it, and
 //! a dirty flag reserved for a future write-back path (read-through frames
 //! are always clean). Serving a memory hit is a zero-copy
@@ -22,17 +22,16 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::hash::fnv1a64;
 use parking_lot::RwLock;
 
-use crate::page::PageId;
+use crate::page::{page_checksum, PageId};
 use crate::store::PageStore;
 
 /// One resident page: payload, integrity trailer, and lifecycle flags.
 #[derive(Debug)]
 struct Frame {
     data: Bytes,
-    /// FNV-1a over the payload, computed once at publish. Full-frame reads
+    /// XXH64 over the payload, computed once at publish. Full-frame reads
     /// (the demotion path, `get_full`) re-verify it, so a frame corrupted in
     /// memory is detected before its bytes can be demoted to SSD or served
     /// whole.
@@ -116,7 +115,10 @@ impl MemTierStore {
                         Err(cur) => pins = cur,
                     }
                 }
-                if frame.pins.load(Ordering::Relaxed) == 0 {
+                // Decide from the value this CAS replaced, not a re-load:
+                // exactly one unpin performs the 1→0 transition, however
+                // other pins and unpins interleave after it.
+                if pins == 1 {
                     self.pinned_frames.fetch_sub(1, Ordering::Relaxed);
                 }
                 true
@@ -163,7 +165,7 @@ impl MemTierStore {
                     .ok_or_else(|| Error::NotFound(format!("page {id}")))?,
             )
         };
-        if fnv1a64(&frame.data) != frame.checksum {
+        if page_checksum(&frame.data) != frame.checksum {
             return Err(Error::Corrupted(format!("memory frame {id}")));
         }
         Ok(frame.data.clone())
@@ -194,7 +196,7 @@ impl PageStore for MemTierStore {
     fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
         let frame = Arc::new(Frame {
             data: Bytes::copy_from_slice(data),
-            checksum: fnv1a64(data),
+            checksum: page_checksum(data),
             pins: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
         });
@@ -265,7 +267,7 @@ impl PageStore for MemTierStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::FileId;
+    use crate::page::{bit_flip_sites, FileId};
 
     fn pid(f: u64, i: u64) -> PageId {
         PageId::new(FileId(f), i)
@@ -334,6 +336,62 @@ mod tests {
         ));
         // Ranged hit-path gets stay scan-free and keep serving.
         assert_eq!(s.get(pid(1, 0), 0, 3).unwrap().as_ref(), b"pay");
+    }
+
+    /// Swaps in a frame whose payload differs from the published one in one
+    /// bit while the publish-time checksum stays — what a DRAM bit flip
+    /// looks like to the tier.
+    fn flip_frame_bit(s: &MemTierStore, id: PageId, byte: usize, mask: u8) {
+        let mut frames = s.frames.write();
+        let old = frames.get(&id).expect("resident frame");
+        let mut data = old.data.to_vec();
+        data[byte] ^= mask;
+        let flipped = Arc::new(Frame {
+            data: Bytes::from(data),
+            checksum: old.checksum,
+            pins: AtomicU32::new(0),
+            dirty: AtomicBool::new(false),
+        });
+        frames.insert(id, flipped);
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_page_fails_the_tier_exit_read() {
+        let page: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let s = MemTierStore::new();
+        s.put(pid(1, 0), &page).unwrap();
+        assert_eq!(s.verified_full(pid(1, 0)).unwrap().as_ref(), &page[..]);
+        for (byte, mask) in bit_flip_sites(page.len()) {
+            flip_frame_bit(&s, pid(1, 0), byte, mask);
+            assert!(
+                matches!(s.verified_full(pid(1, 0)), Err(Error::Corrupted(_))),
+                "flip of bit {mask:#04x} in byte {byte} went undetected"
+            );
+            flip_frame_bit(&s, pid(1, 0), byte, mask);
+            assert!(s.verified_full(pid(1, 0)).is_ok(), "flip restored");
+        }
+    }
+
+    #[test]
+    fn racing_pins_and_unpins_leave_the_gauge_at_zero() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 200_000;
+        let s = MemTierStore::new();
+        s.put(pid(1, 0), b"abc").unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        assert!(s.pin(pid(1, 0)));
+                        assert!(s.unpin(pid(1, 0)), "own pin is outstanding");
+                    }
+                });
+            }
+        });
+        assert!(!s.is_pinned(pid(1, 0)));
+        assert_eq!(s.pinned_count(), 0, "every 0→1 matched by one 1→0");
     }
 
     #[test]

@@ -2,7 +2,14 @@
 
 use std::fmt;
 
-use edgecache_common::hash::{combine, hash_str};
+use edgecache_common::hash::{combine, hash_str, xxh64};
+
+/// The page checksum: XXH64 (seed 0) over the payload. The one integrity
+/// function of this crate — the SSD trailer and the DRAM frame both store
+/// this value.
+pub(crate) fn page_checksum(payload: &[u8]) -> u64 {
+    xxh64(payload, 0)
+}
 
 /// A stable identifier for a source file, derived from its path and version.
 ///
@@ -222,6 +229,30 @@ impl PageInfo {
             created_ms,
         }
     }
+}
+
+/// `(byte, bit mask)` sites for the single-bit-flip tests of both stores:
+/// first and last byte, both sides of 32-byte stripe boundaries at the
+/// start, middle and end of the payload, and the last 8-byte word.
+#[cfg(test)]
+pub(crate) fn bit_flip_sites(len: usize) -> Vec<(usize, u8)> {
+    let mid = len / 2;
+    [
+        0,
+        31,
+        32,
+        63,
+        64,
+        mid - 1,
+        mid,
+        len - 33,
+        len - 32,
+        len - 8,
+        len - 1,
+    ]
+    .into_iter()
+    .flat_map(|byte| [(byte, 0x01), (byte, 0x80)])
+    .collect()
 }
 
 #[cfg(test)]

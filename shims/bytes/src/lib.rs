@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// Clones and [`Bytes::slice`] share the same backing allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -92,10 +92,16 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
+    /// Takes over `v`'s allocation, like the real crate: no byte is copied
+    /// (an `Arc<[u8]>` would copy the whole buffer into a new allocation,
+    /// one more pass over every page and every large read).
+    fn from(mut v: Vec<u8>) -> Self {
+        // Hand back growth slack so a long-lived buffer (a cached page, a
+        // written file) holds what it uses; allocators shrink in place.
+        v.shrink_to_fit();
         let len = v.len();
         Self {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end: len,
         }
@@ -364,6 +370,17 @@ mod tests {
         assert_eq!(s.as_ref(), &[2, 3, 4]);
         assert_eq!(s.slice(1..2).as_ref(), &[3]);
         assert_eq!(b.slice(..).len(), 5);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![7u8; 1 << 16];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
+        let mut m = BytesMut::with_capacity(1 << 16);
+        m.resize(1 << 16, 3);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at);
     }
 
     #[test]

@@ -118,6 +118,50 @@ fn corrupted_page_on_disk_is_detected_and_refetched() {
 }
 
 #[test]
+fn pre_bump_ecp1_page_is_evicted_and_refetched_exactly_once() {
+    use edgecache::common::hash::fnv1a64;
+
+    let dir = temp_dir("ecp1");
+    let remote = CountingRemote::new(20_000);
+    let file = SourceFile::new("/t/f", 1, 20_000, CacheScope::Global);
+    {
+        let cache = open_cache(&dir, false);
+        cache.read(&file, 0, 20_000, &remote).unwrap();
+    }
+    // Rewrite page 2 as the previous format wrote it: same payload, FNV-1a
+    // checksum, `ECP1` magic.
+    let page = walk(&dir)
+        .into_iter()
+        .find(|p| p.file_name().and_then(|n| n.to_str()) == Some("2"))
+        .expect("a page named `2` on disk");
+    let mut raw = fs::read(&page).unwrap();
+    raw.truncate(raw.len() - 12);
+    let checksum = fnv1a64(&raw);
+    raw.extend_from_slice(&checksum.to_le_bytes());
+    raw.extend_from_slice(b"ECP1");
+    fs::write(&page, raw).unwrap();
+
+    let cache = open_cache(&dir, true);
+    let reads_before = *remote.reads.lock();
+    let got = cache.read(&file, 0, 20_000, &remote).unwrap();
+    assert_eq!(got.as_ref(), &remote.data[..]);
+    assert_eq!(cache.metrics().counter("errors.get.corrupted").get(), 1);
+    assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
+    assert_eq!(
+        *remote.reads.lock(),
+        reads_before + 1,
+        "only the pre-bump page is refetched"
+    );
+
+    // The refetch republished the page in the current format: a hit now.
+    let got = cache.read(&file, 0, 20_000, &remote).unwrap();
+    assert_eq!(got.as_ref(), &remote.data[..]);
+    assert_eq!(*remote.reads.lock(), reads_before + 1, "second read hit");
+    assert_eq!(cache.metrics().counter("errors.get.corrupted").get(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn leftover_tmp_files_are_discarded_on_recovery() {
     let dir = temp_dir("tmp");
     let remote = CountingRemote::new(10_000);
