@@ -219,8 +219,10 @@ pub fn encode_best(col: &ColumnData) -> (Encoding, Bytes) {
 
 /// Exact-length check for plain fixed-width chunks, with the same error
 /// texts the cursor path produces.
-fn expect_plain_len(want: usize, data: &[u8]) -> Result<()> {
-    match data.len().cmp(&want) {
+fn expect_plain_len(rows: usize, width: usize, data: &[u8]) -> Result<()> {
+    // A row count whose byte length overflows is more than any chunk holds.
+    let want = rows.checked_mul(width);
+    match want.map_or(std::cmp::Ordering::Less, |want| data.len().cmp(&want)) {
         std::cmp::Ordering::Less => Err(Error::Decode("chunk truncated".into())),
         std::cmp::Ordering::Greater => {
             Err(Error::Decode("trailing bytes after plain chunk".into()))
@@ -235,7 +237,7 @@ fn expect_plain_len(want: usize, data: &[u8]) -> Result<()> {
 /// otherwise values are re-materialized one by one and the chunk length is
 /// reported as copied.
 fn plain_i64(rows: usize, data: &[u8]) -> Result<(Vec<i64>, u64)> {
-    expect_plain_len(rows * 8, data)?;
+    expect_plain_len(rows, 8, data)?;
     #[cfg(target_endian = "little")]
     {
         // SAFETY: every bit pattern is a valid i64; `align_to` only splits
@@ -254,7 +256,7 @@ fn plain_i64(rows: usize, data: &[u8]) -> Result<(Vec<i64>, u64)> {
 
 /// Decodes a plain `f64` chunk (see [`plain_i64`] for the fast path).
 fn plain_f64(rows: usize, data: &[u8]) -> Result<(Vec<f64>, u64)> {
-    expect_plain_len(rows * 8, data)?;
+    expect_plain_len(rows, 8, data)?;
     #[cfg(target_endian = "little")]
     {
         // SAFETY: every bit pattern is a valid f64.
@@ -303,6 +305,16 @@ pub fn decode_with_stats(
         }
     }
     decode_cursor(encoding, ty, rows, data).map(|col| (col, data.len() as u64))
+}
+
+/// A run length read from the chunk, checked against the rows still missing
+/// *before* anything is expanded: a corrupt `u32::MAX` run must be an
+/// error, not a 32 GiB allocation.
+fn checked_run(run: u32, missing: usize) -> Result<usize> {
+    match usize::try_from(run) {
+        Ok(run) if run <= missing => Ok(run),
+        _ => Err(Error::Decode("run-length overrun".into())),
+    }
 }
 
 /// The cursor-driven decode paths: everything except aligned plain
@@ -367,24 +379,18 @@ fn decode_cursor(
             ColumnType::Int64 => {
                 let mut out = Vec::with_capacity(rows);
                 while out.len() < rows {
-                    let run = cur.u32()? as usize;
+                    let run = checked_run(cur.u32()?, rows - out.len())?;
                     let v = cur.i64()?;
                     out.extend(std::iter::repeat_n(v, run));
-                }
-                if out.len() != rows {
-                    return Err(Error::Decode("run-length overrun".into()));
                 }
                 ColumnData::Int64(out)
             }
             ColumnType::Bool => {
                 let mut out = Vec::with_capacity(rows);
                 while out.len() < rows {
-                    let run = cur.u32()? as usize;
+                    let run = checked_run(cur.u32()?, rows - out.len())?;
                     let v = cur.take(1)?[0] != 0;
                     out.extend(std::iter::repeat_n(v, run));
-                }
-                if out.len() != rows {
-                    return Err(Error::Decode("run-length overrun".into()));
                 }
                 ColumnData::Bool(out)
             }

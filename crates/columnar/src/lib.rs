@@ -22,6 +22,7 @@ pub mod encoding;
 pub mod format;
 pub mod metacache;
 pub mod predicate;
+mod proptests;
 pub mod reader;
 pub mod types;
 pub mod writer;
@@ -30,5 +31,5 @@ pub use format::{ChunkMeta, ColumnSchema, FileMetadata, RowGroupMeta, Schema};
 pub use metacache::MetadataCache;
 pub use predicate::Predicate;
 pub use reader::{ColfReader, RangeReader};
-pub use types::{ColumnData, ColumnType, Value};
+pub use types::{ColumnData, ColumnType, ColumnView, Scalar, Value};
 pub use writer::ColfWriter;

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 
 use crate::format::ChunkMeta;
-use crate::types::{ColumnData, Value};
+use crate::types::{ColumnData, ColumnView, Scalar, Value};
 
 /// A predicate over one column (by name), with conjunction/disjunction.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,20 +112,102 @@ impl Predicate {
         }
     }
 
+    /// The typed, column-at-a-time form of [`Predicate::matches`]: narrows
+    /// `input` (ascending row ids) to the rows the predicate holds on. Each
+    /// leaf resolves its column through `column_of` once and runs one
+    /// comparison loop over the typed slice; `And` refines its left side's
+    /// output, `Or` merges both sides'. Unknown columns select nothing.
+    pub fn select<'a>(
+        &self,
+        column_of: &dyn Fn(&str) -> Option<ColumnView<'a>>,
+        input: &[u32],
+    ) -> Vec<u32> {
+        match self {
+            Predicate::And(a, b) => b.select(column_of, &a.select(column_of, input)),
+            Predicate::Or(a, b) => union(&a.select(column_of, input), &b.select(column_of, input)),
+            Predicate::Eq(col, _)
+            | Predicate::Lt(col, _)
+            | Predicate::Gt(col, _)
+            | Predicate::Between(col, _, _) => match column_of(col) {
+                None => Vec::new(),
+                Some(view) => match view.data {
+                    ColumnData::Int64(v) => self.select_leaf(v, view, input),
+                    ColumnData::Float64(v) => self.select_leaf(v, view, input),
+                    ColumnData::Utf8(v) => self.select_leaf(v, view, input),
+                    ColumnData::Bool(v) => self.select_leaf(v, view, input),
+                },
+            },
+        }
+    }
+
+    /// One leaf over its typed values, with the outcomes `matches` gets from
+    /// [`Value::partial_cmp_same_type`] returning `None`: against a literal
+    /// of another type `Eq`/`Lt`/`Gt` hold nowhere and a `Between` bound
+    /// everywhere, and a NaN on either side fails every comparison.
+    fn select_leaf<T: Scalar>(&self, vals: &[T], view: ColumnView<'_>, input: &[u32]) -> Vec<u32> {
+        // One monomorphic loop per comparison: a `fn` pointer here would
+        // cost an indirect call per row.
+        match self {
+            Predicate::Eq(_, x) => {
+                T::of(x).map_or_else(Vec::new, |x| keep(vals, view, input, |v| v == x))
+            }
+            Predicate::Lt(_, x) => {
+                T::of(x).map_or_else(Vec::new, |x| keep(vals, view, input, |v| v < x))
+            }
+            Predicate::Gt(_, x) => {
+                T::of(x).map_or_else(Vec::new, |x| keep(vals, view, input, |v| v > x))
+            }
+            Predicate::Between(_, lo, hi) => {
+                let (lo, hi) = (T::of(lo), T::of(hi));
+                keep(vals, view, input, |v| {
+                    !lo.is_some_and(|lo| v < lo) & !hi.is_some_and(|hi| v > hi)
+                })
+            }
+            Predicate::And(..) | Predicate::Or(..) => unreachable!("not a leaf"),
+        }
+    }
+
     /// Filters decoded columns: returns the indices of matching rows.
     /// `columns` pairs each column name with its data.
     pub fn matching_rows(&self, columns: &[(&str, &ColumnData)], rows: usize) -> Vec<usize> {
-        (0..rows)
-            .filter(|&row| {
-                self.matches(&|name| {
-                    columns
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map(|(_, data)| data.value(row))
-                })
-            })
-            .collect()
+        let rows = u32::try_from(rows).expect("a row group holds fewer than 2^32 rows");
+        let all: Vec<u32> = (0..rows).collect();
+        let column_of = |name: &str| {
+            let (_, data) = columns.iter().find(|(n, _)| *n == name)?;
+            Some(ColumnView::direct(data))
+        };
+        let selected = self.select(&column_of, &all);
+        selected.into_iter().map(|r| r as usize).collect()
     }
+}
+
+/// The rows of `input` whose value in the view passes `test`. Every row is
+/// written and the cursor advances only past a keeper, so the loop has no
+/// branch for a middling selectivity to mispredict.
+fn keep<T>(vals: &[T], view: ColumnView<'_>, input: &[u32], test: impl Fn(&T) -> bool) -> Vec<u32> {
+    let mut out = vec![0; input.len()];
+    let mut kept = 0;
+    for &r in input {
+        out[kept] = r;
+        kept += usize::from(test(&vals[view.index(r)]));
+    }
+    out.truncate(kept);
+    out
+}
+
+/// The union of two ascending row-id lists, ascending.
+fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += usize::from(a[i] == next);
+        j += usize::from(b[j] == next);
+        out.push(next);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 fn stats(chunk_of: &dyn Fn(&str) -> Option<ChunkMeta>, col: &str) -> Option<(Value, Value)> {

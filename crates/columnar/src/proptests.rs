@@ -1,0 +1,218 @@
+//! Property tests for the two places this crate meets arbitrary input:
+//!
+//! * **Typed filter ≡ row reference** — [`Predicate::matching_rows`] (and the
+//!   [`Predicate::select`] kernels under it) keeps exactly the rows the
+//!   one-row-at-a-time [`Predicate::matches`] accepts, including the cases
+//!   the reference defines oddly and callers may rely on: a literal of
+//!   another type, NaN data and literals, an unknown column, no rows.
+//! * **Corrupt chunks** — [`decode`] answers a damaged chunk with an error or
+//!   with exactly `rows` values; it never panics and never sizes an
+//!   allocation from the chunk's own (corrupt) lengths.
+#![cfg(test)]
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+use crate::encoding::{decode, encode_dictionary, encode_plain, encode_run_length, Encoding};
+use crate::{ColumnData, ColumnType, ColumnView, Predicate, Value};
+
+fn cases() -> u32 {
+    std::env::var("EDGECACHE_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+const TYPES: [ColumnType; 4] = [
+    ColumnType::Int64,
+    ColumnType::Float64,
+    ColumnType::Utf8,
+    ColumnType::Bool,
+];
+
+/// A value of `ty` from a domain small enough for literals to hit data,
+/// with the float oddities in it.
+fn value(rng: &mut StdRng, ty: ColumnType) -> Value {
+    const FLOATS: [f64; 7] = [f64::NAN, -0.0, 0.0, 1.5, -2.25, f64::INFINITY, 3.0];
+    match ty {
+        ColumnType::Int64 => Value::Int64(rng.random_range(-3..4)),
+        ColumnType::Float64 => Value::Float64(FLOATS[rng.random_range(0..FLOATS.len())]),
+        ColumnType::Utf8 => {
+            Value::Utf8(["", "a", "ab", "b"][rng.random_range(0..4usize)].to_string())
+        }
+        ColumnType::Bool => Value::Bool(rng.random()),
+    }
+}
+
+fn column(rng: &mut StdRng, ty: ColumnType, rows: usize) -> ColumnData {
+    let mut col = ColumnData::empty(ty);
+    for _ in 0..rows {
+        col.push(value(rng, ty));
+    }
+    col
+}
+
+/// Columns `i`, `f`, `s`, `b` hold one type each, `g` is read through a
+/// gather index, `nope` does not exist.
+const NAMES: [&str; 6] = ["i", "f", "s", "b", "g", "nope"];
+
+fn predicate(rng: &mut StdRng, depth: u32) -> Predicate {
+    if depth > 0 && rng.random_range(0..3) > 0 {
+        let (a, b) = (predicate(rng, depth - 1), predicate(rng, depth - 1));
+        return if rng.random() { a.and(b) } else { a.or(b) };
+    }
+    let name = NAMES[rng.random_range(0..NAMES.len())].to_string();
+    // Usually a literal of the column's own type, sometimes of another.
+    let own = TYPES[NAMES.iter().position(|n| *n == name).unwrap() % 4];
+    let literal = |rng: &mut StdRng| {
+        let ty = match rng.random_range(0..4) {
+            0 => TYPES[rng.random_range(0..4usize)],
+            _ => own,
+        };
+        value(rng, ty)
+    };
+    match rng.random_range(0..4) {
+        0 => Predicate::Eq(name, literal(rng)),
+        1 => Predicate::Lt(name, literal(rng)),
+        2 => Predicate::Gt(name, literal(rng)),
+        _ => Predicate::Between(name, literal(rng), literal(rng)),
+    }
+}
+
+/// Mutates a chunk the way storage damages one: bytes overwritten (0xFF
+/// makes a length field huge), the tail cut off, or junk appended.
+fn damage(rng: &mut StdRng, chunk: &mut Vec<u8>) {
+    match rng.random_range(0..4) {
+        0 if !chunk.is_empty() => chunk.truncate(rng.random_range(0..chunk.len())),
+        1 => chunk.extend((0..rng.random_range(1..9)).map(|_| rng.random::<u8>())),
+        _ => {
+            for _ in 0..rng.random_range(1..5) {
+                if !chunk.is_empty() {
+                    let at = rng.random_range(0..chunk.len());
+                    chunk[at] = if rng.random() { 0xFF } else { rng.random() };
+                }
+            }
+        }
+    }
+}
+
+fn capacity(col: &ColumnData) -> usize {
+    match col {
+        ColumnData::Int64(v) => v.capacity(),
+        ColumnData::Float64(v) => v.capacity(),
+        ColumnData::Utf8(v) => v.capacity(),
+        ColumnData::Bool(v) => v.capacity(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn typed_filter_matches_the_row_reference(
+        seed in any::<u64>(),
+        rows in prop_oneof![1 => Just(0usize), 9 => 1usize..40],
+        depth in 0u32..4,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let direct: Vec<ColumnData> = TYPES.iter().map(|&ty| column(rng, ty, rows)).collect();
+        // `g`: a three-row Int64 dimension reached through a gather index.
+        let dim = column(rng, ColumnType::Int64, 3);
+        let gather: Vec<u32> = (0..rows).map(|_| rng.random_range(0..3)).collect();
+        let pred = predicate(rng, depth);
+
+        let reference: Vec<usize> = (0..rows)
+            .filter(|&row| {
+                pred.matches(&|name| match NAMES.iter().position(|n| *n == name)? {
+                    slot @ 0..=3 => Some(direct[slot].value(row)),
+                    4 => Some(dim.value(gather[row] as usize)),
+                    _ => None,
+                })
+            })
+            .collect();
+
+        let all: Vec<u32> = (0..rows as u32).collect();
+        let selected = pred.select(
+            &|name| match NAMES.iter().position(|n| *n == name)? {
+                slot @ 0..=3 => Some(ColumnView::direct(&direct[slot])),
+                4 => Some(ColumnView { data: &dim, gather: Some(&gather) }),
+                _ => None,
+            },
+            &all,
+        );
+        let selected: Vec<usize> = selected.into_iter().map(|r| r as usize).collect();
+        prop_assert_eq!(&selected, &reference, "{:?}", pred);
+
+        // `matching_rows` sees only what it is handed by name: drop `g`.
+        let named: Vec<(&str, &ColumnData)> = NAMES.iter().copied().zip(&direct).collect();
+        let without_g: Vec<usize> = (0..rows)
+            .filter(|&row| {
+                pred.matches(&|name| {
+                    let (_, col) = named.iter().find(|(n, _)| *n == name)?;
+                    Some(col.value(row))
+                })
+            })
+            .collect();
+        prop_assert_eq!(pred.matching_rows(&named, rows), without_g, "{:?}", pred);
+    }
+
+    #[test]
+    fn damaged_chunks_decode_to_an_error_or_exactly_rows_values(
+        seed in any::<u64>(),
+        rows in 0usize..48,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ty = TYPES[rng.random_range(0..4usize)];
+        let col = column(rng, ty, rows);
+        let encoded = [
+            Some(encode_plain(&col)),
+            encode_dictionary(&col),
+            encode_run_length(&col),
+        ];
+        for chunk in encoded.into_iter().flatten() {
+            let mut chunk = chunk.to_vec();
+            damage(rng, &mut chunk);
+            // Any encoding × any type may be claimed for the damaged bytes,
+            // and the footer's row count may be off by one either way.
+            for encoding in [Encoding::Plain, Encoding::Dictionary, Encoding::RunLength] {
+                for claimed in TYPES {
+                    for want in [rows, rows + 1, rows.saturating_sub(1)] {
+                        if let Ok(col) = decode(encoding, claimed, want, &chunk) {
+                            prop_assert_eq!(col.len(), want);
+                            prop_assert_eq!(col.column_type(), claimed);
+                            // Growth by doubling (from a floor of 8) may
+                            // overshoot `want`; a length read from the chunk
+                            // would dwarf it.
+                            prop_assert!(
+                                capacity(&col) <= 2 * want + 8,
+                                "{} reserved for {want} of {claimed} as {encoding:?}",
+                                capacity(&col)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The chunk from the bug report: a run of `u32::MAX` values claimed for a
+/// four-row column used to be expanded before it was checked, and the
+/// process died on a 32 GiB allocation.
+#[test]
+fn an_oversized_run_is_rejected_before_it_is_expanded() {
+    let mut chunk = u32::MAX.to_le_bytes().to_vec();
+    chunk.extend_from_slice(&7i64.to_le_bytes());
+    assert!(decode(Encoding::RunLength, ColumnType::Int64, 4, &chunk).is_err());
+    assert!(decode(Encoding::RunLength, ColumnType::Bool, 4, &chunk[..5]).is_err());
+    // A run that fits still decodes.
+    chunk[..4].copy_from_slice(&4u32.to_le_bytes());
+    assert_eq!(
+        decode(Encoding::RunLength, ColumnType::Int64, 4, &chunk).unwrap(),
+        ColumnData::Int64(vec![7; 4])
+    );
+    // A row count whose byte length overflows is a decode error, not a wrap.
+    assert!(decode(Encoding::Plain, ColumnType::Int64, usize::MAX / 4, &chunk).is_err());
+    assert!(decode(Encoding::Plain, ColumnType::Float64, usize::MAX / 4, &chunk).is_err());
+}

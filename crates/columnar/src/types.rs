@@ -3,6 +3,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use edgecache_common::error::{Error, Result};
+
 /// The physical type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
@@ -86,6 +88,62 @@ impl fmt::Display for Value {
             Value::Float64(v) => write!(f, "{v}"),
             Value::Utf8(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// The Rust type behind one [`ColumnType`], so a column kernel is written
+/// once over `&[T]` and compares with the type's own `PartialOrd` — the
+/// order [`Value::partial_cmp_same_type`] defines.
+pub trait Scalar: PartialOrd + Sized {
+    /// The payload of `v`, or `None` when `v` is of another type.
+    fn of(v: &Value) -> Option<&Self>;
+    /// A copy boxed as a [`Value`].
+    fn to_value(&self) -> Value;
+}
+
+macro_rules! scalar {
+    ($t:ty, $variant:ident) => {
+        impl Scalar for $t {
+            fn of(v: &Value) -> Option<&Self> {
+                match v {
+                    Value::$variant(x) => Some(x),
+                    _ => None,
+                }
+            }
+
+            fn to_value(&self) -> Value {
+                Value::$variant(self.clone())
+            }
+        }
+    };
+}
+scalar!(i64, Int64);
+scalar!(f64, Float64);
+scalar!(String, Utf8);
+scalar!(bool, Bool);
+
+/// A column as a scan operator reads it: row `r` is `data[r]`, or
+/// `data[gather[r]]` when the column belongs to a joined dimension and is
+/// reached through the probe's fact-row → dimension-row index.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnView<'a> {
+    pub data: &'a ColumnData,
+    pub gather: Option<&'a [u32]>,
+}
+
+impl<'a> ColumnView<'a> {
+    /// A column read directly by row.
+    pub fn direct(data: &'a ColumnData) -> Self {
+        Self { data, gather: None }
+    }
+
+    /// The index into `data` that row `row` reads.
+    #[inline]
+    pub fn index(&self, row: u32) -> usize {
+        match self.gather {
+            Some(gather) => gather[row as usize] as usize,
+            None => row as usize,
         }
     }
 }
@@ -179,13 +237,52 @@ impl ColumnData {
         Some((min, max))
     }
 
-    /// Keeps only the rows at `keep` (sorted indices).
-    pub fn take(&self, keep: &[usize]) -> ColumnData {
+    /// Appends the view's values at the rows in `sel`; panics on a type
+    /// mismatch.
+    pub fn extend_selected(&mut self, view: ColumnView<'_>, sel: &[u32]) {
+        let at = |r: &u32| view.index(*r);
+        match (self, view.data) {
+            (ColumnData::Int64(d), ColumnData::Int64(v)) => d.extend(sel.iter().map(|r| v[at(r)])),
+            (ColumnData::Float64(d), ColumnData::Float64(v)) => {
+                d.extend(sel.iter().map(|r| v[at(r)]))
+            }
+            (ColumnData::Utf8(d), ColumnData::Utf8(v)) => {
+                d.extend(sel.iter().map(|r| v[at(r)].clone()))
+            }
+            (ColumnData::Bool(d), ColumnData::Bool(v)) => d.extend(sel.iter().map(|r| v[at(r)])),
+            (col, data) => panic!(
+                "type mismatch: extending {} column from {}",
+                col.column_type(),
+                data.column_type()
+            ),
+        }
+    }
+
+    /// Appends all of `other` (strings move); fails on a type mismatch.
+    pub fn append(&mut self, other: ColumnData) -> Result<()> {
+        match (self, other) {
+            (ColumnData::Int64(d), ColumnData::Int64(mut v)) => d.append(&mut v),
+            (ColumnData::Float64(d), ColumnData::Float64(mut v)) => d.append(&mut v),
+            (ColumnData::Utf8(d), ColumnData::Utf8(mut v)) => d.append(&mut v),
+            (ColumnData::Bool(d), ColumnData::Bool(mut v)) => d.append(&mut v),
+            (col, other) => {
+                return Err(Error::InvalidArgument(format!(
+                    "cannot append {} values to a {} column",
+                    other.column_type(),
+                    col.column_type()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Consumes the column into boxed values (strings move).
+    pub fn into_values(self) -> Box<dyn Iterator<Item = Value>> {
         match self {
-            ColumnData::Int64(v) => ColumnData::Int64(keep.iter().map(|&i| v[i]).collect()),
-            ColumnData::Float64(v) => ColumnData::Float64(keep.iter().map(|&i| v[i]).collect()),
-            ColumnData::Utf8(v) => ColumnData::Utf8(keep.iter().map(|&i| v[i].clone()).collect()),
-            ColumnData::Bool(v) => ColumnData::Bool(keep.iter().map(|&i| v[i]).collect()),
+            ColumnData::Int64(v) => Box::new(v.into_iter().map(Value::Int64)),
+            ColumnData::Float64(v) => Box::new(v.into_iter().map(Value::Float64)),
+            ColumnData::Utf8(v) => Box::new(v.into_iter().map(Value::Utf8)),
+            ColumnData::Bool(v) => Box::new(v.into_iter().map(Value::Bool)),
         }
     }
 }
@@ -249,11 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn take_selects_rows() {
-        let col = ColumnData::Utf8(vec!["a".into(), "b".into(), "c".into()]);
-        assert_eq!(
-            col.take(&[0, 2]),
-            ColumnData::Utf8(vec!["a".into(), "c".into()])
-        );
+    fn extend_selected_reads_through_the_gather_index() {
+        let dim = ColumnData::Utf8(vec!["a".into(), "b".into(), "c".into()]);
+        let mut out = ColumnData::empty(ColumnType::Utf8);
+        out.extend_selected(ColumnView::direct(&dim), &[0, 2]);
+        // Fact rows 1 and 3 joined dimension rows 2 and 1.
+        let gather = [9, 2, 9, 1];
+        let view = ColumnView {
+            data: &dim,
+            gather: Some(&gather),
+        };
+        out.extend_selected(view, &[1, 3]);
+        let all: Vec<Value> = out.clone().into_values().collect();
+        assert_eq!(all, ["a", "c", "c", "b"].map(|s| Value::Utf8(s.into())));
+        assert!(out.append(ColumnData::Int64(vec![1])).is_err());
+        out.append(ColumnData::Utf8(vec!["z".into()])).unwrap();
+        assert_eq!(out.len(), 5);
     }
 }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use edgecache_columnar::Value;
+use edgecache_columnar::{ColumnData, Value};
 use edgecache_common::clock::SharedClock;
 use edgecache_common::error::{Error, Result};
 use edgecache_core::manager::RemoteSource;
@@ -25,7 +25,7 @@ use crate::resultcache::{
 };
 use crate::scheduler::{SchedulerConfig, SoftAffinityScheduler};
 use crate::stats::{QueryStatsCollector, RuntimeStats};
-use crate::worker::{PartialAgg, PreparedJoin, Worker, WorkerConfig};
+use crate::worker::{PartialAgg, PreparedJoin, RowBatch, Worker, WorkerConfig};
 
 /// Engine-level configuration.
 #[derive(Debug, Clone)]
@@ -185,63 +185,58 @@ impl Engine {
     /// Builds the broadcast hash table for one join clause by scanning the
     /// dimension table as an internal (join-free) query — so the build side
     /// also flows through the workers' local caches, just like Presto's
-    /// broadcast exchange reads.
-    fn prepare_join(&self, clause: &JoinClause) -> Result<(PreparedJoin, RuntimeStats)> {
+    /// broadcast exchange reads. The scan's columns become the build side
+    /// as they are; no dimension row is ever materialised.
+    pub(crate) fn prepare_join(&self, clause: &JoinClause) -> Result<(PreparedJoin, RuntimeStats)> {
+        let others = || clause.dim_columns.iter().filter(|c| **c != clause.dim_key);
         let mut projection: Vec<&str> = vec![clause.dim_key.as_str()];
-        projection.extend(
-            clause
-                .dim_columns
-                .iter()
-                .filter(|c| **c != clause.dim_key)
-                .map(String::as_str),
-        );
+        projection.extend(others().map(String::as_str));
         let mut dim_plan = QueryPlan::scan(&clause.dim_schema, &clause.dim_table, &projection);
         if let Some(f) = &clause.dim_filter {
             dim_plan = dim_plan.filter(f.clone());
         }
-        let result = self.execute(&dim_plan)?;
-        let mut map = HashMap::with_capacity(result.rows.len());
-        for row in result.rows {
-            let key = match &row[0] {
-                Value::Int64(k) => *k,
-                other => {
-                    return Err(Error::InvalidArgument(format!(
-                        "join key `{}` must be int64, got {}",
-                        clause.dim_key,
-                        other.column_type()
-                    )))
-                }
-            };
-            let mut values: Vec<(String, Value)> = Vec::with_capacity(clause.dim_columns.len());
-            for name in &clause.dim_columns {
-                let value = if name == &clause.dim_key {
-                    row[0].clone()
-                } else {
-                    let idx = 1 + clause
-                        .dim_columns
-                        .iter()
-                        .filter(|c| **c != clause.dim_key)
-                        .position(|c| c == name)
-                        .expect("projected above");
-                    row[idx].clone()
-                };
-                values.push((name.clone(), value));
+        let (_, batch, stats) = self.run(&dim_plan)?;
+        // In projection order: the key, then `others()`. A scan that
+        // selected no row has no columns; its names still bind, to nothing.
+        let mut scanned = batch.columns.into_iter();
+        let mut next = || scanned.next().unwrap_or(ColumnData::Int64(Vec::new()));
+        let keys = match next() {
+            ColumnData::Int64(keys) => keys,
+            other if !other.is_empty() => {
+                return Err(Error::InvalidArgument(format!(
+                    "join key `{}` must be int64, got {}",
+                    clause.dim_key,
+                    other.column_type()
+                )))
             }
-            // Duplicate dimension keys keep the last row (dimension tables
-            // are keyed; duplicates indicate generator noise).
-            map.insert(key, Arc::new(values));
+            _ => Vec::new(),
+        };
+        let mut columns: Vec<(String, ColumnData)> =
+            others().map(|name| (name.clone(), next())).collect();
+        if clause.dim_columns.contains(&clause.dim_key) {
+            columns.push((clause.dim_key.clone(), ColumnData::Int64(keys.clone())));
         }
-        Ok((
-            PreparedJoin {
-                fact_key: clause.fact_key.clone(),
-                map: Arc::new(map),
-            },
-            result.stats,
-        ))
+        // Duplicate dimension keys keep the last row (dimension tables are
+        // keyed; duplicates indicate generator noise).
+        Ok((PreparedJoin::new(&clause.fact_key, &keys, columns), stats))
     }
 
     /// Executes a query.
     pub fn execute(&self, plan: &QueryPlan) -> Result<QueryResult> {
+        let (partial, batch, stats) = self.run(plan)?;
+        let mut rows = match partial {
+            Some(partial) => partial.finalize(),
+            None => batch.into_rows(),
+        };
+        if let Some(limit) = plan.limit {
+            rows.truncate(limit);
+        }
+        Ok(QueryResult { rows, stats })
+    }
+
+    /// Runs a query up to its merged, not yet row-shaped answer: the merged
+    /// partial aggregate, or else the projected rows as columns.
+    fn run(&self, plan: &QueryPlan) -> Result<(Option<PartialAgg>, RowBatch, RuntimeStats)> {
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let mut query_span = self.tracer.span("olap.query");
         query_span.annotate("query", query_id);
@@ -353,7 +348,7 @@ impl Engine {
         };
 
         let mut fresh: Vec<Option<PartialAgg>> = (0..splits.len()).map(|_| None).collect();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut batch = RowBatch::default();
         let mut critical_path = Duration::ZERO;
         let mut critical_input = Duration::ZERO;
         let mut critical_cpu = Duration::ZERO;
@@ -372,7 +367,7 @@ impl Engine {
                 let mut worker_cpu = Duration::ZERO;
                 for (slot, partition, file, use_cache) in worker_splits {
                     let scope = table.partition_scope(partition);
-                    let out = worker.execute_split_traced(
+                    let (out, split_batch) = worker.scan_split(
                         file,
                         &scope,
                         plan,
@@ -406,7 +401,7 @@ impl Engine {
                             }
                             fresh[*slot] = Some(p);
                         }
-                        None => rows.extend(out.rows),
+                        None => batch.append(split_batch)?,
                     }
                 }
                 if worker_time > critical_path {
@@ -448,14 +443,8 @@ impl Engine {
             }
         }
 
-        if let Some(partial) = merged_partial {
-            rows = partial.finalize();
-        }
-        if let Some(limit) = plan.limit {
-            rows.truncate(limit);
-        }
-
-        stats.rows_output = rows.len() as u64;
+        let produced = merged_partial.as_ref().map_or(batch.rows, PartialAgg::len);
+        stats.rows_output = plan.limit.map_or(produced, |limit| produced.min(limit)) as u64;
         stats.input_wall = critical_input;
         stats.cpu_time = critical_cpu;
         stats.wall_time = critical_path + probe_cost + self.config.coordinator_overhead;
@@ -482,7 +471,7 @@ impl Engine {
             query_span.annotate("wall_us", stats.wall_time.as_micros());
         }
         self.collector.record(&stats);
-        Ok(QueryResult { rows, stats })
+        Ok((merged_partial, batch, stats))
     }
 }
 

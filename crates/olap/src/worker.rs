@@ -7,19 +7,24 @@
 //! from device cost models: SSD time for cache hits, remote-network time for
 //! misses, and CPU time for decode, row filtering, and footer parsing.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use edgecache_columnar::{ColfReader, ColumnData, MetadataCache, RangeReader, Value};
+use edgecache_columnar::{
+    ColfReader, ColumnData, ColumnView, MetadataCache, RangeReader, Scalar, Value,
+};
 use edgecache_common::clock::SharedClock;
 use edgecache_common::error::{Error, Result};
+use edgecache_common::hash::fnv1a64;
 use edgecache_common::ByteSize;
 use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
-use edgecache_metrics::{MetricRegistry, SpanId, Tracer};
+use edgecache_metrics::{Counter, MetricRegistry, SpanId, Tracer};
 use edgecache_pagestore::{CacheScope, MemoryPageStore};
 use edgecache_storage::DeviceModel;
 
@@ -85,18 +90,150 @@ impl Default for WorkerConfig {
     }
 }
 
-/// A broadcast-join build side, prepared once per query by the coordinator:
-/// dimension key → the dimension columns exposed to the query.
+/// A broadcast-join build side, prepared once per scanning query by the
+/// coordinator: dimension key → dimension row, plus the dimension columns
+/// the query reads *through* that row index (nothing is copied per fact row).
 #[derive(Debug, Clone)]
 pub struct PreparedJoin {
     /// Fact-side key column name.
     pub fact_key: String,
-    /// Key → `(column name, value)` pairs of the (filtered) dimension row.
-    pub map: Arc<std::collections::HashMap<i64, DimensionRow>>,
+    row_of: KeyIndex,
+    columns: Vec<(String, ColumnData)>,
 }
 
-/// The `(column name, value)` pairs of one (filtered) dimension row.
-pub type DimensionRow = Arc<Vec<(String, Value)>>;
+/// Dimension key → dimension row. Surrogate keys are usually packed
+/// (`0..n`), and then a probe is one load from a table indexed by
+/// `key - base`; keys spread too thin for that are hashed.
+#[derive(Debug, Clone)]
+enum KeyIndex {
+    Dense { base: i64, rows: Vec<u32> },
+    Sparse(HashMap<i64, u32>),
+}
+
+/// An empty [`KeyIndex::Dense`] slot (row ids stay below it: `keys` would
+/// have to hold 2^32 entries).
+const NO_ROW: u32 = u32::MAX;
+
+impl KeyIndex {
+    /// A duplicate key keeps its last row.
+    fn new(keys: &[i64]) -> Self {
+        let rows = keys.iter().copied().zip(0u32..);
+        let base = keys.iter().copied().min().unwrap_or(0);
+        let span = keys.iter().map(|k| k.abs_diff(base)).max().unwrap_or(0);
+        // Direct indexing is worth a table a few times the key count.
+        if span >= 4 * keys.len() as u64 + 1024 {
+            return KeyIndex::Sparse(rows.collect());
+        }
+        let mut table = vec![NO_ROW; span as usize + 1];
+        for (key, row) in rows {
+            table[key.abs_diff(base) as usize] = row;
+        }
+        KeyIndex::Dense { base, rows: table }
+    }
+
+    /// The row of `key`, or [`NO_ROW`].
+    fn get(&self, key: i64) -> u32 {
+        let row = match self {
+            // A key below `base` wraps to an offset past any table.
+            KeyIndex::Dense { base, rows } => usize::try_from(key.wrapping_sub(*base) as u64)
+                .ok()
+                .and_then(|slot| rows.get(slot)),
+            KeyIndex::Sparse(rows) => rows.get(&key),
+        };
+        row.copied().unwrap_or(NO_ROW)
+    }
+}
+
+impl PreparedJoin {
+    /// Indexes a (filtered) dimension: `keys[i]` owns row `i` of every
+    /// column in `columns`.
+    pub fn new(fact_key: &str, keys: &[i64], columns: Vec<(String, ColumnData)>) -> Self {
+        Self {
+            fact_key: fact_key.to_string(),
+            row_of: KeyIndex::new(keys),
+            columns,
+        }
+    }
+
+    /// Probes with one row group's fact keys: unmatched rows leave `sel`,
+    /// and the returned vector maps each surviving fact row to its
+    /// dimension row.
+    fn probe(&self, keys: Option<&ColumnData>, sel: &mut Vec<u32>) -> Result<Vec<u32>> {
+        let keys = match keys {
+            Some(ColumnData::Int64(keys)) => keys,
+            Some(other) => {
+                return Err(Error::InvalidArgument(format!(
+                    "join key `{}` must be int64, got {}",
+                    self.fact_key,
+                    other.column_type()
+                )))
+            }
+            None => {
+                return Err(Error::InvalidArgument(format!(
+                    "join key `{}` not read",
+                    self.fact_key
+                )))
+            }
+        };
+        // Compacts `sel` in place, branch-free like the filter kernels.
+        let mut dim_rows = vec![NO_ROW; keys.len()];
+        let mut kept = 0;
+        for i in 0..sel.len() {
+            let r = sel[i];
+            let row = self.row_of.get(keys[r as usize]);
+            dim_rows[r as usize] = row;
+            sel[kept] = r;
+            kept += usize::from(row != NO_ROW);
+        }
+        sel.truncate(kept);
+        Ok(dim_rows)
+    }
+}
+
+/// Where a column name resolves for a whole split. Dimension names shadow
+/// fact names, the earlier join first.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Slot in the split's decoded fact columns.
+    Fact(usize),
+    /// `(join, column)` of a build side, read through that join's probe.
+    Dim(usize, usize),
+}
+
+/// Projected rows in columnar form: one column per `plan.projection` entry
+/// (none until a row is selected).
+#[derive(Debug, Default)]
+pub(crate) struct RowBatch {
+    pub(crate) rows: usize,
+    pub(crate) columns: Vec<ColumnData>,
+}
+
+impl RowBatch {
+    /// Appends another split's rows.
+    pub(crate) fn append(&mut self, other: RowBatch) -> Result<()> {
+        self.rows += other.rows;
+        if self.columns.is_empty() {
+            self.columns = other.columns;
+            return Ok(());
+        }
+        for (mine, theirs) in self.columns.iter_mut().zip(other.columns) {
+            mine.append(theirs)?;
+        }
+        Ok(())
+    }
+
+    /// Materialises the rows, once.
+    pub(crate) fn into_rows(self) -> Vec<Vec<Value>> {
+        let width = self.columns.len();
+        let mut rows: Vec<Vec<Value>> = (0..self.rows).map(|_| Vec::with_capacity(width)).collect();
+        for column in self.columns {
+            for (row, value) in rows.iter_mut().zip(column.into_values()) {
+                row.push(value);
+            }
+        }
+        rows
+    }
+}
 
 /// Output of one split execution.
 #[derive(Debug, Default)]
@@ -152,20 +289,16 @@ impl IoLog {
         self.entries.lock().unwrap().push(delta);
     }
 
-    /// Index marking "everything logged so far".
-    fn mark(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// The entries appended since `mark`.
-    fn since(&self, mark: usize) -> Vec<IoDelta> {
-        self.entries.lock().unwrap()[mark..].to_vec()
+    /// Hands every entry logged since the last drain to `f`.
+    fn drain(&self, f: impl FnMut(IoDelta)) {
+        self.entries.lock().unwrap().drain(..).for_each(f);
     }
 }
 
 /// A range reader that serves through the worker's local cache.
 struct CachedRangeReader<'a> {
     cache: &'a CacheManager,
+    counters: &'a CacheCounters,
     file: &'a SourceFile,
     remote: &'a dyn RemoteSource,
     log: Arc<IoLog>,
@@ -173,14 +306,14 @@ struct CachedRangeReader<'a> {
 
 impl CachedRangeReader<'_> {
     fn log_call<T>(&self, read: impl FnOnce() -> Result<T>) -> Result<T> {
-        let before = CacheCounters::snapshot(self.cache.metrics());
+        let before = self.counters.snapshot();
         let out = read()?;
-        let d = CacheCounters::snapshot(self.cache.metrics()).minus(&before);
+        let after = self.counters.snapshot();
         self.log.push(IoDelta {
-            ssd_requests: d.hits,
-            ssd_bytes: d.bytes_from_cache,
-            remote_requests: d.remote_requests,
-            remote_bytes: d.bytes_from_remote,
+            ssd_requests: after[HITS] - before[HITS],
+            ssd_bytes: after[BYTES_FROM_CACHE] - before[BYTES_FROM_CACHE],
+            remote_requests: after[REMOTE_REQUESTS] - before[REMOTE_REQUESTS],
+            remote_bytes: after[BYTES_FROM_REMOTE] - before[BYTES_FROM_REMOTE],
         });
         Ok(out)
     }
@@ -251,7 +384,8 @@ impl RangeReader for BypassRangeReader<'_> {
 /// A worker node.
 pub struct Worker {
     id: String,
-    cache: Option<CacheManager>,
+    /// The local cache with its per-split attribution counters.
+    cache: Option<(CacheManager, CacheCounters)>,
     meta_cache: MetadataCache,
     config: WorkerConfig,
 }
@@ -261,7 +395,7 @@ impl Worker {
     /// capacity.
     pub fn new(id: &str, config: WorkerConfig, clock: SharedClock) -> Result<Self> {
         let cache = if config.enable_cache && config.cache_capacity > 0 {
-            Some(
+            let cache =
                 CacheManager::builder(CacheConfig::default().with_page_size(config.page_size))
                     .with_store(
                         std::sync::Arc::new(MemoryPageStore::new()),
@@ -270,8 +404,9 @@ impl Worker {
                     .with_clock(clock)
                     .with_metrics(MetricRegistry::new(format!("{id}-cache")))
                     .with_tracer(config.tracer.clone())
-                    .build()?,
-            )
+                    .build()?;
+            let counters = CacheCounters::new(cache.metrics());
+            Some((cache, counters))
         } else {
             None
         };
@@ -290,7 +425,7 @@ impl Worker {
 
     /// The worker's cache metrics, if caching is enabled.
     pub fn cache_metrics(&self) -> Option<&MetricRegistry> {
-        self.cache.as_ref().map(|c| c.metrics())
+        self.cache().map(|c| c.metrics())
     }
 
     /// The worker's metadata cache.
@@ -300,7 +435,7 @@ impl Worker {
 
     /// The worker's local cache manager, if enabled.
     pub fn cache(&self) -> Option<&CacheManager> {
-        self.cache.as_ref()
+        self.cache.as_ref().map(|(cache, _)| cache)
     }
 
     /// Executes one split: scans `file` for `plan`, reading through the
@@ -341,32 +476,60 @@ impl Worker {
         use_cache: bool,
         parent: SpanId,
     ) -> Result<SplitOutput> {
+        let (mut out, batch) = self.scan_split(
+            file,
+            partition_scope,
+            plan,
+            joins,
+            remote,
+            use_cache,
+            parent,
+        )?;
+        out.rows = batch.into_rows();
+        Ok(out)
+    }
+
+    /// [`Worker::execute_split_traced`] with a projection query's rows still
+    /// in columnar form (`SplitOutput::rows` stays empty), so the
+    /// coordinator materialises them once per query — or, for a join build
+    /// side, never.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scan_split(
+        &self,
+        file: &DataFile,
+        partition_scope: &CacheScope,
+        plan: &QueryPlan,
+        joins: &[PreparedJoin],
+        remote: &dyn RemoteSource,
+        use_cache: bool,
+        parent: SpanId,
+    ) -> Result<(SplitOutput, RowBatch)> {
         let source_file = SourceFile::new(
             &file.path,
             file.version,
             file.length,
             partition_scope.clone(),
         );
-        let out = match (use_cache, self.cache.as_ref()) {
-            (true, Some(cache)) => {
-                let before = CacheCounters::snapshot(cache.metrics());
-                let log = Arc::new(IoLog::default());
+        let log = Arc::new(IoLog::default());
+        let (out, batch) = match (use_cache, self.cache.as_ref()) {
+            (true, Some((cache, counters))) => {
+                let before = counters.snapshot();
                 let reader = CachedRangeReader {
                     cache,
+                    counters,
                     file: &source_file,
                     remote,
                     log: Arc::clone(&log),
                 };
-                let mut out = self.scan(reader, &log, file, plan, joins, parent)?;
-                let delta = CacheCounters::snapshot(cache.metrics()).minus(&before);
-                out.bytes_from_cache = delta.bytes_from_cache;
-                out.bytes_from_remote = delta.bytes_from_remote;
-                out.cache_hits = delta.hits;
-                out.cache_misses = delta.misses;
-                out
+                let (mut out, batch) = self.scan(reader, &log, file, plan, joins, parent)?;
+                let after = counters.snapshot();
+                out.bytes_from_cache = after[BYTES_FROM_CACHE] - before[BYTES_FROM_CACHE];
+                out.bytes_from_remote = after[BYTES_FROM_REMOTE] - before[BYTES_FROM_REMOTE];
+                out.cache_hits = after[HITS] - before[HITS];
+                out.cache_misses = after[MISSES] - before[MISSES];
+                (out, batch)
             }
             _ => {
-                let log = Arc::new(IoLog::default());
                 let reader = BypassRangeReader {
                     remote,
                     path: &file.path,
@@ -375,14 +538,14 @@ impl Worker {
                     bytes: AtomicU64::new(0),
                     log: Arc::clone(&log),
                 };
-                let mut out = self.scan(&reader, &log, file, plan, joins, parent)?;
+                let (mut out, batch) = self.scan(&reader, &log, file, plan, joins, parent)?;
                 out.bytes_from_remote = reader.bytes.load(Ordering::Relaxed);
                 out.cache_misses = reader.requests.load(Ordering::Relaxed);
-                out
+                (out, batch)
             }
         };
         self.emit_split_spans(file, &out, parent);
-        Ok(out)
+        Ok((out, batch))
     }
 
     /// Lays the split's per-stage modeled times out as spans on a virtual
@@ -421,26 +584,33 @@ impl Worker {
         }
     }
 
-    /// Modeled device time one logged read call cost: `(ssd, remote)`.
-    fn modeled_io(&self, d: &IoDelta) -> (Duration, Duration) {
-        (
-            self.config.ssd.batch_read_time(d.ssd_requests, d.ssd_bytes),
-            self.config
+    /// Modeled `(ssd, remote)` device time of the read calls logged since
+    /// the last drain. Each call is modeled on its own: sequential calls
+    /// cannot pipeline against each other, while requests *within* one call
+    /// already amortize inside `DeviceModel::batch_read_time`.
+    fn drain_io(&self, log: &IoLog) -> (Duration, Duration) {
+        let (mut ssd, mut remote) = (Duration::ZERO, Duration::ZERO);
+        log.drain(|d| {
+            ssd += self.config.ssd.batch_read_time(d.ssd_requests, d.ssd_bytes);
+            remote += self
+                .config
                 .remote
-                .batch_read_time(d.remote_requests, d.remote_bytes),
-        )
+                .batch_read_time(d.remote_requests, d.remote_bytes);
+        });
+        (ssd, remote)
     }
 
     /// The ScanFilterProject + join-probe + partial-agg pipeline over one
-    /// file.
+    /// file: every referenced column is bound to its source once, then each
+    /// surviving row group runs probe → filter → aggregate (or project) as
+    /// whole-column kernels that hand each other a selection vector of row
+    /// ids and, per join, the fact-row → dimension-row index.
     ///
-    /// `log` is the per-call I/O ledger the reader appends to; each call is
-    /// modeled independently (sequential calls cannot pipeline against each
-    /// other, while requests *within* one call already amortize inside
-    /// `DeviceModel::batch_read_time`). On the vectored path the scan keeps
-    /// a row-group pipeline: the lookahead window's fetches are issued
-    /// before the current group decodes, and only the part of their modeled
-    /// time not hidden behind that decode is charged, as `io.prefetch`.
+    /// `log` is the per-call I/O ledger the reader appends to. On the
+    /// vectored path the scan keeps a row-group pipeline: the lookahead
+    /// window's fetches are issued before the current group decodes, and
+    /// only the part of their modeled time not hidden behind that decode is
+    /// charged, as `io.prefetch`.
     fn scan<R: RangeReader>(
         &self,
         reader: R,
@@ -449,7 +619,7 @@ impl Worker {
         plan: &QueryPlan,
         joins: &[PreparedJoin],
         parent: SpanId,
-    ) -> Result<SplitOutput> {
+    ) -> Result<(SplitOutput, RowBatch)> {
         let mut cpu = Duration::ZERO;
         let mut out = SplitOutput::default();
         let key = format!("{}@{}", file.path, file.version);
@@ -470,29 +640,48 @@ impl Worker {
         };
 
         // Footer/tail reads issued while opening are demand I/O.
-        let mut demand_ssd = Duration::ZERO;
-        let mut demand_remote = Duration::ZERO;
+        let (mut demand_ssd, mut demand_remote) = self.drain_io(log);
         let mut prefetch_io = Duration::ZERO;
-        for d in log.since(0) {
-            let (s, r) = self.modeled_io(&d);
-            demand_ssd += s;
-            demand_remote += r;
-        }
 
         let needed = plan.required_columns();
-        let mut column_indexes = Vec::with_capacity(needed.len());
+        let mut proj = Vec::with_capacity(needed.len());
         for name in &needed {
-            let idx = colf.schema().index_of(name).ok_or_else(|| {
+            proj.push(colf.schema().index_of(name).ok_or_else(|| {
                 Error::InvalidArgument(format!("unknown column `{name}` in `{}`", file.path))
-            })?;
-            column_indexes.push((name.clone(), idx));
+            })?);
         }
-        let proj: Vec<usize> = column_indexes.iter().map(|&(_, idx)| idx).collect();
 
-        let mut partial = if plan.aggregates.is_empty() {
-            None
-        } else {
-            Some(PartialAgg::new(&plan.aggregates))
+        // Bind every name the plan reads, once for the split.
+        let source_of = |name: &str| {
+            let dim = joins.iter().enumerate().find_map(|(j, pj)| {
+                let c = pj.columns.iter().position(|(n, _)| n == name)?;
+                Some(Source::Dim(j, c))
+            });
+            dim.or_else(|| needed.iter().position(|n| n == name).map(Source::Fact))
+        };
+        let bound = |name: &String| {
+            source_of(name)
+                .ok_or_else(|| Error::InvalidArgument(format!("unknown column `{name}`")))
+        };
+        let key_slots: Vec<Option<usize>> = joins
+            .iter()
+            .map(|pj| needed.iter().position(|n| *n == pj.fact_key))
+            .collect();
+        let mut agg = (!plan.aggregates.is_empty()).then(|| SplitAgg::new(&plan.aggregates));
+        let mut batch = RowBatch::default();
+        // `COUNT(*)` has no input, and neither has SUM of a name nothing
+        // supplies: the kernels reject that one if a row ever reaches them.
+        let agg_sources: Vec<Option<Source>> = plan
+            .aggregates
+            .iter()
+            .map(|a| source_of(&a.column).filter(|_| !a.column.is_empty()))
+            .collect();
+        let (group_source, proj_sources) = match agg {
+            Some(_) => (plan.group_by.as_ref().map(bound).transpose()?, Vec::new()),
+            None => (
+                None,
+                plan.projection.iter().map(bound).collect::<Result<_>>()?,
+            ),
         };
 
         let pruned = colf.prune(plan.predicate.as_ref());
@@ -507,7 +696,7 @@ impl Worker {
         let mut next_fetch = 0usize;
 
         for (pos, &rg) in pruned.iter().enumerate() {
-            let rows = colf.metadata().row_groups[rg].rows as usize;
+            let rows = colf.metadata().row_groups[rg].rows;
             let decoded_bytes: u64 = proj
                 .iter()
                 .map(|&idx| colf.metadata().row_groups[rg].chunks[idx].len)
@@ -530,16 +719,13 @@ impl Worker {
                         arity.push(ranges.len());
                         window.extend(ranges);
                     }
-                    let mark = log.mark();
                     let mut parts = colf.reader().read_vectored(&window)?.into_iter();
                     for n in arity {
                         staged.push_back(parts.by_ref().take(n).collect());
                     }
-                    for d in log.since(mark) {
-                        let (s, r) = self.modeled_io(&d);
-                        demand_ssd += s;
-                        demand_remote += r;
-                    }
+                    let (ssd, remote) = self.drain_io(log);
+                    demand_ssd += ssd;
+                    demand_remote += remote;
                     next_fetch = last + 1;
                 }
                 let raws = staged.pop_front().expect("staged above");
@@ -565,15 +751,12 @@ impl Worker {
                     }
                     if !window.is_empty() {
                         pf_fragments = window.len();
-                        let mark = log.mark();
                         let mut parts = colf.reader().read_vectored(&window)?.into_iter();
                         for n in arity {
                             staged.push_back(parts.by_ref().take(n).collect());
                         }
-                        for d in log.since(mark) {
-                            let (s, r) = self.modeled_io(&d);
-                            pf_time += s + r;
-                        }
+                        let (ssd, remote) = self.drain_io(log);
+                        pf_time = ssd + remote;
                     }
                 }
                 if pf_fragments > 0 {
@@ -602,170 +785,105 @@ impl Worker {
                 // Sequential per-column baseline: one demand read per chunk.
                 let mut cols = Vec::with_capacity(proj.len());
                 for &idx in &proj {
-                    let mark = log.mark();
                     cols.push(colf.read_column(rg, idx)?);
-                    for d in log.since(mark) {
-                        let (s, r) = self.modeled_io(&d);
-                        demand_ssd += s;
-                        demand_remote += r;
-                    }
+                    let (ssd, remote) = self.drain_io(log);
+                    demand_ssd += ssd;
+                    demand_remote += remote;
                 }
                 cols
             };
-            let columns: Vec<(String, ColumnData)> = column_indexes
-                .iter()
-                .map(|(name, _)| name.clone())
-                .zip(decoded)
-                .collect();
-            out.rows_scanned += rows as u64;
+            out.rows_scanned += rows;
             cpu += decode;
             out.charge_stage("cpu.decode", decode);
-
-            if joins.is_empty() {
-                // Fast columnar path.
-                let keep: Vec<usize> = match &plan.predicate {
-                    Some(p) => {
-                        let filter =
-                            Duration::from_nanos(rows as u64 * self.config.filter_nanos_per_row);
-                        cpu += filter;
-                        out.charge_stage("cpu.filter", filter);
-                        let refs: Vec<(&str, &ColumnData)> =
-                            columns.iter().map(|(n, d)| (n.as_str(), d)).collect();
-                        p.matching_rows(&refs, rows)
-                    }
-                    None => (0..rows).collect(),
-                };
-                if keep.is_empty() {
-                    continue;
-                }
-                match &mut partial {
-                    Some(agg) => {
-                        agg.accumulate(plan, &columns, &keep)?;
-                    }
-                    None => {
-                        for &row in &keep {
-                            let mut values = Vec::with_capacity(plan.projection.len());
-                            for name in &plan.projection {
-                                let (_, data) = columns
-                                    .iter()
-                                    .find(|(n, _)| n == name)
-                                    .expect("projection in required columns");
-                                values.push(data.value(row));
-                            }
-                            out.rows.push(values);
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // Join path: probe build sides per row, evaluate the predicate
-            // over the combined (fact ∪ dimension) row, then accumulate.
+            // The model charges every scanned row for each join's probe and
+            // for the filter, whatever order the kernels below run in.
             let probe = Duration::from_nanos(
-                rows as u64 * joins.len() as u64 * self.config.join_probe_nanos_per_row,
+                rows * joins.len() as u64 * self.config.join_probe_nanos_per_row,
             );
             cpu += probe;
             out.charge_stage("cpu.join_probe", probe);
             if plan.predicate.is_some() {
-                let filter = Duration::from_nanos(rows as u64 * self.config.filter_nanos_per_row);
+                let filter = Duration::from_nanos(rows * self.config.filter_nanos_per_row);
                 cpu += filter;
                 out.charge_stage("cpu.filter", filter);
             }
-            let find = |name: &str| columns.iter().find(|(n, _)| n == name).map(|(_, d)| d);
-            for row in 0..rows {
-                let mut dim_values: Vec<(&str, Value)> = Vec::new();
-                let mut dropped = false;
-                for pj in joins {
-                    let key_col = find(&pj.fact_key).ok_or_else(|| {
-                        Error::InvalidArgument(format!("join key `{}` not read", pj.fact_key))
-                    })?;
-                    let key = match key_col.value(row) {
-                        Value::Int64(k) => k,
-                        other => {
-                            return Err(Error::InvalidArgument(format!(
-                                "join key `{}` must be int64, got {}",
-                                pj.fact_key,
-                                other.column_type()
-                            )))
-                        }
-                    };
-                    match pj.map.get(&key) {
-                        Some(vals) => {
-                            dim_values.extend(vals.iter().map(|(n, v)| (n.as_str(), v.clone())))
-                        }
-                        None => {
-                            dropped = true;
-                            break;
-                        }
-                    }
+
+            // Probe: a fact row must match every build side, so each join
+            // sees only the rows the earlier ones kept.
+            let rows = u32::try_from(rows)
+                .map_err(|_| Error::InvalidArgument(format!("row group of {rows} rows")))?;
+            let mut sel: Vec<u32> = (0..rows).collect();
+            let mut matched: Vec<Vec<u32>> = Vec::with_capacity(joins.len());
+            for (pj, slot) in joins.iter().zip(&key_slots) {
+                if sel.is_empty() {
+                    break;
                 }
-                if dropped {
-                    continue;
+                matched.push(pj.probe(slot.map(|slot| &decoded[slot]), &mut sel)?);
+            }
+            let view = |source: Source| match source {
+                Source::Fact(slot) => ColumnView::direct(&decoded[slot]),
+                Source::Dim(j, c) => ColumnView {
+                    data: &joins[j].columns[c].1,
+                    gather: Some(&matched[j]),
+                },
+            };
+            // Filter over the combined (fact ∪ dimension) row.
+            if let (Some(p), false) = (&plan.predicate, sel.is_empty()) {
+                sel = p.select(&|name| source_of(name).map(view), &sel);
+            }
+            if sel.is_empty() {
+                continue;
+            }
+            match &mut agg {
+                Some(agg) => {
+                    let groups = agg.group_ids(group_source.map(view), &sel);
+                    let columns: Vec<_> = agg_sources.iter().map(|s| s.map(view)).collect();
+                    agg.accumulate(&columns, &sel, &groups)?;
                 }
-                let value_of = |name: &str| -> Option<Value> {
-                    dim_values
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map(|(_, v)| v.clone())
-                        .or_else(|| find(name).map(|d| d.value(row)))
-                };
-                if let Some(p) = &plan.predicate {
-                    if !p.matches(&value_of) {
-                        continue;
+                None => {
+                    if batch.columns.is_empty() {
+                        let empty = |&s| ColumnData::empty(view(s).data.column_type());
+                        batch.columns = proj_sources.iter().map(empty).collect();
                     }
-                }
-                match &mut partial {
-                    Some(agg) => agg.accumulate_row(plan, &value_of)?,
-                    None => {
-                        let mut values = Vec::with_capacity(plan.projection.len());
-                        for name in &plan.projection {
-                            values.push(value_of(name).ok_or_else(|| {
-                                Error::InvalidArgument(format!("unknown column `{name}`"))
-                            })?);
-                        }
-                        out.rows.push(values);
+                    for (column, &source) in batch.columns.iter_mut().zip(&proj_sources) {
+                        column.extend_selected(view(source), &sel);
                     }
+                    batch.rows += sel.len();
                 }
             }
         }
         out.charge_stage("io.cache_read", demand_ssd);
         out.charge_stage("io.remote_read", demand_remote);
         out.io_time = demand_ssd + demand_remote + prefetch_io;
-        out.partial = partial;
+        out.partial = agg.map(SplitAgg::finish);
         out.cpu_time = cpu;
-        Ok(out)
+        Ok((out, batch))
     }
 }
 
-/// Cache counter snapshot used for per-split attribution.
-#[derive(Debug, Default, Clone, Copy)]
-struct CacheCounters {
-    hits: u64,
-    misses: u64,
-    bytes_from_cache: u64,
-    bytes_from_remote: u64,
-    remote_requests: u64,
-}
+/// The cache counters behind per-split attribution, resolved to handles
+/// once per worker; a snapshot is five atomic loads.
+struct CacheCounters([Arc<Counter>; 5]);
+
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const BYTES_FROM_CACHE: usize = 2;
+const BYTES_FROM_REMOTE: usize = 3;
+const REMOTE_REQUESTS: usize = 4;
 
 impl CacheCounters {
-    fn snapshot(m: &MetricRegistry) -> Self {
-        Self {
-            hits: m.counter("hits").get(),
-            misses: m.counter("misses").get(),
-            bytes_from_cache: m.counter("bytes_from_cache").get(),
-            bytes_from_remote: m.counter("bytes_from_remote").get(),
-            remote_requests: m.counter("remote_requests").get(),
-        }
+    fn new(m: &MetricRegistry) -> Self {
+        Self([
+            m.counter("hits"),
+            m.counter("misses"),
+            m.counter("bytes_from_cache"),
+            m.counter("bytes_from_remote"),
+            m.counter("remote_requests"),
+        ])
     }
 
-    fn minus(&self, other: &Self) -> Self {
-        Self {
-            hits: self.hits - other.hits,
-            misses: self.misses - other.misses,
-            bytes_from_cache: self.bytes_from_cache - other.bytes_from_cache,
-            bytes_from_remote: self.bytes_from_remote - other.bytes_from_remote,
-            remote_requests: self.remote_requests - other.remote_requests,
-        }
+    fn snapshot(&self) -> [u64; 5] {
+        self.0.each_ref().map(|c| c.get())
     }
 }
 
@@ -797,38 +915,30 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
+    /// SUM/AVG: one more value, already converted to `f64`.
+    fn add(&mut self, x: f64) {
         match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(s) => *s += numeric(v)?,
+            AggState::Sum(sum) => *sum += x,
             AggState::Avg { sum, n } => {
-                *sum += numeric(v)?;
+                *sum += x;
                 *n += 1;
             }
-            AggState::Min(cur) => {
-                if let Some(v) = v {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.partial_cmp_same_type(c) == Some(std::cmp::Ordering::Less),
-                    };
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(v) = v {
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.partial_cmp_same_type(c) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
+            _ => unreachable!("add() is for SUM and AVG"),
         }
-        Ok(())
+    }
+
+    /// MIN/MAX: the first value seeds the state and only a strictly better
+    /// one replaces it, so a NaN neither displaces nor is displaced.
+    fn offer<T: Scalar>(&mut self, value: &T) {
+        let (current, better) = match self {
+            AggState::Min(current) => (current, CmpOrdering::Less),
+            AggState::Max(current) => (current, CmpOrdering::Greater),
+            _ => unreachable!("offer() is for MIN and MAX"),
+        };
+        let beaten = |c: &Value| T::of(c).and_then(|c| value.partial_cmp(c)) == Some(better);
+        if current.as_ref().is_none_or(beaten) {
+            *current = Some(value.to_value());
+        }
     }
 
     fn merge(&mut self, other: &AggState) {
@@ -872,14 +982,187 @@ impl AggState {
     }
 }
 
-fn numeric(v: Option<&Value>) -> Result<f64> {
-    match v {
-        Some(Value::Int64(x)) => Ok(*x as f64),
-        Some(Value::Float64(x)) => Ok(*x),
-        Some(Value::Bool(b)) => Ok(*b as u8 as f64),
-        Some(Value::Utf8(_)) | None => Err(Error::InvalidArgument(
-            "non-numeric value in numeric aggregate".into(),
-        )),
+/// One split's aggregation under construction: group keys map to dense ids
+/// in first-seen order, and every (group, aggregate) pair owns one
+/// [`AggState`] that the kernels below update a column at a time, rows
+/// ascending. It lives as long as the split — not the row group — so each
+/// float sum adds the split's rows in file order, whatever the grouping.
+struct SplitAgg<'p> {
+    aggregates: &'p [AggExpr],
+    /// Group id of an Int64/Float64/Bool key, by the key's 64 bits.
+    by_bits: HashMap<u64, u32>,
+    /// Group id of a Utf8 key.
+    by_text: HashMap<String, u32>,
+    /// Group id → the key as [`PartialAgg`] spells it (`None`: ungrouped).
+    keys: Vec<Option<String>>,
+    /// Direct-mapped memo `(key hash, group)` in front of the two maps: a
+    /// scan's group keys are few and recur on every row. A hit is checked
+    /// against the key, so a collision costs the map lookup it failed to
+    /// save and nothing else.
+    memo: [(u64, u32); MEMO],
+    /// Group-major: `states[group * aggregates.len() + aggregate]`.
+    states: Vec<AggState>,
+}
+
+const MEMO: usize = 64;
+/// An empty memo slot.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The memo slot of a key hash (Fibonacci hashing: the top bits of the
+/// product spread consecutive integers evenly).
+fn memo_slot(hash: u64) -> usize {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.trailing_zeros())) as usize
+}
+
+impl<'p> SplitAgg<'p> {
+    fn new(aggregates: &'p [AggExpr]) -> Self {
+        Self {
+            aggregates,
+            by_bits: HashMap::new(),
+            by_text: HashMap::new(),
+            keys: Vec::new(),
+            memo: [(0, NO_GROUP); MEMO],
+            states: Vec::new(),
+        }
+    }
+
+    fn new_group(&mut self, key: Option<String>) -> u32 {
+        self.keys.push(key);
+        self.states
+            .extend(self.aggregates.iter().map(|a| AggState::new(a.func)));
+        (self.keys.len() - 1) as u32
+    }
+
+    /// The group id of each selected row; new keys open new groups, with
+    /// the one `to_string()` a group ever costs.
+    fn group_ids(&mut self, key: Option<ColumnView<'_>>, sel: &[u32]) -> Vec<u32> {
+        let Some(view) = key else {
+            if self.keys.is_empty() {
+                self.new_group(None);
+            }
+            return vec![0; sel.len()];
+        };
+        let rows = sel.iter().map(|&r| view.index(r));
+        match view.data {
+            ColumnData::Int64(v) => rows
+                .map(|i| self.group_of(v[i] as u64, &v[i], None))
+                .collect(),
+            // Keys are compared as their text: one group for every NaN,
+            // `-0` apart from `0`.
+            ColumnData::Float64(v) => {
+                let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+                rows.map(|i| self.group_of(bits(v[i]), &v[i], None))
+                    .collect()
+            }
+            ColumnData::Bool(v) => rows
+                .map(|i| self.group_of(v[i] as u64, &v[i], None))
+                .collect(),
+            ColumnData::Utf8(v) => rows
+                .map(|i| self.group_of(fnv1a64(v[i].as_bytes()), &v[i], Some(&v[i])))
+                .collect(),
+        }
+    }
+
+    /// The group of one key: `hash` is the key itself for the 64-bit types
+    /// and a hash of `text` for Utf8, which alone can collide and is then
+    /// compared in full.
+    fn group_of(&mut self, hash: u64, key: &dyn Display, text: Option<&String>) -> u32 {
+        let slot = memo_slot(hash);
+        let (memo_hash, memo) = self.memo[slot];
+        let same_text =
+            |group: u32| text.is_none_or(|t| self.keys[group as usize].as_ref() == Some(t));
+        if memo != NO_GROUP && memo_hash == hash && same_text(memo) {
+            return memo;
+        }
+        let known = match text {
+            Some(text) => self.by_text.get(text),
+            None => self.by_bits.get(&hash),
+        };
+        let group = known.copied().unwrap_or_else(|| {
+            let group = self.new_group(Some(key.to_string()));
+            match text {
+                Some(text) => self.by_text.insert(text.clone(), group),
+                None => self.by_bits.insert(hash, group),
+            };
+            group
+        });
+        self.memo[slot] = (hash, group);
+        group
+    }
+
+    /// Feeds the selected rows to every aggregate; `columns[a]` is
+    /// aggregate `a`'s input (absent for `COUNT(*)`) and `groups[i]` the
+    /// group of row `sel[i]`.
+    fn accumulate(
+        &mut self,
+        columns: &[Option<ColumnView<'_>>],
+        sel: &[u32],
+        groups: &[u32],
+    ) -> Result<()> {
+        let non_numeric =
+            || Error::InvalidArgument("non-numeric value in numeric aggregate".into());
+        let rows = (sel, groups);
+        for (a, (agg, column)) in self.aggregates.iter().zip(columns).enumerate() {
+            match (agg.func, column) {
+                (AggFunc::Count, _) => {
+                    for &g in groups {
+                        match &mut self.states[g as usize * self.aggregates.len() + a] {
+                            AggState::Count(n) => *n += 1,
+                            _ => unreachable!("a COUNT state"),
+                        }
+                    }
+                }
+                // Each value is converted to `f64`, then added.
+                (AggFunc::Sum | AggFunc::Avg, Some(view)) => match view.data {
+                    ColumnData::Int64(v) => self.each(a, v, *view, rows, |s, x| s.add(*x as f64)),
+                    ColumnData::Float64(v) => self.each(a, v, *view, rows, |s, x| s.add(*x)),
+                    ColumnData::Bool(v) => {
+                        self.each(a, v, *view, rows, |s, x| s.add(*x as u8 as f64))
+                    }
+                    ColumnData::Utf8(_) => return Err(non_numeric()),
+                },
+                (AggFunc::Sum | AggFunc::Avg, None) => return Err(non_numeric()),
+                (AggFunc::Min | AggFunc::Max, Some(view)) => match view.data {
+                    ColumnData::Int64(v) => self.each(a, v, *view, rows, AggState::offer),
+                    ColumnData::Float64(v) => self.each(a, v, *view, rows, AggState::offer),
+                    ColumnData::Utf8(v) => self.each(a, v, *view, rows, AggState::offer),
+                    ColumnData::Bool(v) => self.each(a, v, *view, rows, AggState::offer),
+                },
+                (AggFunc::Min | AggFunc::Max, None) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Updates aggregate `a` with the view's value at each `(row, group)`,
+    /// rows ascending.
+    fn each<T>(
+        &mut self,
+        a: usize,
+        vals: &[T],
+        view: ColumnView<'_>,
+        (sel, groups): (&[u32], &[u32]),
+        update: impl Fn(&mut AggState, &T),
+    ) {
+        let n_aggs = self.aggregates.len();
+        for (&r, &g) in sel.iter().zip(groups) {
+            update(
+                &mut self.states[g as usize * n_aggs + a],
+                &vals[view.index(r)],
+            );
+        }
+    }
+
+    fn finish(self) -> PartialAgg {
+        let n_aggs = self.aggregates.len();
+        let mut states = self.states.into_iter();
+        let groups = self.keys.into_iter();
+        PartialAgg {
+            groups: groups
+                .map(|key| (key, states.by_ref().take(n_aggs).collect()))
+                .collect(),
+            n_aggs,
+        }
     }
 }
 
@@ -890,71 +1173,6 @@ impl PartialAgg {
             groups: BTreeMap::new(),
             n_aggs: aggregates.len(),
         }
-    }
-
-    fn accumulate(
-        &mut self,
-        plan: &QueryPlan,
-        columns: &[(String, ColumnData)],
-        keep: &[usize],
-    ) -> Result<()> {
-        let find = |name: &str| columns.iter().find(|(n, _)| n == name).map(|(_, d)| d);
-        let group_col = match &plan.group_by {
-            Some(g) => {
-                Some(find(g).ok_or_else(|| Error::InvalidArgument(format!("group column `{g}`")))?)
-            }
-            None => None,
-        };
-        for &row in keep {
-            let key = group_col.map(|c| c.value(row).to_string());
-            let states = self.groups.entry(key).or_insert_with(|| {
-                plan.aggregates
-                    .iter()
-                    .map(|a| AggState::new(a.func))
-                    .collect()
-            });
-            for (state, agg) in states.iter_mut().zip(&plan.aggregates) {
-                let v = if agg.column.is_empty() {
-                    None
-                } else {
-                    find(&agg.column).map(|c| c.value(row))
-                };
-                state.update(v.as_ref())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Accumulates one row resolved through `value_of` (the join path's
-    /// combined fact ∪ dimension view).
-    pub fn accumulate_row(
-        &mut self,
-        plan: &QueryPlan,
-        value_of: &dyn Fn(&str) -> Option<Value>,
-    ) -> Result<()> {
-        let key = match &plan.group_by {
-            Some(g) => Some(
-                value_of(g)
-                    .ok_or_else(|| Error::InvalidArgument(format!("group column `{g}`")))?
-                    .to_string(),
-            ),
-            None => None,
-        };
-        let states = self.groups.entry(key).or_insert_with(|| {
-            plan.aggregates
-                .iter()
-                .map(|a| AggState::new(a.func))
-                .collect()
-        });
-        for (state, agg) in states.iter_mut().zip(&plan.aggregates) {
-            let v = if agg.column.is_empty() {
-                None
-            } else {
-                value_of(&agg.column)
-            };
-            state.update(v.as_ref())?;
-        }
-        Ok(())
     }
 
     /// Merges another partial state (from a different split).
@@ -1045,6 +1263,9 @@ impl PartialAgg {
         total
     }
 }
+
+#[cfg(test)]
+mod proptests;
 
 #[cfg(test)]
 mod tests {
@@ -1243,21 +1464,19 @@ mod tests {
             AggExpr::max("x"),
             AggExpr::avg("x"),
         ];
-        let plan = QueryPlan::scan("s", "t", &[]).aggregate(aggs.clone());
-        let col = |vals: Vec<i64>| vec![("x".to_string(), ColumnData::Int64(vals))];
+        let fold = |vals: Vec<i64>| {
+            let col = ColumnData::Int64(vals);
+            let sel: Vec<u32> = (0..col.len() as u32).collect();
+            let x = Some(ColumnView::direct(&col));
+            let mut agg = SplitAgg::new(&aggs);
+            let groups = agg.group_ids(None, &sel);
+            agg.accumulate(&[None, x, x, x, x], &sel, &groups).unwrap();
+            agg.finish()
+        };
 
-        let mut single = PartialAgg::new(&aggs);
-        single
-            .accumulate(&plan, &col(vec![1, 2, 3, 4, 5, 6]), &[0, 1, 2, 3, 4, 5])
-            .unwrap();
-
-        let mut a = PartialAgg::new(&aggs);
-        a.accumulate(&plan, &col(vec![1, 2, 3]), &[0, 1, 2])
-            .unwrap();
-        let mut b = PartialAgg::new(&aggs);
-        b.accumulate(&plan, &col(vec![4, 5, 6]), &[0, 1, 2])
-            .unwrap();
-        a.merge(&b);
+        let single = fold(vec![1, 2, 3, 4, 5, 6]);
+        let mut a = fold(vec![1, 2, 3]);
+        a.merge(&fold(vec![4, 5, 6]));
 
         assert_eq!(a.finalize(), single.finalize());
         let row = &a.finalize()[0];

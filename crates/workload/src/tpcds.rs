@@ -413,6 +413,27 @@ mod tests {
         }
     }
 
+    /// Cross-commit golden: XXH64 over the `Debug` rendering of all 99
+    /// answers, taken at the last commit that still interpreted scans row
+    /// by row (4d334ff). Every in-repo oracle compares an engine with
+    /// another engine running the same scan code; only a constant from
+    /// before the columnar pipeline pins "same answers as before", down to
+    /// the last bit of every float sum.
+    #[test]
+    fn all_99_answers_match_the_row_interpreter_golden() {
+        let (gen, e) = engine();
+        let mut rendered = String::new();
+        for q in 1..=99 {
+            let rows = e.execute(&gen.query(q)).unwrap().rows;
+            rendered.push_str(&format!("{rows:?}\n"));
+        }
+        assert_eq!(rendered.len(), 29_605);
+        assert_eq!(
+            edgecache_common::hash::xxh64(rendered.as_bytes(), 0),
+            0xafae_9442_5515_911e
+        );
+    }
+
     #[test]
     fn queries_are_deterministic() {
         let gen = TpcdsGen::new(TpcdsScale::tiny(), 1);
