@@ -50,6 +50,8 @@ const KEYS: usize = 2_000;
 const VALUE_LEN: usize = 1024;
 /// Wall-clock cells must stay within this factor of a same-host baseline.
 const GATE_FACTOR: f64 = 1.2;
+/// The one wall-clock shape check (pipelined ≥ 1.3× serial at 1 conn).
+const PIPELINING_CHECK: &str = "pipelining wins";
 
 fn mix_config() -> KeyMixConfig {
     KeyMixConfig {
@@ -295,7 +297,7 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
     };
     let speedup = ops_of("pipelined", 1) / ops_of("serial", 1).max(1e-9);
     report.checks.push(Check::new(
-        "pipelining wins",
+        PIPELINING_CHECK,
         ">= 1.3x serial throughput at 1 conn (amortized round trips)",
         format!("{speedup:.1}x"),
         speedup >= 1.3,
@@ -446,7 +448,16 @@ mod tests {
 
     #[test]
     fn quick_run_conserves_and_pipelines() {
+        // Accounting checks only: the pipelined-vs-serial ratio is wall
+        // clock over a few milliseconds and fails whenever the host is
+        // busy. It stays in the full `server` run and its CI gate.
         let report = run(true);
-        assert!(report.all_ok(), "{report}");
+        assert!(
+            report
+                .checks
+                .iter()
+                .all(|c| c.ok || c.metric == PIPELINING_CHECK),
+            "{report}"
+        );
     }
 }

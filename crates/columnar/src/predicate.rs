@@ -284,6 +284,34 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_holding_nan_is_never_pruned() {
+        // `Between` keeps the NaN row, so stats over the non-NaN values
+        // ([5, 5]) would wrongly prune this chunk under `Between(10, 20)`.
+        let col = ColumnData::Float64(vec![f64::NAN, 5.0]);
+        assert_eq!(col.min_max(), None, "no stats for a chunk with a NaN");
+        let meta = ChunkMeta {
+            offset: 0,
+            len: 0,
+            encoding: Encoding::Plain,
+            min: None,
+            max: None,
+        };
+        let chunk_of = |name: &str| (name == "x").then(|| meta.clone());
+        let ten = Value::Float64(10.0);
+        for (p, rows) in [
+            (Predicate::Lt("x".into(), ten.clone()), vec![1]),
+            (Predicate::Gt("x".into(), ten.clone()), vec![]),
+            (
+                Predicate::Between("x".into(), ten, Value::Float64(20.0)),
+                vec![0],
+            ),
+        ] {
+            assert!(p.may_match(&chunk_of), "{p:?} pruned a NaN chunk");
+            assert_eq!(p.matching_rows(&[("x", &col)], 2), rows, "{p:?}");
+        }
+    }
+
+    #[test]
     fn row_evaluation() {
         let col = ColumnData::Int64(vec![1, 5, 10, 15]);
         let p = Predicate::Between("x".into(), Value::Int64(5), Value::Int64(10));

@@ -5,6 +5,9 @@
 //!   one-row-at-a-time [`Predicate::matches`] accepts, including the cases
 //!   the reference defines oddly and callers may rely on: a literal of
 //!   another type, NaN data and literals, an unknown column, no rows.
+//! * **Pruning is sound** — when [`Predicate::may_match`] rules a chunk out
+//!   from the stats a writer records ([`ColumnData::min_max`]), the typed
+//!   filter keeps no row of it, NaN-holding `Float64` chunks included.
 //! * **Corrupt chunks** — [`decode`] answers a damaged chunk with an error or
 //!   with exactly `rows` values; it never panics and never sizes an
 //!   allocation from the chunk's own (corrupt) lengths.
@@ -15,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::encoding::{decode, encode_dictionary, encode_plain, encode_run_length, Encoding};
+use crate::format::ChunkMeta;
 use crate::{ColumnData, ColumnType, ColumnView, Predicate, Value};
 
 fn cases() -> u32 {
@@ -155,6 +159,31 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(pred.matching_rows(&named, rows), without_g, "{:?}", pred);
+    }
+
+    #[test]
+    fn pruning_never_drops_a_matching_row(
+        seed in any::<u64>(),
+        // Short chunks, so Float64 chunks without a NaN (which get stats)
+        // are common.
+        rows in prop_oneof![1 => Just(0usize), 9 => 1usize..10],
+        depth in 0u32..4,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let direct: Vec<ColumnData> = TYPES.iter().map(|&ty| column(rng, ty, rows)).collect();
+        let pred = predicate(rng, depth);
+        // `g` and `nope` have no chunk here: unknown to both sides.
+        let slot = |name: &str| NAMES[..4].iter().position(|n| *n == name);
+        let chunk_of = |name: &str| {
+            let (min, max) = direct[slot(name)?].min_max().unzip();
+            Some(ChunkMeta { offset: 0, len: 0, encoding: Encoding::Plain, min, max })
+        };
+        if !pred.may_match(&chunk_of) {
+            let all: Vec<u32> = (0..rows as u32).collect();
+            let selected =
+                pred.select(&|name| Some(ColumnView::direct(&direct[slot(name)?])), &all);
+            prop_assert!(selected.is_empty(), "{:?} pruned rows {:?} of {:?}", pred, selected, direct);
+        }
     }
 
     #[test]

@@ -218,9 +218,14 @@ impl ColumnData {
         }
     }
 
-    /// Min and max values, or `None` if empty.
+    /// Min and max values, or `None` if empty or if a `Float64` column holds
+    /// a NaN. Such a chunk gets no stats and is never pruned: `Between`
+    /// matches a NaN row (both bound comparisons are unordered, so neither
+    /// fails), so stats over the other values would prune `[NaN, 5.0]`
+    /// under `Between(10, 20)` although its first row matches.
     pub fn min_max(&self) -> Option<(Value, Value)> {
-        if self.is_empty() {
+        let has_nan = matches!(self, ColumnData::Float64(v) if v.iter().any(|x| x.is_nan()));
+        if self.is_empty() || has_nan {
             return None;
         }
         let mut min = self.value(0);

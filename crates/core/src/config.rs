@@ -60,8 +60,8 @@ pub struct CacheConfig {
     /// directories. Zero (the default) disables the tier: the cache is the
     /// paper's two-level SSD → remote hierarchy. Non-zero turns reads into
     /// a three-level memory → SSD → remote hierarchy — published pages land
-    /// in memory first, SSD hits are promoted, and memory pressure demotes
-    /// frames back to SSD instead of dropping them. Adjustable at runtime
+    /// on SSD, a page's second SSD hit promotes it, and memory pressure
+    /// demotes frames back to SSD instead of dropping them. Adjustable at runtime
     /// via `CacheManager::set_memory_capacity`.
     pub memory_capacity: u64,
 }

@@ -209,15 +209,17 @@ impl IndexManager {
 
     /// The hit path's classify probe: if the page is resident, records the
     /// access (recency timestamp + hit count, both per-entry Relaxed
-    /// atomics) and returns the page's directory. Takes only the shard
-    /// *read* lock — concurrent hits on the same shard, and even the same
-    /// page, proceed in parallel.
-    pub fn touch(&self, id: &PageId, now_ms: u64) -> Option<usize> {
+    /// atomics) and returns the page's directory with the entry's hit count
+    /// including this one — the page's hits since it entered that
+    /// directory, since every insert (tier moves included) resets it. Takes
+    /// only the shard *read* lock — concurrent hits on the same shard, and
+    /// even the same page, proceed in parallel.
+    pub fn touch(&self, id: &PageId, now_ms: u64) -> Option<(usize, u64)> {
         let shard = self.shard(id).read();
         let entry = shard.get(id)?;
         entry.last_access_ms.store(now_ms, Ordering::Relaxed);
-        entry.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.info.dir)
+        let hits = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        Some((entry.info.dir, hits))
     }
 
     /// Per-entry access bookkeeping: `(last_access_ms, hits)`. Introspection
@@ -635,12 +637,13 @@ mod tests {
         assert_eq!(idx.touch(&id, 5), None, "absent page is not touched");
         idx.insert(info(1, 0, 100, CacheScope::Global, 1));
         assert_eq!(idx.access_stats(&id), Some((0, 0)));
-        assert_eq!(idx.touch(&id, 42), Some(1));
-        assert_eq!(idx.touch(&id, 99), Some(1));
+        assert_eq!(idx.touch(&id, 42), Some((1, 1)));
+        assert_eq!(idx.touch(&id, 99), Some((1, 2)));
         assert_eq!(idx.access_stats(&id), Some((99, 2)));
         // Replacement resets the per-entry bookkeeping.
         idx.insert(info(1, 0, 100, CacheScope::Global, 0));
         assert_eq!(idx.access_stats(&id), Some((0, 0)));
+        assert_eq!(idx.touch(&id, 7), Some((0, 1)), "the count restarts");
         idx.check_consistency().unwrap();
     }
 
@@ -657,7 +660,7 @@ mod tests {
                 let idx = Arc::clone(&idx);
                 std::thread::spawn(move || {
                     for i in 0..ITERS {
-                        assert_eq!(idx.touch(&id, t * ITERS + i), Some(0));
+                        assert_eq!(idx.touch(&id, t * ITERS + i).map(|(dir, _)| dir), Some(0));
                     }
                 })
             })

@@ -119,10 +119,18 @@ impl InflightFetch {
     }
 }
 
+/// Which SSD hit (counted since the page entered SSD) promotes a page into
+/// the DRAM tier — the kernel's two-list rule, with SSD as the probation
+/// list and DRAM as the second-touch list: a one-off hit is served ranged
+/// and moves nothing.
+const PROMOTE_ON_HIT: u64 = 2;
+
 /// How one requested page will be served, decided during classification.
 enum PageClass {
     /// Present in the index: read from the local store after the lock drops.
-    Hit,
+    /// `dir` and `hits` are what the classify-time touch saw — the page's
+    /// directory and its hit count there, this hit included.
+    Hit { dir: usize, hits: u64 },
     /// Missing and admitted, with this reader elected to fetch it.
     Owner { latch: Arc<InflightFetch> },
     /// Missing, but another reader is already fetching it.
@@ -302,11 +310,10 @@ struct HotMetrics {
     policy_events_dropped: Arc<Counter>,
     fetch_batch_bytes: Arc<Histogram>,
     /// Memory-tier flow counters. The three-tier conservation oracle
-    /// balances entries (`mem.publishes + mem.promotions`) against exits
-    /// (`mem.demotions + mem.evictions + mem.replaced`) and current
+    /// balances entries (`mem.promotions`, the tier's only way in) against
+    /// exits (`mem.demotions + mem.evictions + mem.replaced`) and current
     /// residency — every frame that leaves the tier is counted somewhere.
     mem_hits: Arc<Counter>,
-    mem_publishes: Arc<Counter>,
     mem_promotions: Arc<Counter>,
     mem_demotions: Arc<Counter>,
     mem_replaced: Arc<Counter>,
@@ -337,7 +344,6 @@ impl HotMetrics {
             policy_events_dropped: m.counter("policy.events_dropped"),
             fetch_batch_bytes: m.histogram("fetch.batch_bytes"),
             mem_hits: m.counter("mem.hits"),
-            mem_publishes: m.counter("mem.publishes"),
             mem_promotions: m.counter("mem.promotions"),
             mem_demotions: m.counter("mem.demotions"),
             mem_replaced: m.counter("mem.replaced"),
@@ -430,7 +436,7 @@ impl CacheManagerBuilder {
         // stores: the same index, ledger, quota, and policy machinery then
         // covers it for free. The allocator is built from the SSD
         // capacities only, so `pick` never places a page in memory —
-        // memory placement is explicit (publish, promote, demote).
+        // memory placement is explicit (promote, demote).
         let mut stores = self.stores;
         let mem_store = if self.config.memory_capacity > 0 {
             let store = Arc::new(MemTierStore::new());
@@ -537,7 +543,7 @@ pub struct CacheManager {
     mem_store: Option<Arc<MemTierStore>>,
     /// Index directory of the DRAM tier. Always the *last* directory; the
     /// allocator only knows the SSD directories, so its `pick` never lands
-    /// here — tier placement is explicit (publish/promote/demote).
+    /// here — tier placement is explicit (promote/demote).
     mem_dir: Option<usize>,
     /// Runtime-adjustable DRAM-tier capacity (`set_memory_capacity`).
     /// Relaxed everywhere: a capacity is a target the next placement or
@@ -761,7 +767,7 @@ impl CacheManager {
         let mut plans = self.classify(file, offset, end, classify_span.id());
         if classify_span.is_recording() {
             let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
-            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit)));
+            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit { .. })));
             classify_span.annotate("waiters", count(|c| matches!(c, PageClass::Waiter { .. })));
             classify_span.annotate("owned", count(|c| matches!(c, PageClass::Owner { .. })));
             classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
@@ -914,7 +920,7 @@ impl CacheManager {
         }
         if classify_span.is_recording() {
             let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
-            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit)));
+            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit { .. })));
             classify_span.annotate("waiters", count(|c| matches!(c, PageClass::Waiter { .. })));
             classify_span.annotate("owned", count(|c| matches!(c, PageClass::Owner { .. })));
             classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
@@ -1082,7 +1088,7 @@ impl CacheManager {
         // Stage 4: serve hits from the local store (I/O outside the locks).
         let serve_span = self.tracer.child(root, "serve");
         for pos in 0..plans.len() {
-            if matches!(plans[pos].class, PageClass::Hit) {
+            if matches!(plans[pos].class, PageClass::Hit { .. }) {
                 chunks[pos] = Some(self.serve_hit(file, &plans[pos], source, serve_span.id())?);
             }
         }
@@ -1179,14 +1185,14 @@ impl CacheManager {
     /// publisher may have landed the page), and consult the single-flight
     /// shard.
     fn classify_page(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
-        if let Some(dir) = self.index.touch(&id, now) {
+        if let Some((dir, hits)) = self.index.touch(&id, now) {
             if !self.policies[dir].record_access(id) {
                 self.hot.policy_events_dropped.inc();
             }
-            return PageClass::Hit;
+            return PageClass::Hit { dir, hits };
         }
         let _guard = self.stripe(id).lock();
-        if let Some(dir) = self.index.touch(&id, now) {
+        if let Some((dir, hits)) = self.index.touch(&id, now) {
             // Double-check hit: published between the optimistic probe and
             // the lock. Counted separately — a pure-hit workload must never
             // land here (the hotpath benchmark asserts it stays 0).
@@ -1194,7 +1200,7 @@ impl CacheManager {
             if !self.policies[dir].record_access(id) {
                 self.hot.policy_events_dropped.inc();
             }
-            return PageClass::Hit;
+            return PageClass::Hit { dir, hits };
         }
         self.hot.misses.inc();
         let mut inflight = self.inflight_shard(id).lock();
@@ -1265,7 +1271,7 @@ impl CacheManager {
                     plan.slot = Some(fetches.len());
                     fetches.push((plan.page_start + plan.within_off, plan.within_len));
                 }
-                PageClass::Hit | PageClass::Waiter { .. } => {
+                PageClass::Hit { .. } | PageClass::Waiter { .. } => {
                     self.close_run(&fetches, run_pages);
                     run_pages = 0;
                 }
@@ -1442,12 +1448,6 @@ impl CacheManager {
         outcome: &std::result::Result<Bytes, String>,
         parent: SpanId,
     ) {
-        if let Ok(page) = outcome {
-            // Make room in the DRAM tier before taking the stripe lock:
-            // demotion locks the victim's stripe, and stripe locks never
-            // nest.
-            self.ensure_mem_room(page.len() as u64, parent);
-        }
         {
             let _guard = self.stripe(id).lock();
             let mut cached = false;
@@ -1488,10 +1488,20 @@ impl CacheManager {
             return self.fetch_page_direct(file, plan, source, parent);
         };
         let mem_hit = Some(info.dir) == self.mem_dir;
-        // Three-tier promotion: an SSD hit moves the page up into memory,
-        // which needs the whole page — read it once and serve the requested
-        // slice from the same buffer (no second I/O, no extra copy).
-        let promote = !mem_hit && self.mem_dir.is_some() && info.size <= self.memory_capacity();
+        // Second-touch promotion: a one-off SSD hit reads just the range it
+        // asked for; the page's second hit since it entered SSD moves it up
+        // into memory, which needs the whole page — read it once and serve
+        // the requested slice from the same buffer (no second I/O, no extra
+        // copy). A count the classify took in another directory (the page
+        // moved since) is not this directory's count.
+        let second_touch = match plan.class {
+            PageClass::Hit { dir, hits } => dir == info.dir && hits >= PROMOTE_ON_HIT,
+            _ => false,
+        };
+        let promote = second_touch
+            && !mem_hit
+            && self.mem_dir.is_some()
+            && info.size <= self.memory_capacity();
         let (read_off, read_len) = if promote {
             (0, info.size)
         } else {
@@ -1631,9 +1641,6 @@ impl CacheManager {
                 plan.page_len
             )));
         }
-        // Room first, stripe second (stripe locks never nest; see
-        // `finish_fetch`).
-        self.ensure_mem_room(data.len() as u64, direct_span.id());
         {
             let _guard = self.stripe(plan.id).lock();
             if let Err(e) = self.put_page_locked_traced(file, plan.id, &data, direct_span.id()) {
@@ -1668,9 +1675,6 @@ impl CacheManager {
     /// through).
     pub fn put_page(&self, file: &SourceFile, page_index: u64, data: &[u8]) -> Result<()> {
         let id = PageId::new(file.file_id(), page_index);
-        // Room first, stripe second (stripe locks never nest; see
-        // `finish_fetch`).
-        self.ensure_mem_room(data.len() as u64, SpanId::NONE);
         let _guard = self.stripe(id).lock();
         self.put_page_locked(file, id, data)
     }
@@ -1735,27 +1739,13 @@ impl CacheManager {
         parent: SpanId,
     ) -> Result<()> {
         let size = data.len() as u64;
-        // Every page must fit an SSD directory even when it lands in memory
-        // first: a frame that could never be demoted would turn memory
-        // pressure into forced (remote-backed) eviction.
-        let Some(ssd_dir) = self.allocator.pick(id.file, size) else {
+        // Publishes land on SSD, never in the DRAM tier: a page enters
+        // memory only through its second SSD hit (`serve_hit`), so a
+        // one-off miss costs no demotion.
+        let Some(dir) = self.allocator.pick(id.file, size) else {
             return Err(Error::InvalidArgument(format!(
                 "page of {size} bytes exceeds every cache directory"
             )));
-        };
-        // Mem-first placement: publishes land in the DRAM tier when it is
-        // mounted and has room (the caller made room via `ensure_mem_room`
-        // before taking the stripe lock; if a concurrent publisher stole
-        // that room, fall back to SSD rather than demoting here — demotion
-        // takes the victim's stripe lock, and stripe locks do not nest).
-        let dir = match self.mem_dir {
-            Some(mem)
-                if size <= self.memory_capacity()
-                    && self.index.bytes_of_dir(mem) + size <= self.memory_capacity() =>
-            {
-                mem
-            }
-            _ => ssd_dir,
         };
         let mut evict_span: Option<Span> = None;
         let mut evicted = 0u64;
@@ -1783,27 +1773,22 @@ impl CacheManager {
             }
         }
 
-        // Capacity eviction within the target directory. A memory target
-        // already fits (checked above), so this loop only runs for SSD
-        // placement — the DRAM tier makes room by *demotion*, never by the
-        // eviction this loop performs.
-        if Some(dir) != self.mem_dir {
-            let capacity = self.allocator.capacity(dir);
-            while self.index.bytes_of_dir(dir) + size > capacity {
-                evict_span.get_or_insert_with(|| self.tracer.child(parent, "eviction"));
-                let victim = self.policies[dir].lock().victim();
-                let Some(victim) = victim else {
-                    finish_eviction_span(evict_span, evicted, quota_rounds);
-                    return Err(Error::NoSpace);
-                };
-                if self.evict_page(&victim, "capacity").is_none() {
-                    // The policy offered a page the index no longer holds (a
-                    // racing eviction through another path). Retire the stale
-                    // entry, or this loop would redraw the same victim forever.
-                    self.policies[dir].lock().on_remove(victim);
-                }
-                evicted += 1;
+        // Capacity eviction within the target directory.
+        let capacity = self.allocator.capacity(dir);
+        while self.index.bytes_of_dir(dir) + size > capacity {
+            evict_span.get_or_insert_with(|| self.tracer.child(parent, "eviction"));
+            let victim = self.policies[dir].lock().victim();
+            let Some(victim) = victim else {
+                finish_eviction_span(evict_span, evicted, quota_rounds);
+                return Err(Error::NoSpace);
+            };
+            if self.evict_page(&victim, "capacity").is_none() {
+                // The policy offered a page the index no longer holds (a
+                // racing eviction through another path). Retire the stale
+                // entry, or this loop would redraw the same victim forever.
+                self.policies[dir].lock().on_remove(victim);
             }
+            evicted += 1;
         }
         finish_eviction_span(evict_span, evicted, quota_rounds);
 
@@ -1824,7 +1809,8 @@ impl CacheManager {
             // Refresh of an existing page: retire the old copy's policy
             // entry, and delete its stored bytes when the allocator placed
             // the new copy in a different directory (capacity fallback on a
-            // size change) — otherwise they stay stranded in the old store.
+            // size change, or a memory-resident old copy) — otherwise they
+            // stay stranded in the old store.
             self.policies[old.dir].lock().on_remove(id);
             if old.dir != dir {
                 if let Err(e) = self.stores[old.dir].delete(id) {
@@ -1832,17 +1818,14 @@ impl CacheManager {
                 }
             }
             if Some(old.dir) == self.mem_dir {
-                // The refresh displaced a memory-resident copy — a counted
-                // memory-tier exit even when the new copy also lands there.
+                // The refresh displaced a memory-resident copy: a counted
+                // memory-tier exit.
                 self.hot.mem_replaced.inc();
             }
         }
         self.policies[dir].lock().on_insert(id);
         self.hot.puts.inc();
         self.hot.bytes_written.add(size);
-        if Some(dir) == self.mem_dir {
-            self.hot.mem_publishes.inc();
-        }
         Ok(())
     }
 
@@ -1921,7 +1904,7 @@ impl CacheManager {
         self.metrics.counter(&format!("evictions.{cause}")).inc();
         if Some(info.dir) == self.mem_dir {
             // A counted memory-tier exit: the conservation oracle balances
-            // these against publishes and promotions.
+            // these against promotions.
             self.hot.mem_evictions.inc();
         }
         Some(info)
@@ -2043,12 +2026,14 @@ impl CacheManager {
     /// tier's capacity. Must be called while holding **no** stripe lock:
     /// demotion takes the victim's stripe, and stripe locks never nest.
     /// Stops early when nothing more can be freed (all pinned, or SSD
-    /// refuses the bytes) — callers then fall back to SSD placement.
+    /// refuses the bytes) — a promotion then leaves its page on SSD. Only
+    /// promotion and [`Self::set_memory_capacity`] call this: publishes land
+    /// on SSD and never make room here.
     fn ensure_mem_room(&self, size: u64, parent: SpanId) {
         let Some(mem) = self.mem_dir else { return };
         let capacity = self.memory_capacity();
         if size > capacity {
-            return; // can never fit; the publish path falls back to SSD
+            return; // can never fit: the page stays on SSD
         }
         let mut pinned_skips = 0usize;
         while self.index.bytes_of_dir(mem) + size > capacity {
@@ -2170,9 +2155,10 @@ impl CacheManager {
         DemoteOutcome::Freed
     }
 
-    /// Moves a just-served SSD-resident page up into the DRAM tier (the
-    /// mirror of [`Self::demote_page`]). `data` is the page's freshly read
-    /// full payload; the caller holds no stripe lock. Best-effort: any
+    /// Moves a just-served SSD-resident page up into the DRAM tier on its
+    /// second SSD hit (the mirror of [`Self::demote_page`], and the tier's
+    /// only way in). `data` is the page's freshly read full payload; the
+    /// caller holds no stripe lock. Best-effort: any
     /// conflict (raced refresh, no room after demotion) leaves the page
     /// where it is.
     fn promote_to_mem(&self, info: &PageInfo, data: &Bytes, parent: SpanId) {
@@ -2500,2001 +2486,4 @@ impl Drop for IoPool {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::admission::{
-        FilterRule, FilterRuleAdmission, FilterRuleSet, SlidingWindowAdmission,
-    };
-    use crate::config::EvictionPolicyKind;
-    use edgecache_pagestore::{FaultPlan, FaultyStore, MemoryPageStore};
-    use parking_lot::Mutex as PlMutex;
-    use std::collections::HashMap;
-
-    /// A scripted remote: serves deterministic bytes and counts reads.
-    struct ScriptedRemote {
-        reads: PlMutex<Vec<(String, u64, u64)>>,
-        files: PlMutex<HashMap<String, Vec<u8>>>,
-    }
-
-    impl ScriptedRemote {
-        fn new() -> Self {
-            Self {
-                reads: PlMutex::new(Vec::new()),
-                files: PlMutex::new(HashMap::new()),
-            }
-        }
-
-        fn with_file(self, path: &str, data: Vec<u8>) -> Self {
-            self.files.lock().insert(path.to_string(), data);
-            self
-        }
-
-        fn read_count(&self) -> usize {
-            self.reads.lock().len()
-        }
-
-        fn bytes_served(&self) -> u64 {
-            self.reads.lock().iter().map(|(_, _, l)| l).sum()
-        }
-    }
-
-    impl RemoteSource for ScriptedRemote {
-        fn read(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-            let files = self.files.lock();
-            let data = files
-                .get(path)
-                .ok_or_else(|| Error::NotFound(path.to_string()))?;
-            let start = (offset as usize).min(data.len());
-            let end = ((offset + len) as usize).min(data.len());
-            self.reads
-                .lock()
-                .push((path.to_string(), offset, (end - start) as u64));
-            Ok(Bytes::copy_from_slice(&data[start..end]))
-        }
-    }
-
-    fn pattern(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i % 251) as u8).collect()
-    }
-
-    fn small_cache(page_size: u64, capacity: u64) -> CacheManager {
-        CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(page_size)))
-            .with_store(Arc::new(MemoryPageStore::new()), capacity)
-            .build()
-            .unwrap()
-    }
-
-    fn file(path: &str, len: u64) -> SourceFile {
-        SourceFile::new(path, 1, len, CacheScope::partition("s", "t", "p"))
-    }
-
-    #[test]
-    fn read_through_then_hit() {
-        let cache = small_cache(1024, 1 << 20);
-        let data = pattern(4000);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 4000);
-
-        let got = cache.read(&f, 100, 500, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[100..600]);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 0);
-
-        let got = cache.read(&f, 100, 500, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[100..600]);
-        assert_eq!(cache.stats().hits, 1);
-        // Only the first read touched the remote, at page granularity.
-        assert_eq!(remote.read_count(), 1);
-        assert_eq!(remote.bytes_served(), 1024);
-    }
-
-    #[test]
-    fn multi_page_read_spans_pages() {
-        let cache = small_cache(1000, 1 << 20);
-        let data = pattern(5000);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 5000);
-
-        let got = cache.read(&f, 500, 3000, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[500..3500]);
-        // Pages 0..=3 were all missing and adjacent: one coalesced request.
-        assert_eq!(remote.read_count(), 1);
-        assert_eq!(remote.bytes_served(), 4000);
-        assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 3);
-        // Second read of the same span is all hits.
-        cache.read(&f, 500, 3000, &remote).unwrap();
-        assert_eq!(remote.read_count(), 1);
-        assert_eq!(cache.stats().hits, 4);
-    }
-
-    #[test]
-    fn read_past_eof_is_clamped() {
-        let cache = small_cache(1024, 1 << 20);
-        let data = pattern(100);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 100);
-        let got = cache.read(&f, 50, 500, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[50..]);
-        assert!(cache.read(&f, 200, 10, &remote).unwrap().is_empty());
-        assert!(cache.read(&f, 0, 0, &remote).unwrap().is_empty());
-    }
-
-    #[test]
-    fn version_change_invalidates() {
-        let cache = small_cache(1024, 1 << 20);
-        let remote = ScriptedRemote::new().with_file("/f", pattern(100));
-        let v1 = SourceFile::new("/f", 1, 100, CacheScope::Global);
-        let v2 = SourceFile::new("/f", 2, 100, CacheScope::Global);
-        cache.read(&v1, 0, 100, &remote).unwrap();
-        cache.read(&v2, 0, 100, &remote).unwrap();
-        // Different versions are distinct cache entries.
-        assert_eq!(remote.read_count(), 2);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn capacity_eviction_lru() {
-        // Capacity of 3 pages; touch 4 distinct pages.
-        let cache = small_cache(100, 300);
-        let remote = ScriptedRemote::new().with_file("/f", pattern(400));
-        let f = file("/f", 400);
-        for page in 0..4u64 {
-            cache.read(&f, page * 100, 100, &remote).unwrap();
-        }
-        assert_eq!(cache.index().len(), 3);
-        assert_eq!(cache.metrics().counter("evictions.capacity").get(), 1);
-        // Page 0 was least recently used → evicted → re-reading it misses.
-        cache.read(&f, 0, 100, &remote).unwrap();
-        assert_eq!(cache.stats().misses, 5);
-    }
-
-    #[test]
-    fn eviction_respects_policy_kind() {
-        // FIFO with capacity 2 pages: access page 0 repeatedly, it still
-        // goes first.
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(100))
-                .with_eviction(EvictionPolicyKind::Fifo),
-        )
-        .with_store(Arc::new(MemoryPageStore::new()), 200)
-        .build()
-        .unwrap();
-        let remote = ScriptedRemote::new().with_file("/f", pattern(300));
-        let f = file("/f", 300);
-        cache.read(&f, 0, 100, &remote).unwrap();
-        cache.read(&f, 100, 100, &remote).unwrap();
-        cache.read(&f, 0, 100, &remote).unwrap(); // Hit; FIFO unaffected.
-        cache.read(&f, 200, 100, &remote).unwrap(); // Evicts page 0.
-        assert!(!cache.contains(&f, 0));
-        assert!(cache.contains(&f, 1));
-        assert!(cache.contains(&f, 2));
-    }
-
-    #[test]
-    fn admission_rejection_reads_exact_range() {
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(1024)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_admission(Arc::new(SlidingWindowAdmission::per_minute(10, 3)))
-                .build()
-                .unwrap();
-        let remote = ScriptedRemote::new().with_file("/f", pattern(2048));
-        let f = file("/f", 2048);
-        // First two accesses are not admitted: remote serves only 10 bytes.
-        cache.read(&f, 0, 10, &remote).unwrap();
-        assert_eq!(remote.bytes_served(), 10);
-        cache.read(&f, 0, 10, &remote).unwrap();
-        assert_eq!(remote.bytes_served(), 20);
-        assert_eq!(cache.metrics().counter("admission_rejected").get(), 2);
-        // Third access crosses the threshold: full page cached.
-        cache.read(&f, 0, 10, &remote).unwrap();
-        assert_eq!(remote.bytes_served(), 20 + 1024);
-        assert!(cache.contains(&f, 0));
-    }
-
-    #[test]
-    fn quota_partition_eviction() {
-        let scope = CacheScope::partition("s", "t", "p");
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_quota(scope.clone(), ByteSize::new(250))
-                .build()
-                .unwrap();
-        let remote = ScriptedRemote::new().with_file("/f", pattern(1000));
-        let f = file("/f", 1000);
-        for page in 0..5u64 {
-            cache.read(&f, page * 100, 100, &remote).unwrap();
-        }
-        // Quota allows 2 pages (250 bytes); eviction kept usage compliant.
-        assert!(cache.index().bytes_of_scope(&scope) <= 250);
-        assert!(cache.metrics().counter("evictions.quota").get() >= 3);
-    }
-
-    #[test]
-    fn quota_table_random_eviction_spreads() {
-        let table = CacheScope::table("s", "t");
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_quota(table.clone(), ByteSize::new(500))
-                .build()
-                .unwrap();
-        // Two partitions, ten pages each: table quota forces eviction across
-        // partitions.
-        for (i, part) in ["p1", "p2"].iter().enumerate() {
-            let remote = ScriptedRemote::new().with_file(&format!("/f{i}"), pattern(1000));
-            let f = SourceFile::new(
-                format!("/f{i}"),
-                1,
-                1000,
-                CacheScope::partition("s", "t", part),
-            );
-            for page in 0..10u64 {
-                cache.read(&f, page * 100, 100, &remote).unwrap();
-            }
-        }
-        assert!(cache.index().bytes_of_scope(&table) <= 500);
-        cache.index().check_consistency().unwrap();
-    }
-
-    /// A `maxCachedPartitions` cap on table `t`, with everything else
-    /// admitted freely.
-    fn partition_cap(table: &str, max: usize) -> Arc<FilterRuleAdmission> {
-        Arc::new(FilterRuleAdmission::new(FilterRuleSet {
-            rules: vec![FilterRule {
-                schema: "*".into(),
-                table: table.into(),
-                max_cached_partitions: Some(max),
-            }],
-            default_admit: true,
-        }))
-    }
-
-    fn part_file(path: &str, len: u64, partition: &str) -> SourceFile {
-        SourceFile::new(path, 1, len, CacheScope::partition("s", "t", partition))
-    }
-
-    #[test]
-    fn multi_scope_quota_violations_resolved_in_one_put() {
-        // One put violates its partition quota AND leaves the table quota
-        // violated after the partition round; both must be resolved instead
-        // of returning QuotaExceeded after the first.
-        let part = CacheScope::partition("s", "t", "p");
-        let table = CacheScope::table("s", "t");
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_quota(part.clone(), ByteSize::new(200))
-                .with_quota(table.clone(), ByteSize::new(250))
-                .build()
-                .unwrap();
-        let fq = SourceFile::new("/q", 1, 1000, CacheScope::partition("s", "t", "q"));
-        let fp = SourceFile::new("/p", 1, 1000, part.clone());
-        cache.put_page(&fq, 0, &pattern(60)).unwrap(); // t = 60
-        cache.put_page(&fp, 0, &pattern(95)).unwrap(); // p = 95, t = 155
-        cache.put_page(&fp, 1, &pattern(95)).unwrap(); // p = 190, t = 250
-                                                       // Partition round evicts down to 100 (frees 95), after which the
-                                                       // table still sits at 255 with the new page — a second round.
-        cache.put_page(&fp, 2, &pattern(100)).unwrap();
-        assert!(cache.index().bytes_of_scope(&part) <= 200);
-        assert!(cache.index().bytes_of_scope(&table) <= 250);
-        assert!(cache.metrics().counter("evictions.quota").get() >= 2);
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn refresh_keeps_one_policy_entry() {
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(1024))
-                .with_eviction(EvictionPolicyKind::Fifo),
-        )
-        .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-        .build()
-        .unwrap();
-        let f = file("/f", 4000);
-        cache.put_page(&f, 0, &pattern(100)).unwrap();
-        cache.put_page(&f, 0, &pattern(120)).unwrap();
-        assert_eq!(cache.index().len(), 1);
-        assert_eq!(cache.index().total_bytes(), 120);
-        // The refresh must retire the old policy entry before re-inserting,
-        // or the FIFO queue holds the page twice.
-        assert_eq!(cache.policies[0].lock().len(), 1);
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn refresh_into_other_dir_deletes_stale_copy() {
-        let store0 = Arc::new(MemoryPageStore::new());
-        let store1 = Arc::new(MemoryPageStore::new());
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::clone(&store0) as Arc<dyn PageStore>, 200)
-                .with_store(Arc::clone(&store1) as Arc<dyn PageStore>, 10_000)
-                .build()
-                .unwrap();
-        // A file whose affinity directory is the small dir 0.
-        let f = (0..100)
-            .map(|i| file(&format!("/f{i}"), 1000))
-            .find(|f| cache.allocator.affinity_dir(f.file_id()) == 0)
-            .expect("some file maps to dir 0");
-        let id = PageId::new(f.file_id(), 0);
-        cache.put_page(&f, 0, &pattern(100)).unwrap();
-        assert_eq!(cache.index().get(&id).unwrap().dir, 0);
-        // The refreshed copy no longer fits dir 0: the allocator falls back
-        // to dir 1, and the dir-0 residency must be cleaned up with it.
-        cache.put_page(&f, 0, &pattern(500)).unwrap();
-        assert_eq!(cache.index().get(&id).unwrap().dir, 1);
-        assert!(
-            store0.get(id, 0, 1).is_err(),
-            "old copy must not stay stranded in dir 0"
-        );
-        assert_eq!(cache.policies[0].lock().len(), 0);
-        assert_eq!(cache.policies[1].lock().len(), 1);
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn churn_readmits_partitions_after_purge() {
-        // The acceptance-criteria churn scenario: fill the table to its
-        // partition cap, purge those partitions, then insert fresh ones —
-        // the fresh partitions must be admitted (slots were leaked on main).
-        let admission = partition_cap("t", 2);
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_admission(admission.clone())
-                .build()
-                .unwrap();
-        for (i, part) in ["p1", "p2"].iter().enumerate() {
-            let remote = ScriptedRemote::new().with_file(&format!("/f{i}"), pattern(100));
-            let f = part_file(&format!("/f{i}"), 100, part);
-            cache.read(&f, 0, 100, &remote).unwrap();
-            assert!(cache.contains(&f, 0));
-        }
-        // Cap reached: a third partition is bypassed.
-        let remote3 = ScriptedRemote::new().with_file("/f3", pattern(100));
-        let f3 = part_file("/f3", 100, "p3");
-        cache.read(&f3, 0, 100, &remote3).unwrap();
-        assert!(!cache.contains(&f3, 0));
-        // Purge p1 and p2: their residency drops to zero, the ledger fires
-        // exits, and both admission slots come back.
-        cache.delete_scope(&CacheScope::partition("s", "t", "p1"));
-        cache.delete_scope(&CacheScope::partition("s", "t", "p2"));
-        for (i, part) in ["p3", "p4"].iter().enumerate() {
-            let path = format!("/g{i}");
-            let remote = ScriptedRemote::new().with_file(&path, pattern(100));
-            let f = part_file(&path, 100, part);
-            cache.read(&f, 0, 100, &remote).unwrap();
-            assert!(cache.contains(&f, 0), "fresh partition {part} rejected");
-        }
-        let snapshot = admission.admitted_snapshot();
-        let admitted = snapshot.get(&("s".to_string(), "t".to_string())).unwrap();
-        assert_eq!(admitted.len(), 2);
-        assert!(admitted.contains("p3") && admitted.contains("p4"));
-    }
-
-    #[test]
-    fn capacity_eviction_releases_admission_slot() {
-        let admission = partition_cap("t", 1);
-        // Room for exactly one page: caching anything else evicts.
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 100)
-                .with_admission(admission)
-                .build()
-                .unwrap();
-        let r1 = ScriptedRemote::new().with_file("/f1", pattern(100));
-        cache
-            .read(&part_file("/f1", 100, "p1"), 0, 100, &r1)
-            .unwrap();
-        // An uncapped table's page evicts p1's only page: the slot frees.
-        let ru = ScriptedRemote::new().with_file("/u", pattern(100));
-        let fu = SourceFile::new("/u", 1, 100, CacheScope::partition("s", "u", "q"));
-        cache.read(&fu, 0, 100, &ru).unwrap();
-        let r2 = ScriptedRemote::new().with_file("/f2", pattern(100));
-        let f2 = part_file("/f2", 100, "p2");
-        cache.read(&f2, 0, 100, &r2).unwrap();
-        assert!(cache.contains(&f2, 0), "capacity eviction leaked the slot");
-    }
-
-    #[test]
-    fn quota_eviction_releases_admission_slot() {
-        let admission = partition_cap("t", 2);
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_admission(admission.clone())
-                .with_quota(CacheScope::table("s", "t"), ByteSize::new(100))
-                .build()
-                .unwrap();
-        let r1 = ScriptedRemote::new().with_file("/f1", pattern(100));
-        cache
-            .read(&part_file("/f1", 100, "p1"), 0, 100, &r1)
-            .unwrap();
-        // p2's page violates the table quota and evicts p1's only page.
-        let r2 = ScriptedRemote::new().with_file("/f2", pattern(100));
-        cache
-            .read(&part_file("/f2", 100, "p2"), 0, 100, &r2)
-            .unwrap();
-        // p1's slot came back, so a third partition fits under the cap of 2.
-        let r3 = ScriptedRemote::new().with_file("/f3", pattern(100));
-        let f3 = part_file("/f3", 100, "p3");
-        cache.read(&f3, 0, 100, &r3).unwrap();
-        assert!(cache.contains(&f3, 0), "quota eviction leaked the slot");
-        let snapshot = admission.admitted_snapshot();
-        let admitted = snapshot.get(&("s".to_string(), "t".to_string())).unwrap();
-        assert!(!admitted.contains("p1"));
-    }
-
-    #[test]
-    fn ttl_expiry_releases_admission_slot() {
-        let clock = Arc::new(edgecache_common::SimClock::new());
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(100))
-                .with_ttl(Duration::from_secs(60)),
-        )
-        .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-        .with_admission(partition_cap("t", 1))
-        .with_clock(clock.clone())
-        .build()
-        .unwrap();
-        let r1 = ScriptedRemote::new().with_file("/f1", pattern(100));
-        cache
-            .read(&part_file("/f1", 100, "p1"), 0, 100, &r1)
-            .unwrap();
-        clock.advance(Duration::from_secs(70));
-        assert_eq!(cache.evict_expired(), 1);
-        let r2 = ScriptedRemote::new().with_file("/f2", pattern(100));
-        let f2 = part_file("/f2", 100, "p2");
-        cache.read(&f2, 0, 100, &r2).unwrap();
-        assert!(cache.contains(&f2, 0), "TTL expiry leaked the slot");
-    }
-
-    #[test]
-    fn corruption_eviction_cycles_the_ledger() {
-        let plan = FaultPlan::none();
-        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
-        let admission = partition_cap("t", 1);
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(store, 1 << 20)
-                .with_admission(admission.clone())
-                .build()
-                .unwrap();
-        let data = pattern(100);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = part_file("/f", 100, "p1");
-        cache.read(&f, 0, 100, &remote).unwrap();
-        plan.corrupt_page(PageId::new(f.file_id(), 0));
-        // Corruption eviction empties p1 (exit, slot released), then the
-        // refetch re-admits it (enter): the ledger sees the full cycle.
-        let got = cache.read(&f, 0, 100, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(cache.metrics().counter("ledger.enters").get(), 2);
-        assert_eq!(cache.metrics().counter("ledger.exits").get(), 1);
-        let snapshot = admission.admitted_snapshot();
-        let admitted = snapshot.get(&("s".to_string(), "t".to_string())).unwrap();
-        assert_eq!(admitted.len(), 1);
-        assert!(admitted.contains("p1"));
-    }
-
-    #[test]
-    fn failed_fetch_releases_vacant_admission() {
-        let admission = partition_cap("t", 1);
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_admission(admission)
-                .build()
-                .unwrap();
-        // p1 is admitted at classify time, but its remote read fails: no
-        // page lands, so the slot must be handed back.
-        let empty = ScriptedRemote::new();
-        assert!(cache
-            .read(&part_file("/f1", 100, "p1"), 0, 100, &empty)
-            .is_err());
-        let r2 = ScriptedRemote::new().with_file("/f2", pattern(100));
-        let f2 = part_file("/f2", 100, "p2");
-        cache.read(&f2, 0, 100, &r2).unwrap();
-        assert!(cache.contains(&f2, 0), "failed fetch leaked the slot");
-    }
-
-    #[test]
-    fn ledger_counts_partition_lifecycle() {
-        let cache = small_cache(100, 1 << 20);
-        let remote = ScriptedRemote::new().with_file("/f", pattern(200));
-        let f = file("/f", 200);
-        cache.read(&f, 0, 200, &remote).unwrap();
-        assert_eq!(cache.metrics().counter("ledger.enters").get(), 1);
-        assert_eq!(cache.metrics().counter("ledger.exits").get(), 0);
-        assert_eq!(cache.index().ledger().live_partitions().len(), 1);
-        cache.delete_file(f.file_id());
-        assert_eq!(cache.metrics().counter("ledger.exits").get(), 1);
-        assert!(cache.index().ledger().live_partitions().is_empty());
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn corrupted_page_is_evicted_and_refetched() {
-        let plan = FaultPlan::none();
-        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(store, 1 << 20)
-                .build()
-                .unwrap();
-        let data = pattern(100);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 100);
-        cache.read(&f, 0, 100, &remote).unwrap();
-        plan.corrupt_page(PageId::new(f.file_id(), 0));
-        // The read still succeeds (early evict + refetch) and the page is
-        // re-cached cleanly.
-        let got = cache.read(&f, 0, 100, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
-        let got = cache.read(&f, 0, 100, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn device_enospc_triggers_early_eviction() {
-        let plan = FaultPlan::none();
-        // Device truly holds 250 bytes although the cache believes 1000.
-        plan.set_device_capacity(250);
-        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(store, 1000)
-                .build()
-                .unwrap();
-        let remote = ScriptedRemote::new().with_file("/f", pattern(500));
-        let f = file("/f", 500);
-        for page in 0..5u64 {
-            cache.read(&f, page * 100, 100, &remote).unwrap();
-        }
-        // All reads succeeded; early eviction kept the device within bounds.
-        assert!(cache.index().total_bytes() <= 250);
-        assert!(cache.metrics().counter("evictions.no_space").get() >= 1);
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn read_timeout_falls_back_to_remote() {
-        let plan = FaultPlan::none();
-        plan.set_read_hang(Duration::from_millis(200), 1);
-        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(100))
-                .with_read_timeout(Duration::from_millis(20)),
-        )
-        .with_store(store, 1 << 20)
-        .build()
-        .unwrap();
-        let data = pattern(100);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 100);
-        cache.read(&f, 0, 100, &remote).unwrap(); // Miss: cached.
-        let got = cache.read(&f, 0, 100, &remote).unwrap(); // Hit hangs → remote.
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(cache.metrics().counter("fallbacks.timeout").get(), 1);
-        // The page is still cached (fallback does not evict).
-        assert!(cache.contains(&f, 0));
-    }
-
-    #[test]
-    fn ttl_evicts_expired_pages() {
-        let clock = Arc::new(edgecache_common::SimClock::new());
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(100))
-                .with_ttl(Duration::from_secs(60)),
-        )
-        .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-        .with_clock(clock.clone())
-        .build()
-        .unwrap();
-        let remote = ScriptedRemote::new().with_file("/f", pattern(200));
-        let f = file("/f", 200);
-        cache.read(&f, 0, 100, &remote).unwrap();
-        clock.advance(Duration::from_secs(30));
-        cache.read(&f, 100, 100, &remote).unwrap();
-        clock.advance(Duration::from_secs(40)); // Page 0 is now 70 s old.
-        assert_eq!(cache.evict_expired(), 1);
-        assert!(!cache.contains(&f, 0));
-        assert!(cache.contains(&f, 1));
-        assert_eq!(cache.metrics().counter("evictions.ttl").get(), 1);
-    }
-
-    #[test]
-    fn ttl_janitor_evicts_in_background() {
-        let cache = Arc::new(
-            CacheManager::builder(
-                CacheConfig::default()
-                    .with_page_size(ByteSize::new(100))
-                    .with_ttl(Duration::from_millis(30)),
-            )
-            .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-            .build()
-            .unwrap(),
-        );
-        let remote = ScriptedRemote::new().with_file("/f", pattern(100));
-        cache.read(&file("/f", 100), 0, 100, &remote).unwrap();
-        let _janitor = cache.start_ttl_janitor(Duration::from_millis(10));
-        // The page expires after 30 ms; the janitor should reap it shortly.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !cache.index().is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(cache.index().len(), 0, "janitor reaped the expired page");
-        assert!(cache.metrics().counter("evictions.ttl").get() >= 1);
-    }
-
-    #[test]
-    fn delete_scope_bulk_removes_partition() {
-        let cache = small_cache(100, 1 << 20);
-        let remote = ScriptedRemote::new()
-            .with_file("/a", pattern(300))
-            .with_file("/b", pattern(300));
-        let fa = SourceFile::new("/a", 1, 300, CacheScope::partition("s", "t", "2024-01-01"));
-        let fb = SourceFile::new("/b", 1, 300, CacheScope::partition("s", "t", "2024-01-02"));
-        cache.read(&fa, 0, 300, &remote).unwrap();
-        cache.read(&fb, 0, 300, &remote).unwrap();
-        assert_eq!(cache.index().len(), 6);
-        let removed = cache.delete_scope(&CacheScope::partition("s", "t", "2024-01-01"));
-        assert_eq!(removed, 3);
-        assert_eq!(cache.index().len(), 3);
-        assert!(!cache.contains(&fa, 0));
-        assert!(cache.contains(&fb, 0));
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn delete_file_removes_all_its_pages() {
-        let cache = small_cache(100, 1 << 20);
-        let remote = ScriptedRemote::new().with_file("/a", pattern(250));
-        let f = file("/a", 250);
-        cache.read(&f, 0, 250, &remote).unwrap();
-        assert_eq!(cache.delete_file(f.file_id()), 3);
-        assert_eq!(cache.index().len(), 0);
-    }
-
-    #[test]
-    fn recovery_restores_hits() {
-        let dir =
-            std::env::temp_dir().join(format!("edgecache-mgr-recover-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let data = pattern(300);
-        {
-            let store = Arc::new(
-                edgecache_pagestore::LocalPageStore::open(
-                    &dir,
-                    edgecache_pagestore::LocalStoreConfig {
-                        page_size: 100,
-                        ..Default::default()
-                    },
-                )
-                .unwrap(),
-            );
-            let cache =
-                CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                    .with_store(store, 1 << 20)
-                    .build()
-                    .unwrap();
-            let remote = ScriptedRemote::new().with_file("/a", data.clone());
-            cache.read(&file("/a", 300), 0, 300, &remote).unwrap();
-        }
-        // New process: recover from disk.
-        let store = Arc::new(
-            edgecache_pagestore::LocalPageStore::open(
-                &dir,
-                edgecache_pagestore::LocalStoreConfig {
-                    page_size: 100,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        );
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(store, 1 << 20)
-                .with_recovery()
-                .build()
-                .unwrap();
-        assert_eq!(cache.metrics().counter("recovered_pages").get(), 3);
-        let remote = ScriptedRemote::new().with_file("/a", data.clone());
-        let got = cache.read(&file("/a", 300), 0, 300, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(cache.stats().hits, 3);
-        assert_eq!(remote.read_count(), 0, "everything served from recovery");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clear_wipes_everything() {
-        let cache = small_cache(100, 1 << 20);
-        let remote = ScriptedRemote::new().with_file("/a", pattern(300));
-        cache.read(&file("/a", 300), 0, 300, &remote).unwrap();
-        assert_eq!(cache.clear(), 3);
-        assert!(cache.index().is_empty());
-    }
-
-    #[test]
-    fn builder_without_store_fails() {
-        assert!(CacheManager::builder(CacheConfig::default())
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn multiple_directories_spread_files() {
-        let cache =
-            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .build()
-                .unwrap();
-        let remote = ScriptedRemote::new();
-        for i in 0..30 {
-            let path = format!("/file-{i}");
-            remote.files.lock().insert(path.clone(), pattern(100));
-            let f = SourceFile::new(path, 1, 100, CacheScope::Global);
-            cache.read(&f, 0, 100, &remote).unwrap();
-        }
-        let dirs_used = (0..3)
-            .filter(|&d| cache.index().bytes_of_dir(d) > 0)
-            .count();
-        assert!(dirs_used >= 2, "files should spread over directories");
-        cache.index().check_consistency().unwrap();
-    }
-
-    #[test]
-    fn concurrent_reads_are_consistent() {
-        let cache = Arc::new(small_cache(256, 1 << 20));
-        let data = pattern(4096);
-        let remote = Arc::new(ScriptedRemote::new().with_file("/f", data.clone()));
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let cache = Arc::clone(&cache);
-            let remote = Arc::clone(&remote);
-            let data = data.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50u64 {
-                    let off = (t * 131 + i * 67) % 4000;
-                    let len = 96.min(4096 - off);
-                    let f = file("/f", 4096);
-                    let got = cache.read(&f, off, len, remote.as_ref()).unwrap();
-                    assert_eq!(got.as_ref(), &data[off as usize..(off + len) as usize]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        cache.index().check_consistency().unwrap();
-        // Each request touches one or two pages (reads may straddle a page
-        // boundary), so page-level accesses land in [400, 800].
-        let stats = cache.stats();
-        assert!((400..=800).contains(&(stats.hits + stats.misses)));
-    }
-
-    /// A remote that blocks every fetch on a gate until released, counting
-    /// requests. Lets a test hold a fetch in flight while other readers pile
-    /// up behind the single-flight latch.
-    struct GatedRemote {
-        data: Vec<u8>,
-        gate: PlMutex<bool>,
-        opened: Condvar,
-        requests: AtomicU64,
-    }
-
-    impl GatedRemote {
-        fn new(data: Vec<u8>) -> Self {
-            Self {
-                data,
-                gate: PlMutex::new(false),
-                opened: Condvar::new(),
-                requests: AtomicU64::new(0),
-            }
-        }
-
-        fn open_gate(&self) {
-            *self.gate.lock() = true;
-            self.opened.notify_all();
-        }
-
-        fn serve(&self, offset: u64, len: u64) -> Bytes {
-            let start = (offset as usize).min(self.data.len());
-            let end = ((offset + len) as usize).min(self.data.len());
-            Bytes::copy_from_slice(&self.data[start..end])
-        }
-    }
-
-    impl RemoteSource for GatedRemote {
-        fn read(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-            self.read_ranges(path, &[(offset, len)])
-                .map(|mut v| v.pop().unwrap())
-        }
-
-        fn read_ranges(&self, _path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
-            // Relaxed: the test reads this only after thread::join, which
-            // already synchronizes-with everything the workers did.
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            let mut open = self.gate.lock();
-            while !*open {
-                self.opened.wait(&mut open);
-            }
-            Ok(ranges.iter().map(|&(o, l)| self.serve(o, l)).collect())
-        }
-    }
-
-    #[test]
-    fn single_flight_dedups_concurrent_misses() {
-        let cache = Arc::new(small_cache(1024, 1 << 20));
-        let data = pattern(1024);
-        let remote = Arc::new(GatedRemote::new(data.clone()));
-
-        let mut handles = Vec::new();
-        for _ in 0..32 {
-            let cache = Arc::clone(&cache);
-            let remote = Arc::clone(&remote);
-            handles.push(std::thread::spawn(move || {
-                cache
-                    .read(&file("/f", 1024), 0, 1024, remote.as_ref())
-                    .unwrap()
-            }));
-        }
-
-        // One thread owns the (gated) fetch; the other 31 must register as
-        // in-flight waiters before we let the fetch complete.
-        let waits = cache.metrics().counter("fetch.inflight_waits");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while waits.get() < 31 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(waits.get(), 31, "31 readers joined the in-flight fetch");
-        remote.open_gate();
-
-        for h in handles {
-            assert_eq!(h.join().unwrap().as_ref(), &data[..]);
-        }
-        // Exactly one remote request despite 32 concurrent cold readers.
-        assert_eq!(remote.requests.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.stats().misses, 32, "waiters count as misses");
-        assert_eq!(cache.metrics().counter("remote_requests").get(), 1);
-    }
-
-    #[test]
-    fn hit_hammer_32_threads_loses_no_counts() {
-        const THREADS: usize = 32;
-        const ITERS: usize = 2_000;
-        const PAGE: u64 = 1024;
-        const PAGES: usize = 8;
-
-        let cache = Arc::new(small_cache(PAGE, 1 << 20));
-        let data = pattern((PAGES as u64 * PAGE) as usize);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", PAGES as u64 * PAGE);
-
-        // Warm every page, then freeze the remote out of the picture: the
-        // hammer phase below must be served entirely from cache.
-        cache.read(&f, 0, PAGES as u64 * PAGE, &remote).unwrap();
-        let warm_hits = cache.stats().hits;
-        let warm_misses = cache.stats().misses;
-        let warm_bytes = cache.metrics().counter("bytes_from_cache").get();
-        let warm_reads = remote.read_count();
-
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let cache = Arc::clone(&cache);
-                let data = data.clone();
-                std::thread::spawn(move || {
-                    let remote = NeverRemote;
-                    for i in 0..ITERS {
-                        let page = (t * 7 + i) % PAGES;
-                        let off = page as u64 * PAGE;
-                        let got = cache.read(&file("/f", PAGES as u64 * PAGE), off, PAGE, &remote);
-                        assert_eq!(
-                            got.unwrap().as_ref(),
-                            &data[off as usize..(off + PAGE) as usize]
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-
-        // Every access was a fast-path hit and every one was counted: the
-        // Relaxed per-entry counters and the striped hot counters lose
-        // nothing under contention.
-        let total = (THREADS * ITERS) as u64;
-        assert_eq!(cache.stats().hits - warm_hits, total, "no lost hit counts");
-        assert_eq!(
-            cache.metrics().counter("hits.slow_path").get(),
-            0,
-            "pure-hit load never fell back to the stripe-locked path"
-        );
-        assert_eq!(
-            cache.stats().misses,
-            warm_misses,
-            "hammer phase produced no misses"
-        );
-        assert_eq!(remote.read_count(), warm_reads, "remote untouched");
-        // Byte conservation: each iteration served exactly one page from
-        // cache, so bytes_from_cache advanced by threads * iters * page.
-        assert_eq!(
-            cache.metrics().counter("bytes_from_cache").get() - warm_bytes,
-            total * PAGE,
-            "bytes served from cache match bytes requested"
-        );
-        cache.index().check_consistency().unwrap();
-        cache.check_policy_coherence().unwrap();
-    }
-
-    /// A remote that panics if contacted — used to prove a phase is pure-hit.
-    struct NeverRemote;
-    impl RemoteSource for NeverRemote {
-        fn read(&self, path: &str, _offset: u64, _len: u64) -> Result<Bytes> {
-            panic!("remote contacted during pure-hit phase: {path}");
-        }
-    }
-
-    #[test]
-    fn remote_requests_count_runs_not_pages() {
-        let cache = small_cache(100, 1 << 20);
-        let data = pattern(1000);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 1000);
-
-        // Pre-seed pages 2 and 6, splitting the miss span into three runs:
-        // pages [0,1], [3,4,5], [7,8,9].
-        cache.read(&f, 200, 100, &remote).unwrap();
-        cache.read(&f, 600, 100, &remote).unwrap();
-        remote.reads.lock().clear();
-
-        let got = cache.read(&f, 0, 1000, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert_eq!(
-            remote.read_count(),
-            3,
-            "one request per run of missing pages"
-        );
-        let offsets: Vec<(u64, u64)> = remote
-            .reads
-            .lock()
-            .iter()
-            .map(|(_, o, l)| (*o, *l))
-            .collect();
-        assert_eq!(offsets, vec![(0, 200), (300, 300), (700, 300)]);
-        // 2 + 3 + 3 pages fetched by 3 requests: 5 pages saved.
-        assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 5);
-    }
-
-    #[test]
-    fn single_run_read_avoids_copies() {
-        let cache = small_cache(100, 1 << 20);
-        let data = pattern(1000);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 1000);
-
-        // Cold read of one coalesced run: served by slicing the ranged
-        // response, no reassembly copy.
-        let got = cache.read(&f, 150, 500, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[150..650]);
-        assert_eq!(cache.metrics().counter("bytes_copied").get(), 0);
-
-        // A warm multi-page read assembles from per-page store reads.
-        let got = cache.read(&f, 150, 500, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[150..650]);
-        assert_eq!(cache.metrics().counter("bytes_copied").get(), 500);
-    }
-
-    #[test]
-    fn timeout_fallback_in_multi_page_read() {
-        let plan = FaultPlan::none();
-        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
-        let cache = CacheManager::builder(
-            CacheConfig::default()
-                .with_page_size(ByteSize::new(100))
-                .with_read_timeout(Duration::from_millis(20)),
-        )
-        .with_store(store, 1 << 20)
-        .build()
-        .unwrap();
-        let data = pattern(400);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
-        let f = file("/f", 400);
-        cache.read(&f, 0, 400, &remote).unwrap(); // All four pages cached.
-
-        // The next local read hangs, wedging the deadline pool; §8 fallback
-        // must keep serving correct bytes from the remote for every page the
-        // stalled device cannot deliver in time.
-        plan.set_read_hang(Duration::from_millis(200), 1);
-        let got = cache.read(&f, 0, 400, &remote).unwrap();
-        assert_eq!(got.as_ref(), &data[..]);
-        assert!(cache.metrics().counter("fallbacks.timeout").get() >= 1);
-        // Fallback does not evict: every page is still cached.
-        for page in 0..4 {
-            assert!(cache.contains(&f, page));
-        }
-    }
-
-    mod vectored {
-        use super::*;
-        use edgecache_metrics::{assert_conserved, ConservationLaw, SnapshotDiff};
-
-        /// The epoch conservation laws of a fresh cache (mirrors the
-        /// simtest oracle — duplicated here because simtest depends on
-        /// this crate).
-        pub(super) fn laws(clean: bool) -> Vec<ConservationLaw> {
-            let mut laws = vec![
-                ConservationLaw::at_most(
-                    "single-flight bounds remote requests",
-                    &["remote_requests"],
-                    &["misses", "fallbacks.timeout"],
-                ),
-                ConservationLaw::at_most("every put came from a miss", &["puts"], &["misses"]),
-                ConservationLaw::at_most(
-                    "assembled bytes are bounded by requested bytes",
-                    &["bytes_copied"],
-                    &["bytes_requested"],
-                ),
-                ConservationLaw::at_most("hits are classified reads", &["hits"], &["page_reads"]),
-            ];
-            if clean {
-                laws.push(ConservationLaw::equal(
-                    "page reads balance",
-                    &["hits", "misses", "fallbacks.timeout"],
-                    &["page_reads"],
-                ));
-            }
-            laws
-        }
-
-        fn conserved(cache: &CacheManager, clean: bool) {
-            let diff = SnapshotDiff::from_start(&cache.metrics().snapshot());
-            assert_conserved(&diff, &laws(clean)).unwrap();
-        }
-
-        #[test]
-        fn coalesces_across_fragment_boundaries() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(1000);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 1000);
-
-            // Three fragments whose pages tile 0..=5 without a hole: one
-            // coalesced wire request despite the fragment gaps within pages.
-            let frags = [(0u64, 150u64), (250, 150), (450, 150)];
-            let got = cache.read_multi(&f, &frags, &remote).unwrap();
-            for (i, &(off, len)) in frags.iter().enumerate() {
-                assert_eq!(got[i].as_ref(), &data[off as usize..(off + len) as usize]);
-            }
-            assert_eq!(remote.read_count(), 1, "one request for the whole batch");
-            assert_eq!(
-                remote.reads.lock()[0],
-                ("/f".to_string(), 0, 600),
-                "pages 0..=5 fetched as one run"
-            );
-            assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 5);
-            conserved(&cache, true);
-        }
-
-        #[test]
-        fn gaps_between_fragments_split_runs() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(1000);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 1000);
-
-            // Pages 0 and 3: the gap must not be fetched or bridged.
-            let got = cache
-                .read_multi(&f, &[(0, 100), (300, 100)], &remote)
-                .unwrap();
-            assert_eq!(got[0].as_ref(), &data[0..100]);
-            assert_eq!(got[1].as_ref(), &data[300..400]);
-            let offsets: Vec<(u64, u64)> = remote
-                .reads
-                .lock()
-                .iter()
-                .map(|(_, o, l)| (*o, *l))
-                .collect();
-            assert_eq!(offsets, vec![(0, 100), (300, 100)]);
-            assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 0);
-            conserved(&cache, true);
-        }
-
-        #[test]
-        fn overlapping_fragments_classify_each_page_once() {
-            let cache = small_cache(1000, 1 << 20);
-            let data = pattern(1000);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 1000);
-
-            // All three fragments share page 0. The page must be classified
-            // once — a second classification would enqueue the batch as a
-            // waiter on its own latch and deadlock.
-            let frags = [(100u64, 200u64), (0, 200), (150, 50)];
-            let got = cache.read_multi(&f, &frags, &remote).unwrap();
-            for (i, &(off, len)) in frags.iter().enumerate() {
-                assert_eq!(got[i].as_ref(), &data[off as usize..(off + len) as usize]);
-            }
-            assert_eq!(remote.read_count(), 1);
-            assert_eq!(cache.stats().misses, 1);
-            assert_eq!(cache.metrics().counter("page_reads").get(), 1);
-            conserved(&cache, true);
-        }
-
-        #[test]
-        fn cold_fragments_in_one_run_are_zero_copy() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(1000);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 1000);
-
-            // Cold: both fragments are slices of the single coalesced run.
-            let got = cache
-                .read_multi(&f, &[(0, 300), (300, 300)], &remote)
-                .unwrap();
-            assert_eq!(got[0].as_ref(), &data[0..300]);
-            assert_eq!(got[1].as_ref(), &data[300..600]);
-            assert_eq!(cache.metrics().counter("bytes_copied").get(), 0);
-
-            // Warm: each multi-page fragment stitches per-page store reads.
-            let got = cache
-                .read_multi(&f, &[(0, 300), (300, 300)], &remote)
-                .unwrap();
-            assert_eq!(got[0].as_ref(), &data[0..300]);
-            assert_eq!(got[1].as_ref(), &data[300..600]);
-            assert_eq!(cache.metrics().counter("bytes_copied").get(), 600);
-            conserved(&cache, true);
-        }
-
-        #[test]
-        fn mixed_hits_and_misses_serve_correct_bytes() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(1000);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 1000);
-
-            // Warm pages 2 and 6, then batch-read fragments straddling them.
-            cache.read(&f, 200, 100, &remote).unwrap();
-            cache.read(&f, 600, 100, &remote).unwrap();
-            remote.reads.lock().clear();
-
-            let frags = [(150u64, 300u64), (550, 300)];
-            let got = cache.read_multi(&f, &frags, &remote).unwrap();
-            assert_eq!(got[0].as_ref(), &data[150..450]);
-            assert_eq!(got[1].as_ref(), &data[550..850]);
-            // Misses: pages 1, 3, 4 and 5, 7, 8 → runs [1], [3,4,5], [7,8].
-            let offsets: Vec<(u64, u64)> = remote
-                .reads
-                .lock()
-                .iter()
-                .map(|(_, o, l)| (*o, *l))
-                .collect();
-            assert_eq!(offsets, vec![(100, 100), (300, 300), (700, 200)]);
-            assert_eq!(cache.stats().hits, 2);
-            conserved(&cache, true);
-        }
-
-        #[test]
-        fn degenerate_and_eof_fragments_resolve_empty() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(250);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 250);
-            let got = cache
-                .read_multi(&f, &[(0, 0), (240, 100), (500, 10), (100, 50)], &remote)
-                .unwrap();
-            assert!(got[0].is_empty());
-            assert_eq!(got[1].as_ref(), &data[240..250], "clamped at EOF");
-            assert!(got[2].is_empty(), "fragment past EOF");
-            assert_eq!(got[3].as_ref(), &data[100..150]);
-            assert!(cache.read_multi(&f, &[], &remote).unwrap().is_empty());
-            conserved(&cache, true);
-        }
-
-        /// A remote that fails every range at or beyond a cutoff offset.
-        pub(super) struct HalfBrokenRemote {
-            pub(super) inner: ScriptedRemote,
-            pub(super) fail_from: u64,
-        }
-
-        impl RemoteSource for HalfBrokenRemote {
-            fn read(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-                if offset >= self.fail_from {
-                    return Err(Error::Other(format!("injected failure at {offset}")));
-                }
-                self.inner.read(path, offset, len)
-            }
-        }
-
-        #[test]
-        fn mid_batch_error_fails_whole_read_and_releases_latches() {
-            let cache = small_cache(100, 1 << 20);
-            let data = pattern(1000);
-            let remote = HalfBrokenRemote {
-                inner: ScriptedRemote::new().with_file("/f", data.clone()),
-                fail_from: 500,
-            };
-            let f = file("/f", 1000);
-
-            // Second run fails: the whole batch errors, but every owned
-            // latch must still be published or released.
-            let err = cache.read_multi(&f, &[(0, 100), (600, 100)], &remote);
-            assert!(err.is_err());
-            assert_eq!(cache.inflight_fetches(), 0, "no latch leaked");
-
-            // The failed epoch is lossy but still conserved.
-            conserved(&cache, false);
-
-            // The surviving run was published; a working remote completes
-            // the rest.
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let got = cache
-                .read_multi(&f, &[(0, 100), (600, 100)], &remote)
-                .unwrap();
-            assert_eq!(got[0].as_ref(), &data[0..100]);
-            assert_eq!(got[1].as_ref(), &data[600..700]);
-            assert_eq!(
-                remote.read_count(),
-                1,
-                "page 0 was cached before the failure"
-            );
-        }
-
-        #[test]
-        fn vectored_read_joins_inflight_singleflight() {
-            let cache = Arc::new(small_cache(1024, 1 << 20));
-            let data = pattern(2048);
-            let remote = Arc::new(GatedRemote::new(data.clone()));
-
-            // One plain reader owns the gated fetch of page 0...
-            let owner = {
-                let cache = Arc::clone(&cache);
-                let remote = Arc::clone(&remote);
-                std::thread::spawn(move || {
-                    cache
-                        .read(&file("/f", 2048), 0, 1024, remote.as_ref())
-                        .unwrap()
-                })
-            };
-            let waits = cache.metrics().counter("fetch.inflight_waits");
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while cache.inflight_fetches() == 0 && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-
-            // ...then a vectored reader needs pages 0 and 1: it must join
-            // the in-flight fetch for page 0 and own only page 1.
-            let vectored = {
-                let cache = Arc::clone(&cache);
-                let remote = Arc::clone(&remote);
-                std::thread::spawn(move || {
-                    cache
-                        .read_multi(
-                            &file("/f", 2048),
-                            &[(0, 1024), (1024, 1024)],
-                            remote.as_ref(),
-                        )
-                        .unwrap()
-                })
-            };
-            while waits.get() < 1 && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert_eq!(waits.get(), 1, "vectored reader joined the fetch");
-            remote.open_gate();
-
-            assert_eq!(owner.join().unwrap().as_ref(), &data[..1024]);
-            let got = vectored.join().unwrap();
-            assert_eq!(got[0].as_ref(), &data[..1024]);
-            assert_eq!(got[1].as_ref(), &data[1024..]);
-            assert_eq!(cache.inflight_fetches(), 0);
-        }
-    }
-
-    mod equivalence {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn cache_with(page_size: u64, parallel: bool) -> CacheManager {
-            let mut config = CacheConfig::default().with_page_size(ByteSize::new(page_size));
-            if !parallel {
-                config = config
-                    .with_coalesce_fetches(false)
-                    .with_max_concurrent_fetches(1);
-            }
-            CacheManager::builder(config)
-                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                .build()
-                .unwrap()
-        }
-
-        proptest! {
-            /// The parallel coalesced pipeline and the sequential
-            /// single-fetch baseline return byte-identical results for any
-            /// read sequence, and both match the source of truth.
-            #[test]
-            fn parallel_reads_match_sequential(
-                page_size in 64u64..=512,
-                file_len in 1usize..6000,
-                reads in proptest::collection::vec((0u64..6000, 0u64..3000), 1..8),
-            ) {
-                let data = pattern(file_len);
-                let parallel = cache_with(page_size, true);
-                let sequential = cache_with(page_size, false);
-                for &(offset, len) in &reads {
-                    let remote_p =
-                        ScriptedRemote::new().with_file("/f", data.clone());
-                    let remote_s =
-                        ScriptedRemote::new().with_file("/f", data.clone());
-                    let f = file("/f", file_len as u64);
-                    let got_p = parallel.read(&f, offset, len, &remote_p).unwrap();
-                    let got_s = sequential.read(&f, offset, len, &remote_s).unwrap();
-                    let start = (offset as usize).min(file_len);
-                    let end = ((offset + len) as usize).min(file_len);
-                    prop_assert_eq!(got_p.as_ref(), &data[start..end]);
-                    prop_assert_eq!(got_p.as_ref(), got_s.as_ref());
-                }
-                parallel.index().check_consistency().unwrap();
-                sequential.index().check_consistency().unwrap();
-            }
-
-            /// One vectored `read_multi` over an arbitrary fragment list —
-            /// overlapping, adjacent, out-of-order, EOF-straddling — returns
-            /// byte-identical results to a sequential `read` loop, and both
-            /// caches satisfy the epoch conservation laws.
-            #[test]
-            fn read_multi_matches_sequential_read_loop(
-                page_size in 64u64..=512,
-                file_len in 1usize..6000,
-                frags in proptest::collection::vec((0u64..6000, 0u64..1500), 1..10),
-            ) {
-                let data = pattern(file_len);
-                let vectored = cache_with(page_size, true);
-                let sequential = cache_with(page_size, true);
-                let remote_v = ScriptedRemote::new().with_file("/f", data.clone());
-                let remote_s = ScriptedRemote::new().with_file("/f", data.clone());
-                let f = file("/f", file_len as u64);
-                let got_v = vectored.read_multi(&f, &frags, &remote_v).unwrap();
-                prop_assert_eq!(got_v.len(), frags.len());
-                for (i, &(offset, len)) in frags.iter().enumerate() {
-                    let got_s = sequential.read(&f, offset, len, &remote_s).unwrap();
-                    let start = (offset as usize).min(file_len);
-                    let end = (offset.saturating_add(len) as usize).min(file_len).max(start);
-                    prop_assert_eq!(got_v[i].as_ref(), &data[start..end], "fragment {}", i);
-                    prop_assert_eq!(got_v[i].as_ref(), got_s.as_ref(), "fragment {}", i);
-                }
-                // The vectored batch must never cost more wire requests than
-                // the sequential loop.
-                prop_assert!(remote_v.read_count() <= remote_s.read_count());
-                for cache in [&vectored, &sequential] {
-                    cache.index().check_consistency().unwrap();
-                    let diff = edgecache_metrics::SnapshotDiff::from_start(
-                        &cache.metrics().snapshot(),
-                    );
-                    edgecache_metrics::assert_conserved(&diff, &super::vectored::laws(true))
-                        .unwrap();
-                }
-            }
-
-            /// Mid-batch remote failures: whatever subset of ranges a remote
-            /// rejects, `read_multi` fails all-or-nothing, leaks no latch,
-            /// stays conserved, and a subsequent clean batch returns the
-            /// ground truth.
-            #[test]
-            fn read_multi_survives_mid_batch_remote_errors(
-                page_size in 64u64..=512,
-                file_len in 1usize..4000,
-                frags in proptest::collection::vec((0u64..4000, 1u64..1200), 1..8),
-                fail_from in 0u64..4000,
-            ) {
-                let data = pattern(file_len);
-                let cache = cache_with(page_size, true);
-                let broken = super::vectored::HalfBrokenRemote {
-                    inner: ScriptedRemote::new().with_file("/f", data.clone()),
-                    fail_from,
-                };
-                let f = file("/f", file_len as u64);
-                let first = cache.read_multi(&f, &frags, &broken);
-                prop_assert_eq!(cache.inflight_fetches(), 0, "no leaked latch");
-                cache.index().check_consistency().unwrap();
-                let diff = edgecache_metrics::SnapshotDiff::from_start(
-                    &cache.metrics().snapshot(),
-                );
-                edgecache_metrics::assert_conserved(
-                    &diff,
-                    &super::vectored::laws(first.is_ok()),
-                ).unwrap();
-
-                let clean = ScriptedRemote::new().with_file("/f", data.clone());
-                let got = cache.read_multi(&f, &frags, &clean).unwrap();
-                for (i, &(offset, len)) in frags.iter().enumerate() {
-                    let start = (offset as usize).min(file_len);
-                    let end = (offset.saturating_add(len) as usize).min(file_len).max(start);
-                    prop_assert_eq!(got[i].as_ref(), &data[start..end], "fragment {}", i);
-                }
-            }
-        }
-    }
-
-    mod tracing {
-        use super::*;
-        use edgecache_common::SimClock;
-        use edgecache_metrics::trace::chrome_trace_json;
-        use std::time::Duration;
-
-        /// A remote that charges deterministic virtual latency on a
-        /// [`SimClock`] before serving bytes.
-        struct VirtualLatencyRemote {
-            inner: ScriptedRemote,
-            clock: Arc<SimClock>,
-            latency: Duration,
-        }
-
-        impl RemoteSource for VirtualLatencyRemote {
-            fn read(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-                self.clock.advance(self.latency);
-                self.inner.read(path, offset, len)
-            }
-        }
-
-        /// Runs one miss + one hit under a tracer and returns the records
-        /// plus the Chrome export for determinism comparison.
-        fn traced_run() -> (Vec<edgecache_metrics::SpanRecord>, String) {
-            let clock = Arc::new(SimClock::new());
-            let shared: SharedClock = Arc::new(SimClock::clone(&clock));
-            let tracer = Tracer::enabled(Arc::clone(&shared));
-            let cache =
-                CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(1024)))
-                    .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                    .with_clock(shared)
-                    .with_tracer(tracer)
-                    .build()
-                    .unwrap();
-            let data = pattern(8192);
-            let remote = VirtualLatencyRemote {
-                inner: ScriptedRemote::new().with_file("/f", data.clone()),
-                clock,
-                latency: Duration::from_micros(250),
-            };
-            let f = file("/f", 8192);
-            assert_eq!(cache.read(&f, 0, 4096, &remote).unwrap(), &data[..4096]);
-            assert_eq!(cache.read(&f, 0, 4096, &remote).unwrap(), &data[..4096]);
-            let records = cache.tracer().take_records();
-            let json = chrome_trace_json(&records);
-            (records, json)
-        }
-
-        #[test]
-        fn stage_durations_sum_to_root_latency() {
-            let (records, _) = traced_run();
-            let roots: Vec<_> = records
-                .iter()
-                .filter(|r| r.parent == SpanId::NONE.raw())
-                .collect();
-            assert_eq!(roots.len(), 2, "one root span per cache.read call");
-            for root in &roots {
-                assert_eq!(root.name, "cache.read");
-                let stage_sum: u64 = records
-                    .iter()
-                    .filter(|r| r.parent == root.id)
-                    .map(|r| r.duration().as_nanos() as u64)
-                    .sum();
-                let total = root.duration().as_nanos() as u64;
-                // Under SimClock time only advances inside stages, so the
-                // per-stage breakdown accounts for the whole read.
-                assert_eq!(stage_sum, total, "stages partition {}", root.name);
-            }
-            // The miss read charged remote latency; the hit read was free.
-            let miss_total = roots[0].duration();
-            assert!(miss_total >= Duration::from_micros(250), "{miss_total:?}");
-            assert_eq!(roots[1].duration(), Duration::ZERO);
-        }
-
-        #[test]
-        fn miss_and_hit_produce_expected_span_kinds() {
-            let (records, _) = traced_run();
-            let names: Vec<&str> = records.iter().map(|r| r.name).collect();
-            for stage in [
-                "cache.read",
-                "classify",
-                "plan_fetches",
-                "remote_fetch",
-                "fetch_range",
-                "publish",
-                "serve",
-                "ssd_read",
-                "assemble",
-            ] {
-                assert!(names.contains(&stage), "missing span kind {stage}");
-            }
-            // The coalesced miss fetched one 4 KiB range.
-            let fetch = records.iter().find(|r| r.name == "fetch_range").unwrap();
-            assert!(fetch.args.iter().any(|(k, v)| *k == "len" && v == "4096"));
-        }
-
-        /// Runs one cold + one warm vectored batch under a tracer.
-        fn traced_multi_run() -> (Vec<edgecache_metrics::SpanRecord>, String) {
-            let clock = Arc::new(SimClock::new());
-            let shared: SharedClock = Arc::new(SimClock::clone(&clock));
-            let tracer = Tracer::enabled(Arc::clone(&shared));
-            let cache =
-                CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(1024)))
-                    .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
-                    .with_clock(shared)
-                    .with_tracer(tracer)
-                    .build()
-                    .unwrap();
-            let data = pattern(8192);
-            let remote = VirtualLatencyRemote {
-                inner: ScriptedRemote::new().with_file("/f", data.clone()),
-                clock,
-                latency: Duration::from_micros(250),
-            };
-            let f = file("/f", 8192);
-            // Fragments on pages {0,1} and {4,5}: two coalesced runs.
-            let frags = [(0u64, 2048u64), (4096, 2048)];
-            for _ in 0..2 {
-                let got = cache.read_multi(&f, &frags, &remote).unwrap();
-                assert_eq!(got[0], &data[..2048]);
-                assert_eq!(got[1], &data[4096..6144]);
-            }
-            let records = cache.tracer().take_records();
-            let json = chrome_trace_json(&records);
-            (records, json)
-        }
-
-        #[test]
-        fn vectored_stages_partition_root_latency() {
-            let (records, _) = traced_multi_run();
-            let roots: Vec<_> = records
-                .iter()
-                .filter(|r| r.parent == SpanId::NONE.raw())
-                .collect();
-            assert_eq!(roots.len(), 2, "one root span per read_multi call");
-            for root in &roots {
-                assert_eq!(root.name, "cache.read_multi");
-                let stage_sum: u64 = records
-                    .iter()
-                    .filter(|r| r.parent == root.id)
-                    .map(|r| r.duration().as_nanos() as u64)
-                    .sum();
-                let total = root.duration().as_nanos() as u64;
-                // Under SimClock time only advances inside stages, so the
-                // new vectored stages must still partition the root exactly.
-                assert_eq!(stage_sum, total, "stages partition {}", root.name);
-            }
-            let names: Vec<&str> = records.iter().map(|r| r.name).collect();
-            for stage in [
-                "cache.read_multi",
-                "plan_fragments",
-                "vectored_classify",
-                "plan_fetches",
-                "remote_fetch",
-                "fetch_range",
-                "publish",
-                "serve",
-                "ssd_read",
-                "collect",
-                "assemble",
-            ] {
-                assert!(names.contains(&stage), "missing span kind {stage}");
-            }
-            // The cold batch fetched two coalesced runs.
-            let cold_fetches = records
-                .iter()
-                .filter(|r| r.name == "fetch_range" && r.parent != SpanId::NONE.raw())
-                .count();
-            assert_eq!(cold_fetches, 2);
-        }
-
-        #[test]
-        fn vectored_trace_export_is_deterministic() {
-            let (_, first) = traced_multi_run();
-            let (_, second) = traced_multi_run();
-            assert_eq!(first, second);
-        }
-
-        #[test]
-        fn trace_export_is_deterministic_across_runs() {
-            let (_, first) = traced_run();
-            let (_, second) = traced_run();
-            assert_eq!(first, second);
-            assert!(first.contains("\"traceEvents\""));
-        }
-
-        #[test]
-        fn disabled_tracer_records_nothing() {
-            let cache = small_cache(1024, 1 << 20);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data);
-            let f = file("/f", 4096);
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            assert!(!cache.tracer().is_enabled());
-            assert!(cache.tracer().take_records().is_empty());
-        }
-    }
-
-    mod mem_tier {
-        use super::*;
-
-        /// A three-level cache: DRAM tier of `mem_cap` bytes above one SSD
-        /// directory of `ssd_cap` bytes.
-        fn tiered_cache(page_size: u64, ssd_cap: u64, mem_cap: u64) -> CacheManager {
-            CacheManager::builder(
-                CacheConfig::default()
-                    .with_page_size(ByteSize::new(page_size))
-                    .with_memory_tier(ByteSize::new(mem_cap)),
-            )
-            .with_store(Arc::new(MemoryPageStore::new()), ssd_cap)
-            .build()
-            .unwrap()
-        }
-
-        fn mem_resident_pages(cache: &CacheManager) -> u64 {
-            cache
-                .index()
-                .pages_of_dir(cache.memory_dir().unwrap())
-                .len() as u64
-        }
-
-        /// The memory-tier conservation law: entries (publishes + promotions)
-        /// minus counted exits (demotions + evictions + replaced) equals the
-        /// pages currently resident — no frame ever leaves silently.
-        fn assert_mem_balance(cache: &CacheManager) {
-            let m = cache.metrics();
-            let entries = m.counter("mem.publishes").get() + m.counter("mem.promotions").get();
-            let exits = m.counter("mem.demotions").get()
-                + m.counter("mem.evictions").get()
-                + m.counter("mem.replaced").get();
-            assert_eq!(
-                entries - exits,
-                mem_resident_pages(cache),
-                "memory-tier conservation: every exit must be counted"
-            );
-        }
-
-        #[test]
-        fn publishes_land_in_memory_and_hits_serve_from_it() {
-            let cache = tiered_cache(1024, 1 << 20, 8 * 1024);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 4096);
-
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            let mem = cache.memory_dir().unwrap();
-            assert_eq!(
-                cache.index().pages_of_dir(mem).len(),
-                4,
-                "publishes land in memory"
-            );
-            assert_eq!(cache.metrics().counter("mem.publishes").get(), 4);
-            assert_eq!(cache.memory_tier().unwrap().len(), 4);
-
-            let got = cache.read(&f, 100, 500, &NeverRemote).unwrap();
-            assert_eq!(got.as_ref(), &data[100..600]);
-            assert_eq!(cache.metrics().counter("mem.hits").get(), 1);
-            assert_eq!(cache.metrics().counter("hits.slow_path").get(), 0);
-            assert_mem_balance(&cache);
-        }
-
-        #[test]
-        fn pressure_demotes_to_ssd_instead_of_dropping() {
-            // Memory holds 2 pages, the working set is 4: publishing the
-            // later pages must push the earlier ones *down*, not out.
-            let cache = tiered_cache(1024, 1 << 20, 2 * 1024);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 4096);
-
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            assert_eq!(cache.stats().pages, 4, "no page left the hierarchy");
-            assert_eq!(cache.metrics().counter("mem.demotions").get(), 2);
-            assert_eq!(cache.metrics().counter("mem.evictions").get(), 0);
-            assert_eq!(mem_resident_pages(&cache), 2);
-            assert_mem_balance(&cache);
-
-            // Re-reading a demoted page is a *cache* hit (SSD), not a
-            // remote refetch.
-            let reads_before = remote.read_count();
-            let got = cache.read(&f, 0, 1024, &remote).unwrap();
-            assert_eq!(got.as_ref(), &data[..1024]);
-            assert_eq!(remote.read_count(), reads_before, "served locally");
-            cache.index().check_consistency().unwrap();
-            cache.check_policy_coherence().unwrap();
-        }
-
-        #[test]
-        fn ssd_hit_promotes_the_page_into_memory() {
-            let cache = tiered_cache(1024, 1 << 20, 2 * 1024);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 4096);
-
-            // Fill: pages 0 and 1 get demoted to SSD by pages 2 and 3.
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            let mem = cache.memory_dir().unwrap();
-            let id0 = PageId::new(f.file_id(), 0);
-            assert_ne!(cache.index().get(&id0).unwrap().dir, mem);
-
-            // An SSD hit moves the page back up (exclusive move: the SSD
-            // copy is deleted, something else is demoted to make room).
-            let got = cache.read(&f, 0, 1024, &NeverRemote).unwrap();
-            assert_eq!(got.as_ref(), &data[..1024]);
-            assert_eq!(cache.index().get(&id0).unwrap().dir, mem, "promoted");
-            assert_eq!(cache.metrics().counter("mem.promotions").get(), 1);
-            assert_eq!(cache.stats().pages, 4, "promotion moves, never copies");
-            assert_mem_balance(&cache);
-            cache.index().check_consistency().unwrap();
-        }
-
-        #[test]
-        fn promotion_preserves_ttl_epoch() {
-            let cache = tiered_cache(1024, 1 << 20, 2 * 1024);
-            let remote = ScriptedRemote::new().with_file("/f", pattern(4096));
-            let f = file("/f", 4096);
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            let id0 = PageId::new(f.file_id(), 0);
-            let before = cache.index().get(&id0).unwrap().created_ms;
-            cache.read(&f, 0, 1024, &NeverRemote).unwrap(); // promote
-            let after = cache.index().get(&id0).unwrap().created_ms;
-            assert_eq!(before, after, "a tier move must not reset the TTL clock");
-        }
-
-        #[test]
-        fn pinned_frames_survive_pressure_until_unpinned() {
-            let cache = tiered_cache(1024, 1 << 20, 4 * 1024);
-            let remote = ScriptedRemote::new().with_file("/f", pattern(4096));
-            let f = file("/f", 4096);
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            let mem = cache.memory_dir().unwrap();
-            assert!(cache.pin_page(&f, 1), "page 1 is memory-resident");
-
-            // Shrink to one page: everything unpinned demotes, the pinned
-            // frame stays (pins outrank pressure).
-            cache.set_memory_capacity(1024);
-            let id1 = PageId::new(f.file_id(), 1);
-            assert_eq!(
-                cache.index().get(&id1).unwrap().dir,
-                mem,
-                "pinned frame stays"
-            );
-            assert_eq!(mem_resident_pages(&cache), 1);
-            assert_eq!(cache.stats().pages, 4, "demotion kept every byte");
-            assert_mem_balance(&cache);
-
-            assert!(cache.unpin_page(&f, 1));
-            assert_eq!(cache.memory_tier().unwrap().pinned_count(), 0);
-            cache.set_memory_capacity(0);
-            assert_ne!(
-                cache.index().get(&id1).unwrap().dir,
-                mem,
-                "demoted once unpinned"
-            );
-            assert_eq!(cache.stats().pages, 4);
-            assert_mem_balance(&cache);
-            cache.index().check_consistency().unwrap();
-            cache.check_policy_coherence().unwrap();
-        }
-
-        #[test]
-        fn corrupt_frame_is_evicted_not_demoted() {
-            // A frame whose DRAM bytes fail the tier-exit checksum must not
-            // land on SSD wearing a fresh trailer: it exits via (counted)
-            // eviction and the next read refetches from remote.
-            let cache = tiered_cache(1024, 1 << 20, 4 * 1024);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 4096);
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            let id0 = PageId::new(f.file_id(), 0);
-            assert!(cache.memory_tier().unwrap().corrupt_frame(id0));
-
-            cache.set_memory_capacity(0); // force every frame out
-            assert!(cache.index().get(&id0).is_none(), "corrupt frame evicted");
-            assert_eq!(cache.stats().pages, 3, "healthy frames were demoted");
-            assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
-            assert_mem_balance(&cache);
-
-            let reads_before = remote.read_count();
-            let got = cache.read(&f, 0, 1024, &remote).unwrap();
-            assert_eq!(got.as_ref(), &data[..1024], "refetched clean bytes");
-            assert!(remote.read_count() > reads_before);
-        }
-
-        #[test]
-        fn oversized_pages_fall_back_to_ssd() {
-            // Pages bigger than the memory budget go straight to SSD; the
-            // hierarchy still serves them as hits.
-            let cache = tiered_cache(2048, 1 << 20, 1024);
-            let data = pattern(4096);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", 4096);
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            assert_eq!(mem_resident_pages(&cache), 0);
-            assert_eq!(cache.metrics().counter("mem.publishes").get(), 0);
-            let reads = remote.read_count();
-            cache.read(&f, 0, 4096, &remote).unwrap();
-            assert_eq!(remote.read_count(), reads, "hits served from SSD");
-            assert_mem_balance(&cache);
-        }
-
-        #[test]
-        fn dir_usage_reports_the_memory_budget_as_capacity() {
-            let cache = tiered_cache(1024, 1 << 20, 4 * 1024);
-            let usage = cache.dir_usage();
-            assert_eq!(usage.len(), 2);
-            assert_eq!(usage[1].2, 4 * 1024, "mem dir capacity is the budget");
-            cache.set_memory_capacity(2048);
-            assert_eq!(
-                cache.dir_usage()[1].2,
-                2048,
-                "budget tracks runtime changes"
-            );
-        }
-
-        #[test]
-        fn mem_hit_hammer_32_threads_stays_on_the_fast_path() {
-            // Satellite of the PR 6 lock-free hit path: memory hits must
-            // also take zero write locks, lose no counts, and never fall
-            // back to the stripe-locked slow path.
-            const THREADS: usize = 32;
-            const ITERS: usize = 2_000;
-            const PAGE: u64 = 1024;
-            const PAGES: usize = 8;
-
-            let cache = Arc::new(tiered_cache(PAGE, 1 << 20, PAGES as u64 * PAGE));
-            let data = pattern((PAGES as u64 * PAGE) as usize);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", PAGES as u64 * PAGE);
-
-            cache.read(&f, 0, PAGES as u64 * PAGE, &remote).unwrap();
-            assert_eq!(mem_resident_pages(&cache), PAGES as u64, "all resident");
-            let warm_hits = cache.stats().hits;
-            let warm_bytes = cache.metrics().counter("bytes_from_cache").get();
-
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let cache = Arc::clone(&cache);
-                    let data = data.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..ITERS {
-                            let page = (t * 7 + i) % PAGES;
-                            let off = page as u64 * PAGE;
-                            let got = cache.read(
-                                &file("/f", PAGES as u64 * PAGE),
-                                off,
-                                PAGE,
-                                &NeverRemote,
-                            );
-                            assert_eq!(
-                                got.unwrap().as_ref(),
-                                &data[off as usize..(off + PAGE) as usize]
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-
-            let total = (THREADS * ITERS) as u64;
-            assert_eq!(cache.stats().hits - warm_hits, total, "no lost hit counts");
-            assert_eq!(
-                cache.metrics().counter("mem.hits").get(),
-                total,
-                "every hammer access was a memory hit"
-            );
-            assert_eq!(
-                cache.metrics().counter("hits.slow_path").get(),
-                0,
-                "memory hits never fall back to the stripe-locked path"
-            );
-            assert_eq!(
-                cache.metrics().counter("bytes_from_cache").get() - warm_bytes,
-                total * PAGE,
-                "byte conservation under contention"
-            );
-            assert_eq!(cache.memory_tier().unwrap().pinned_count(), 0);
-            assert_mem_balance(&cache);
-            cache.index().check_consistency().unwrap();
-            cache.check_policy_coherence().unwrap();
-        }
-
-        #[test]
-        fn concurrent_promote_demote_churn_conserves_bytes() {
-            // Working set twice the memory budget: every reader keeps
-            // promoting SSD hits while its siblings' promotions demote them
-            // back, and a pin thread pins/unpins frames mid-flight. The
-            // books must balance when the dust settles.
-            const THREADS: usize = 8;
-            const ITERS: usize = 400;
-            const PAGE: u64 = 1024;
-            const PAGES: usize = 16;
-
-            let cache = Arc::new(tiered_cache(PAGE, 1 << 20, 8 * PAGE));
-            let data = pattern((PAGES as u64 * PAGE) as usize);
-            let remote = ScriptedRemote::new().with_file("/f", data.clone());
-            let f = file("/f", PAGES as u64 * PAGE);
-            cache.read(&f, 0, PAGES as u64 * PAGE, &remote).unwrap();
-
-            let mut handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let cache = Arc::clone(&cache);
-                    let data = data.clone();
-                    std::thread::spawn(move || {
-                        // Deterministic per-thread stride: all pages covered,
-                        // different interleavings across threads.
-                        for i in 0..ITERS {
-                            let page = (t * 5 + i * 3) % PAGES;
-                            let off = page as u64 * PAGE;
-                            let got = cache.read(
-                                &file("/f", PAGES as u64 * PAGE),
-                                off,
-                                PAGE,
-                                &NeverRemote,
-                            );
-                            assert_eq!(
-                                got.unwrap().as_ref(),
-                                &data[off as usize..(off + PAGE) as usize]
-                            );
-                        }
-                    })
-                })
-                .collect();
-            handles.push({
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    // Balanced pin/unpin churn racing the demotion scans.
-                    for i in 0..ITERS {
-                        let page = (i * 7) as u64 % PAGES as u64;
-                        let f = file("/f", PAGES as u64 * PAGE);
-                        if cache.pin_page(&f, page) {
-                            cache.unpin_page(&f, page);
-                        }
-                    }
-                })
-            });
-            for h in handles {
-                h.join().unwrap();
-            }
-
-            assert_eq!(
-                cache.stats().pages,
-                PAGES as u64 as usize,
-                "no byte left the hierarchy"
-            );
-            assert_eq!(
-                cache.metrics().counter("mem.evictions").get(),
-                0,
-                "pressure only ever demoted"
-            );
-            assert_eq!(
-                cache.memory_tier().unwrap().pinned_count(),
-                0,
-                "pins balanced"
-            );
-            assert_mem_balance(&cache);
-            cache.index().check_consistency().unwrap();
-            cache.check_policy_coherence().unwrap();
-            // Store bytes and indexed bytes agree per directory once the
-            // churn stops (the harness-grade drift check).
-            for (store_bytes, indexed_bytes, _) in cache.dir_usage() {
-                assert_eq!(store_bytes, indexed_bytes, "store/index drift");
-            }
-        }
-    }
-}
+mod tests;

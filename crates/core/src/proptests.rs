@@ -239,7 +239,8 @@ fn tier_cache(kind: EvictionPolicyKind, mem: u64) -> CacheManager {
         .unwrap()
 }
 
-/// The three-tier conservation balance, checked after every op.
+/// The three-tier conservation balance, checked after every op: promotions
+/// (the tier's only way in) equal counted exits plus current residency.
 fn check_tier_books(tiered: &CacheManager) {
     tiered.index().check_consistency().expect("tiered index");
     tiered
@@ -247,13 +248,12 @@ fn check_tier_books(tiered: &CacheManager) {
         .expect("tiered policy coherence");
     let mem = tiered.memory_dir().expect("tier mounted");
     let m = tiered.metrics();
-    let entries = m.counter("mem.publishes").get() + m.counter("mem.promotions").get();
     let exits = m.counter("mem.demotions").get()
         + m.counter("mem.evictions").get()
         + m.counter("mem.replaced").get();
     assert_eq!(
-        entries - exits,
-        tiered.index().pages_of_dir(mem).len() as u64,
+        m.counter("mem.promotions").get(),
+        exits + tiered.index().pages_of_dir(mem).len() as u64,
         "memory tier books out of balance"
     );
 }

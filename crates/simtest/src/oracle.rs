@@ -71,22 +71,17 @@ pub fn cache_epoch_laws(clean: bool) -> Vec<ConservationLaw> {
         ConservationLaw::at_most("hits are classified reads", &["hits"], &["page_reads"]),
         // Three-tier flow laws (all trivially 0 = 0 without a DRAM tier).
         // DRAM does not survive a restart, so within one epoch every
-        // memory-resident frame entered via a publish or a promotion —
-        // demotion can never outrun the entries.
+        // memory-resident frame entered via a promotion (publishes land on
+        // SSD) — demotion can never outrun the entries.
         ConservationLaw::at_most(
             "every demotion had a memory entry",
             &["mem.demotions"],
-            &["mem.publishes", "mem.promotions"],
+            &["mem.promotions"],
         ),
         ConservationLaw::at_most(
             "every promotion was a served hit",
             &["mem.promotions"],
             &["hits"],
-        ),
-        ConservationLaw::at_most(
-            "every memory publish is a put",
-            &["mem.publishes"],
-            &["puts"],
         ),
     ];
     if clean {
@@ -94,6 +89,16 @@ pub fn cache_epoch_laws(clean: bool) -> Vec<ConservationLaw> {
             "page reads balance",
             &["hits", "misses", "fallbacks.timeout"],
             &["page_reads"],
+        ));
+        // Second-touch admission: a promotion is a page's second SSD hit
+        // since it entered SSD (recovery and every tier move restart the
+        // count), and in a clean epoch each of those touches was served as
+        // a hit or a timeout fallback. Counted twice on the left: 2 ×
+        // promotions ≤ hits + fallbacks.
+        laws.push(ConservationLaw::at_most(
+            "every promotion took two SSD touches",
+            &["mem.promotions", "mem.promotions"],
+            &["hits", "fallbacks.timeout"],
         ));
     } else {
         laws.push(ConservationLaw::at_most(
@@ -246,26 +251,26 @@ pub fn check_accounting(
         }
     }
     // Three-tier conservation: every frame that ever entered the DRAM tier
-    // (publish or promotion) must either still be resident or have left
-    // through a *counted* exit (demotion, eviction, refresh replacement).
-    // DRAM recovers empty after a crash and each epoch gets a fresh
-    // registry, so the books start balanced at every epoch boundary. A
-    // silent drop — bytes leaving the hierarchy without demotion or a
+    // (a promotion — its only way in) must either still be resident or have
+    // left through a *counted* exit (demotion, eviction, refresh
+    // replacement). DRAM recovers empty after a crash and each epoch gets a
+    // fresh registry, so the books start balanced at every epoch boundary.
+    // A silent drop — bytes leaving the hierarchy without demotion or a
     // remote-backed eviction — breaks the equality immediately.
     if let Some(mem) = cache.memory_dir() {
         let m = cache.metrics();
-        let entries = m.counter("mem.publishes").get() + m.counter("mem.promotions").get();
+        let promotions = m.counter("mem.promotions").get();
         let exits = m.counter("mem.demotions").get()
             + m.counter("mem.evictions").get()
             + m.counter("mem.replaced").get();
         let resident = cache.index().pages_of_dir(mem).len() as u64;
-        if entries != exits + resident {
+        if promotions != exits + resident {
             out.push(mk(
                 "mem-conservation",
                 format!(
-                    "memory tier books don't balance: {entries} entries \
-                     (publishes + promotions) vs {exits} counted exits \
-                     (demotions + evictions + replaced) + {resident} resident"
+                    "memory tier books don't balance: {promotions} promotions \
+                     vs {exits} counted exits (demotions + evictions + \
+                     replaced) + {resident} resident"
                 ),
             ));
         }

@@ -1723,18 +1723,38 @@ mod tests {
     fn memory_pressure_window_demotes_and_restores() {
         use crate::scenario::{Fault, FaultEvent};
 
-        // A hand-built three-tier scenario: fill the DRAM tier, serve
-        // memory hits, shrink the tier under a pressure window (frames must
-        // demote to SSD, never drop), keep reading through the window
-        // (SSD hits promote back, churning against the shrunk budget), then
-        // let the window expire and verify the tier refills. The
-        // conservation oracle re-balances the tier's books after every op.
+        // A hand-built three-tier scenario: warm the DRAM tier (publishes
+        // land on SSD; a page's second SSD hit promotes it), serve memory
+        // hits, shrink the tier under a pressure window (frames must demote
+        // to SSD, never drop), keep reading through the window (a demoted
+        // page's second fresh SSD hit promotes it back, churning against the
+        // shrunk budget), then let the window expire and verify the tier
+        // refills. The conservation oracle re-balances the tier's books
+        // after every op.
         let page = 4096u64;
         let read = |file: u32, idx: u64| Op::Read {
             file,
             offset: idx * page,
             len: page,
         };
+        // Warm the DRAM tier to its 4-page budget: miss, SSD hit, promote.
+        let mut ops: Vec<Op> = (0..3).flat_map(|_| (0..4).map(|i| read(0, i))).collect();
+        ops.extend([
+            // Pure memory hits.
+            read(0, 0),
+            read(0, 1),
+            // The fault below fires here: capacity drops to one page,
+            // demoting three frames. Reads through the window hit SSD;
+            // a second fresh hit promotes against the shrunk budget.
+            read(0, 2),
+            read(0, 2),
+            read(0, 3),
+            read(1, 0),
+            // Window expired: full budget back, promotions refill the tier.
+            read(0, 3),
+            read(1, 1),
+            read(0, 2),
+        ]);
         let sc = Scenario {
             seed: 777,
             profile: Profile::Smoke,
@@ -1749,29 +1769,9 @@ mod tests {
             max_cached_partitions: None,
             memory_capacity: Some(4 * page),
             sabotage_after: None,
-            ops: vec![
-                // Fill the DRAM tier to its 4-page budget.
-                read(0, 0),
-                read(0, 1),
-                read(0, 2),
-                read(0, 3),
-                // Pure memory hits.
-                read(0, 0),
-                read(0, 1),
-                // The fault below fires here: capacity drops to one page,
-                // demoting three frames. Reads through the window hit SSD
-                // and promote back against the shrunk budget.
-                read(0, 2),
-                read(0, 3),
-                read(0, 0),
-                read(1, 0),
-                // Window expired: full budget back, publishes resume.
-                read(1, 1),
-                read(1, 2),
-                read(0, 2),
-            ],
+            ops,
             faults: vec![FaultEvent {
-                at: 6,
+                at: 14,
                 fault: Fault::MemPressure {
                     bytes: page,
                     ops: 4,
@@ -1786,8 +1786,8 @@ mod tests {
             a.trace
         );
         assert!(
-            epoch_counter(&a.trace, "mem.publishes") >= 4,
-            "publishes missing: {:#?}",
+            epoch_counter(&a.trace, "mem.hits") >= 2,
+            "memory hits missing: {:#?}",
             a.trace
         );
         assert!(
@@ -1796,8 +1796,8 @@ mod tests {
             a.trace
         );
         assert!(
-            epoch_counter(&a.trace, "mem.promotions") >= 1,
-            "SSD hits behind the window must promote: {:#?}",
+            epoch_counter(&a.trace, "mem.promotions") >= 6,
+            "the warm-up and the second SSD hits around the window must promote: {:#?}",
             a.trace
         );
         assert_eq!(
