@@ -17,7 +17,7 @@
 //! * **`No space left on device`** — a `NoSpace` from the store triggers
 //!   early eviction (before the configured capacity is reached) and a retry.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,9 +233,6 @@ pub struct CacheStats {
     pub hit_rate: f64,
 }
 
-/// Maps a file path to the cache scope it should be quota-accounted under.
-type ScopeResolver = Box<dyn Fn(&str) -> CacheScope + Send + Sync>;
-
 /// One directory's eviction policy plus the lock-free buffer of access
 /// events feeding it.
 ///
@@ -364,7 +361,6 @@ pub struct CacheManagerBuilder {
     clock: SharedClock,
     metrics: Option<MetricRegistry>,
     recover: bool,
-    scope_resolver: Option<ScopeResolver>,
     tracer: Tracer,
 }
 
@@ -409,19 +405,10 @@ impl CacheManagerBuilder {
     }
 
     /// Rebuilds the in-memory index from the page stores on startup (§4.3's
-    /// cache recovery). Recovered pages get their scope from the resolver
-    /// set via [`Self::with_scope_resolver`], or [`CacheScope::Global`].
+    /// cache recovery). Scopes are not persisted per page, so every
+    /// recovered page is tracked under [`CacheScope::Global`].
     pub fn with_recovery(mut self) -> Self {
         self.recover = true;
-        self
-    }
-
-    /// Maps recovered page paths back to scopes during recovery.
-    pub fn with_scope_resolver(
-        mut self,
-        resolver: impl Fn(&str) -> CacheScope + Send + Sync + 'static,
-    ) -> Self {
-        self.scope_resolver = Some(Box::new(resolver));
         self
     }
 
@@ -585,7 +572,6 @@ impl CacheManager {
             clock: system_clock(),
             metrics: None,
             recover: false,
-            scope_resolver: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -730,13 +716,14 @@ impl CacheManager {
     }
 
     /// Reads `len` bytes at `offset` from `file`, serving cached pages
-    /// locally and fetching missing pages read-through from `source`.
+    /// locally and fetching missing pages read-through from `source`. This
+    /// is the one-fragment case of [`Self::read_multi`]; both run one
+    /// pipeline:
     ///
-    /// Misses go through a three-stage pipeline:
-    ///
-    /// 1. **Classify** — each page is classified under its stripe lock
-    ///    (held briefly, never across I/O) as a local hit, an in-flight
-    ///    fetch to join, a miss this reader owns, or an admission bypass.
+    /// 1. **Classify** — each distinct page is classified once, under its
+    ///    stripe lock only on a miss and never across I/O, as a local hit,
+    ///    an in-flight fetch to join, a miss this reader owns, or an
+    ///    admission bypass.
     /// 2. **Fetch** — owned misses are coalesced into runs of adjacent
     ///    pages, one ranged [`RemoteSource::read_ranges`] request per run,
     ///    executed concurrently up to
@@ -745,6 +732,9 @@ impl CacheManager {
     ///    just for the insert) and released through per-page single-flight
     ///    latches, so N concurrent readers of one cold page produce exactly
     ///    one remote request.
+    /// 4. **Assemble** — a range inside one page or one coalesced run is a
+    ///    zero-copy slice; only a range spanning several sources is
+    ///    stitched (counted in `bytes_copied`).
     pub fn read(
         &self,
         file: &SourceFile,
@@ -752,63 +742,11 @@ impl CacheManager {
         len: u64,
         source: &dyn RemoteSource,
     ) -> Result<Bytes> {
-        let end = offset.saturating_add(len).min(file.length);
-        if offset >= end {
+        if offset >= offset.saturating_add(len).min(file.length) {
             return Ok(Bytes::new());
         }
-        self.hot.bytes_requested.add(end - offset);
-        let mut root = self.tracer.span("cache.read");
-        root.annotate("path", &file.path);
-        root.annotate("offset", offset);
-        root.annotate("len", end - offset);
-
-        // Stage 1: classify (no I/O while any lock is held).
-        let mut classify_span = self.tracer.child(root.id(), "classify");
-        let mut plans = self.classify(file, offset, end, classify_span.id());
-        if classify_span.is_recording() {
-            let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
-            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit { .. })));
-            classify_span.annotate("waiters", count(|c| matches!(c, PageClass::Waiter { .. })));
-            classify_span.annotate("owned", count(|c| matches!(c, PageClass::Owner { .. })));
-            classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
-        }
-        classify_span.finish();
-        // Every page this read touches, hit or miss — the conservation
-        // anchor: page_reads == hits + misses + fallbacks.timeout.
-        self.hot.page_reads.add(plans.len() as u64);
-
-        let served = self.fetch_publish_serve(file, &mut plans, source, root.id())?;
-
-        // A cold sequential read served by one coalesced run is the common
-        // case: return a single zero-copy slice of the ranged response.
-        if plans.len() > 1
-            && plans
-                .iter()
-                .all(|p| matches!(p.class, PageClass::Owner { .. }) && p.slot == plans[0].slot)
-        {
-            let slot = plans[0].slot.expect("owner pages are planned a fetch slot");
-            if let Ok(bytes) = &served.fetched[slot] {
-                let base = served.fetches[slot].0;
-                let a = ((offset - base) as usize).min(bytes.len());
-                let b = ((end - base) as usize).min(bytes.len());
-                return Ok(bytes.slice(a..b));
-            }
-        }
-
-        // Assemble. A single chunk is returned zero-copy; stitching several
-        // counts the copied bytes.
-        let _assemble_span = self.tracer.child(root.id(), "assemble");
-        let mut parts = served.chunks;
-        if parts.len() == 1 {
-            return Ok(parts.pop().expect("one part"));
-        }
-        let total: usize = parts.iter().map(Bytes::len).sum();
-        self.hot.bytes_copied.add(total as u64);
-        let mut out = BytesMut::with_capacity(total);
-        for part in &parts {
-            out.extend_from_slice(part);
-        }
-        Ok(out.freeze())
+        let mut out = self.read_fragments("cache.read", file, &[(offset, len)], source)?;
+        Ok(out.pop().expect("one buffer per fragment"))
     }
 
     /// Reads several `(offset, len)` fragments of `file` in one vectored
@@ -820,8 +758,7 @@ impl CacheManager {
     /// chunks of a row group. Issued through [`Self::read`] one at a time
     /// they classify, fetch, and publish per fragment, so misses on
     /// different fragments never share a wire round-trip. This entry point
-    /// runs the same classify → fetch → publish pipeline once over the
-    /// union of all fragments:
+    /// runs the same pipeline once over the union of all fragments:
     ///
     /// * every *distinct* page is classified exactly once, even when
     ///   fragments overlap, repeat, or arrive out of order (duplicates
@@ -846,78 +783,88 @@ impl CacheManager {
         if fragments.is_empty() {
             return Ok(Vec::new());
         }
-        let ps = self.page_size();
-        let mut root = self.tracer.span("cache.read_multi");
-        root.annotate("path", &file.path);
-        root.annotate("fragments", fragments.len());
+        self.hot.vectored_reads.inc();
+        self.metrics
+            .histogram("vectored.fragments")
+            .record(fragments.len() as u64);
+        self.read_fragments("cache.read_multi", file, fragments, source)
+    }
 
-        // Stage 0: plan fragments — clamp each to EOF and union the
-        // requested sub-range of every distinct page touched. Pure
-        // bookkeeping: no locks, no I/O. Degenerate fragments (zero-length
-        // or entirely past EOF) resolve to empty buffers.
-        let mut plan_frag_span = self.tracer.child(root.id(), "plan_fragments");
-        let mut requested = 0u64;
+    /// The read pipeline behind [`Self::read`] and [`Self::read_multi`],
+    /// traced under a root span named `root_name`: one EOF-clamped buffer
+    /// per fragment.
+    fn read_fragments(
+        &self,
+        root_name: &'static str,
+        file: &SourceFile,
+        fragments: &[(u64, u64)],
+        source: &dyn RemoteSource,
+    ) -> Result<Vec<Bytes>> {
+        let ps = self.page_size();
+        // Degenerate fragments (zero-length or past EOF) clamp to an empty
+        // range and resolve to empty buffers.
         let clamped: Vec<(u64, u64)> = fragments
             .iter()
-            .map(|&(offset, len)| {
-                let end = offset.saturating_add(len).min(file.length);
-                if offset >= end {
-                    (offset, offset)
-                } else {
-                    requested += end - offset;
-                    (offset, end)
+            .map(|&(off, len)| (off, off.saturating_add(len).min(file.length).max(off)))
+            .collect();
+        self.hot
+            .bytes_requested
+            .add(clamped.iter().map(|&(start, end)| end - start).sum());
+        let mut root = self.tracer.span(root_name);
+        root.annotate("path", &file.path);
+        if let [(offset, end)] = clamped[..] {
+            root.annotate("offset", offset);
+            root.annotate("len", end - offset);
+        } else {
+            root.annotate("fragments", fragments.len());
+        }
+
+        // Stage 1: classify every distinct page of the fragments' union
+        // once. Its entries are `(page index, within start, within end)`,
+        // ascending. One fragment's pages already are; several may overlap,
+        // repeat or arrive out of order, so they are sorted and merged — a
+        // page shared by two fragments must not wait on its own latch. A
+        // merged range may over-read the gap between two fragments on one
+        // page; it never crosses a page.
+        let mut classify_span = self.tracer.child(root.id(), "classify");
+        let mut pages: Vec<(u64, u64, u64)> = Vec::new();
+        for &(start, end) in clamped.iter().filter(|(start, end)| start < end) {
+            pages.extend((start / ps..=(end - 1) / ps).map(|idx| {
+                let page_start = idx * ps;
+                let a = start.max(page_start) - page_start;
+                (idx, a, end.min(page_start + ps) - page_start)
+            }));
+        }
+        if clamped.len() > 1 {
+            pages.sort_unstable_by_key(|&(idx, ..)| idx);
+            pages.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 = kept.1.min(next.1);
+                    kept.2 = kept.2.max(next.2);
+                }
+                same
+            });
+        }
+        let file_id = file.file_id();
+        let now = self.now_ms();
+        let mut plans: Vec<PagePlan> = pages
+            .iter()
+            .map(|&(idx, within_start, within_end)| {
+                let page_start = idx * ps;
+                let id = PageId::new(file_id, idx);
+                PagePlan {
+                    id,
+                    page_start,
+                    page_len: ps.min(file.length - page_start),
+                    within_off: within_start,
+                    within_len: within_end - within_start,
+                    class: self.classify_page(file, id, now, classify_span.id()),
+                    slot: None,
+                    off_in_slot: 0,
                 }
             })
             .collect();
-        self.hot.bytes_requested.add(requested);
-        // Distinct pages in ascending order → union of requested
-        // page-relative sub-ranges. The union may over-read the gap between
-        // two fragments landing on the same page; it never crosses a page.
-        let mut pages: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for &(start, end) in &clamped {
-            if start >= end {
-                continue;
-            }
-            for idx in start / ps..=(end - 1) / ps {
-                let page_start = idx * ps;
-                let a = start.max(page_start) - page_start;
-                let b = end.min(page_start + ps) - page_start;
-                let entry = pages.entry(idx).or_insert((a, b));
-                entry.0 = entry.0.min(a);
-                entry.1 = entry.1.max(b);
-            }
-        }
-        if plan_frag_span.is_recording() {
-            plan_frag_span.annotate("bytes", requested);
-            plan_frag_span.annotate("pages", pages.len());
-        }
-        plan_frag_span.finish();
-
-        // Stage 1: vectored classify — one classification per distinct
-        // page, under its stripe lock (no I/O while any lock is held). A
-        // page shared by two fragments must not wait on its own latch, so
-        // deduplication above is what makes overlap safe.
-        let mut classify_span = self.tracer.child(root.id(), "vectored_classify");
-        let file_id = file.file_id();
-        let now = self.now_ms();
-        let mut plans = Vec::with_capacity(pages.len());
-        let mut page_pos: HashMap<u64, usize> = HashMap::with_capacity(pages.len());
-        for (&idx, &(within_off, within_end)) in &pages {
-            let page_start = idx * ps;
-            let id = PageId::new(file_id, idx);
-            let class = self.classify_page(file, id, now, classify_span.id());
-            page_pos.insert(idx, plans.len());
-            plans.push(PagePlan {
-                id,
-                page_start,
-                page_len: ps.min(file.length - page_start),
-                within_off,
-                within_len: within_end - within_off,
-                class,
-                slot: None,
-                off_in_slot: 0,
-            });
-        }
         if classify_span.is_recording() {
             let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
             classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit { .. })));
@@ -926,18 +873,15 @@ impl CacheManager {
             classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
         }
         classify_span.finish();
+        // Every page this read touches, hit or miss — the conservation
+        // anchor: page_reads == hits + misses + fallbacks.timeout.
         self.hot.page_reads.add(plans.len() as u64);
-        self.hot.vectored_reads.inc();
-        self.metrics
-            .histogram("vectored.fragments")
-            .record(fragments.len() as u64);
 
         let served = self.fetch_publish_serve(file, &mut plans, source, root.id())?;
 
         // Stage 6: assemble one buffer per fragment. Each plan's chunk
         // covers the page's *union* sub-range, so a fragment slices its own
-        // bytes back out; a fragment covered by a single chunk or a single
-        // coalesced owner run stays zero-copy.
+        // bytes back out of its pages, which are contiguous in `plans`.
         let _assemble_span = self.tracer.child(root.id(), "assemble");
         let mut out = Vec::with_capacity(clamped.len());
         for &(start, end) in &clamped {
@@ -945,25 +889,21 @@ impl CacheManager {
                 out.push(Bytes::new());
                 continue;
             }
-            let first = start / ps;
-            let last = (end - 1) / ps;
-            if first == last {
-                let plan = &plans[page_pos[&first]];
-                let chunk = &served.chunks[page_pos[&first]];
+            let first = plans.partition_point(|p| p.page_start + p.page_len <= start);
+            let last = first + ((end - 1) / ps - start / ps) as usize;
+            let (run, chunks) = (&plans[first..=last], &served.chunks[first..=last]);
+            if let [plan] = run {
                 let rel = (start - (plan.page_start + plan.within_off)) as usize;
-                out.push(chunk.slice(rel..rel + (end - start) as usize));
+                out.push(chunks[0].slice(rel..rel + (end - start) as usize));
                 continue;
             }
             // Whole fragment inside one coalesced owner run: one slice of
             // the ranged response.
-            let run_slot = plans[page_pos[&first]].slot;
-            let one_run = run_slot.is_some()
-                && (first..=last).all(|idx| {
-                    let p = &plans[page_pos[&idx]];
-                    matches!(p.class, PageClass::Owner { .. }) && p.slot == run_slot
-                });
-            if one_run {
-                let slot = run_slot.expect("checked above");
+            if run
+                .iter()
+                .all(|p| matches!(p.class, PageClass::Owner { .. }) && p.slot == run[0].slot)
+            {
+                let slot = run[0].slot.expect("owner pages are planned a fetch slot");
                 if let Ok(bytes) = &served.fetched[slot] {
                     let base = served.fetches[slot].0;
                     let a = ((start - base) as usize).min(bytes.len());
@@ -974,9 +914,7 @@ impl CacheManager {
             }
             self.hot.bytes_copied.add(end - start);
             let mut buf = BytesMut::with_capacity((end - start) as usize);
-            for idx in first..=last {
-                let plan = &plans[page_pos[&idx]];
-                let chunk = &served.chunks[page_pos[&idx]];
+            for (plan, chunk) in run.iter().zip(chunks) {
                 let a = start.max(plan.page_start);
                 let b = end.min(plan.page_start + plan.page_len);
                 let base = plan.page_start + plan.within_off;
@@ -987,7 +925,7 @@ impl CacheManager {
         Ok(out)
     }
 
-    /// Stages 2–5 shared by [`Self::read`] and [`Self::read_multi`]: plan
+    /// Stages 2–5 of the read pipeline ([`Self::read_fragments`]): plan
     /// and execute remote fetches, publish owned pages, serve hits, and
     /// collect waiter/bypass pages. On success every plan has produced a
     /// chunk covering exactly its requested sub-range
@@ -1135,40 +1073,7 @@ impl CacheManager {
         })
     }
 
-    /// Stage 1 of [`Self::read`]: classifies every requested page under its
-    /// stripe lock, with no I/O while a lock is held. Lock order everywhere
-    /// is stripe lock → in-flight map, so a concurrent publisher (which
-    /// inserts the page and removes the in-flight entry under the same
-    /// stripe lock) is seen either entirely before or entirely after: a
-    /// classifier finds the in-flight entry or the cached page, never
-    /// neither.
-    fn classify(&self, file: &SourceFile, offset: u64, end: u64, parent: SpanId) -> Vec<PagePlan> {
-        let ps = self.page_size();
-        let file_id = file.file_id();
-        let now = self.now_ms();
-        let first = offset / ps;
-        let last = (end - 1) / ps;
-        let mut plans = Vec::with_capacity((last - first + 1) as usize);
-        for idx in first..=last {
-            let page_start = idx * ps;
-            let id = PageId::new(file_id, idx);
-            let class = self.classify_page(file, id, now, parent);
-            plans.push(PagePlan {
-                id,
-                page_start,
-                page_len: ps.min(file.length - page_start),
-                within_off: offset.max(page_start) - page_start,
-                within_len: end.min(page_start + ps) - offset.max(page_start),
-                class,
-                slot: None,
-                off_in_slot: 0,
-            });
-        }
-        plans
-    }
-
-    /// Classifies one page: the shared body of [`Self::classify`] and the
-    /// vectored classify of [`Self::read_multi`].
+    /// Stage 1 for one page, with no I/O while a lock is held.
     ///
     /// The hit path is lock-free in the write sense: an optimistic
     /// [`IndexManager::touch`] classifies a resident page under its index
@@ -1183,7 +1088,11 @@ impl CacheManager {
     ///
     /// Only misses take the stripe lock, re-check the index (a concurrent
     /// publisher may have landed the page), and consult the single-flight
-    /// shard.
+    /// shard. Lock order everywhere is stripe lock → in-flight map, so a
+    /// concurrent publisher (which inserts the page and removes the
+    /// in-flight entry under the same stripe lock) is seen either entirely
+    /// before or entirely after: a classifier finds the in-flight entry or
+    /// the cached page, never neither.
     fn classify_page(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
         if let Some((dir, hits)) = self.index.touch(&id, now) {
             if !self.policies[dir].record_access(id) {
@@ -1236,11 +1145,10 @@ impl CacheManager {
     /// exact-range slot. The page-vs-request delta of owner runs is the
     /// read amplification the §7 page-size trade-off discusses.
     ///
-    /// Plans must be in ascending `page_start` order. A single [`Self::read`]
-    /// produces consecutive pages, so every owner follows on the previous
-    /// run's end; a [`Self::read_multi`] may carry gaps between fragments,
-    /// which close the open run — coalescing never bridges bytes nobody
-    /// asked for.
+    /// Plans must be in ascending `page_start` order. One fragment produces
+    /// consecutive pages, so every owner follows on the previous run's end;
+    /// several may leave gaps between fragments, which close the open run —
+    /// coalescing never bridges bytes nobody asked for.
     fn plan_fetches(&self, plans: &mut [PagePlan]) -> Vec<(u64, u64)> {
         let coalesce = self.config.coalesce_fetches;
         let mut fetches: Vec<(u64, u64)> = Vec::new();
@@ -1438,7 +1346,7 @@ impl CacheManager {
 
     /// Stage 3 for one owned page: caches the fetched page (re-taking its
     /// stripe lock just for the insert), removes the in-flight entry while
-    /// that lock is still held (see [`Self::classify`] for why), then
+    /// that lock is still held (see [`Self::classify_page`] for why), then
     /// releases the latch.
     fn finish_fetch(
         &self,
@@ -1452,7 +1360,7 @@ impl CacheManager {
             let _guard = self.stripe(id).lock();
             let mut cached = false;
             if let Ok(page) = outcome {
-                match self.put_page_locked_traced(file, id, page, parent) {
+                match self.put_page_locked(file, id, page, parent) {
                     Ok(()) => cached = true,
                     Err(e) => {
                         // Caching failed (quota, space, store error): the
@@ -1546,17 +1454,7 @@ impl CacheManager {
                 fallback_span.annotate("reason", "timeout");
                 fallback_span.annotate("page", id);
                 let abs = plan.page_start + plan.within_off;
-                let bytes = source.read(&file.path, abs, plan.within_len)?;
-                self.hot.bytes_from_remote.add(bytes.len() as u64);
-                self.hot.remote_requests.inc();
-                if bytes.len() as u64 != plan.within_len {
-                    return Err(Error::Decode(format!(
-                        "remote returned {} bytes for a {}-byte range",
-                        bytes.len(),
-                        plan.within_len
-                    )));
-                }
-                Ok(bytes)
+                self.remote_exact(file, abs, plan.within_len, source)
             }
             Err(e @ Error::Corrupted(_)) => {
                 // §8 "Corrupted files": evict early and refetch.
@@ -1611,39 +1509,19 @@ impl CacheManager {
         if !self.admission.admit(&file.path, &file.scope, self.now_ms()) {
             self.hot.admission_rejected.inc();
             let abs = plan.page_start + plan.within_off;
-            let bytes = source.read(&file.path, abs, plan.within_len)?;
-            self.hot.bytes_from_remote.add(bytes.len() as u64);
-            self.hot.remote_requests.inc();
-            if bytes.len() as u64 != plan.within_len {
-                return Err(Error::Decode(format!(
-                    "remote returned {} bytes for a {}-byte range",
-                    bytes.len(),
-                    plan.within_len
-                )));
-            }
-            return Ok(bytes);
+            return self.remote_exact(file, abs, plan.within_len, source);
         }
-        let data = match source.read(&file.path, plan.page_start, plan.page_len) {
+        // Never cache a short page (see execute_fetches).
+        let data = match self.remote_exact(file, plan.page_start, plan.page_len, source) {
             Ok(data) => data,
             Err(e) => {
                 self.release_admission_if_vacant(&file.scope);
                 return Err(e);
             }
         };
-        self.hot.bytes_from_remote.add(data.len() as u64);
-        self.hot.remote_requests.inc();
-        if data.len() as u64 != plan.page_len {
-            // Never cache a short page (see execute_fetches).
-            self.release_admission_if_vacant(&file.scope);
-            return Err(Error::Decode(format!(
-                "remote returned {} bytes for a {}-byte page",
-                data.len(),
-                plan.page_len
-            )));
-        }
         {
             let _guard = self.stripe(plan.id).lock();
-            if let Err(e) = self.put_page_locked_traced(file, plan.id, &data, direct_span.id()) {
+            if let Err(e) = self.put_page_locked(file, plan.id, &data, direct_span.id()) {
                 self.metrics.record_error("put", e.kind());
                 self.release_admission_if_vacant(&file.scope);
             }
@@ -1651,6 +1529,28 @@ impl CacheManager {
         let start = (plan.within_off as usize).min(data.len());
         let end = ((plan.within_off + plan.within_len) as usize).min(data.len());
         Ok(data.slice(start..end))
+    }
+
+    /// One counted remote read of exactly `len` bytes at `offset`. Ranges
+    /// are pre-clamped to the file length, so a short buffer is an error:
+    /// served or cached, it would be wrong data.
+    fn remote_exact(
+        &self,
+        file: &SourceFile,
+        offset: u64,
+        len: u64,
+        source: &dyn RemoteSource,
+    ) -> Result<Bytes> {
+        let bytes = source.read(&file.path, offset, len)?;
+        self.hot.bytes_from_remote.add(bytes.len() as u64);
+        self.hot.remote_requests.inc();
+        if bytes.len() as u64 != len {
+            return Err(Error::Decode(format!(
+                "remote returned {} bytes for a {len}-byte range",
+                bytes.len()
+            )));
+        }
+        Ok(bytes)
     }
 
     /// Local store read, with the configured deadline when enforced.
@@ -1676,12 +1576,14 @@ impl CacheManager {
     pub fn put_page(&self, file: &SourceFile, page_index: u64, data: &[u8]) -> Result<()> {
         let id = PageId::new(file.file_id(), page_index);
         let _guard = self.stripe(id).lock();
-        self.put_page_locked(file, id, data)
+        self.put_page_locked(file, id, data, SpanId::NONE)
     }
 
     /// Reads one cached page range without a remote fallback. Returns
     /// `NotFound` on a miss (used by integrations that manage their own
-    /// miss path).
+    /// miss path). Each call is one page read, booked as a hit or — index
+    /// miss or store error alike — a miss, so the page-read law holds for
+    /// these callers too.
     pub fn get_page(
         &self,
         file: &SourceFile,
@@ -1691,10 +1593,11 @@ impl CacheManager {
     ) -> Result<Bytes> {
         let id = PageId::new(file.file_id(), page_index);
         let _guard = self.stripe(id).lock();
-        let info = self
-            .index
-            .get(&id)
-            .ok_or_else(|| Error::NotFound(format!("page {id}")))?;
+        self.hot.page_reads.inc();
+        let Some(info) = self.index.get(&id) else {
+            self.hot.misses.inc();
+            return Err(Error::NotFound(format!("page {id}")));
+        };
         match self.store_get(info.dir, id, offset, len) {
             Ok(bytes) => {
                 self.hot.hits.inc();
@@ -1706,13 +1609,12 @@ impl CacheManager {
                 }
                 Ok(bytes)
             }
-            Err(e @ Error::Corrupted(_)) => {
-                self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "corrupt");
-                Err(e)
-            }
             Err(e) => {
+                self.hot.misses.inc();
                 self.metrics.record_error("get", e.kind());
+                if matches!(e, Error::Corrupted(_)) {
+                    self.evict_page(&id, "corrupt");
+                }
                 Err(e)
             }
         }
@@ -1724,14 +1626,10 @@ impl CacheManager {
             .contains(&PageId::new(file.file_id(), page_index))
     }
 
-    /// Inner put: caller holds the page's stripe lock.
-    fn put_page_locked(&self, file: &SourceFile, id: PageId, data: &[u8]) -> Result<()> {
-        self.put_page_locked_traced(file, id, data, SpanId::NONE)
-    }
-
-    /// Inner put with a trace parent: eviction work done to make room is
-    /// recorded as an `eviction` child span (only when evictions happen).
-    fn put_page_locked_traced(
+    /// Inner put; the caller holds the page's stripe lock. Eviction work
+    /// done to make room is recorded as an `eviction` child of `parent`
+    /// (only when evictions happen).
+    fn put_page_locked(
         &self,
         file: &SourceFile,
         id: PageId,
@@ -1774,35 +1672,14 @@ impl CacheManager {
         }
 
         // Capacity eviction within the target directory.
-        let capacity = self.allocator.capacity(dir);
-        while self.index.bytes_of_dir(dir) + size > capacity {
+        if self.index.bytes_of_dir(dir) + size > self.allocator.capacity(dir) {
             evict_span.get_or_insert_with(|| self.tracer.child(parent, "eviction"));
-            let victim = self.policies[dir].lock().victim();
-            let Some(victim) = victim else {
-                finish_eviction_span(evict_span, evicted, quota_rounds);
-                return Err(Error::NoSpace);
-            };
-            if self.evict_page(&victim, "capacity").is_none() {
-                // The policy offered a page the index no longer holds (a
-                // racing eviction through another path). Retire the stale
-                // entry, or this loop would redraw the same victim forever.
-                self.policies[dir].lock().on_remove(victim);
-            }
-            evicted += 1;
         }
+        let room = self.make_room(dir, size);
+        evicted += room.unwrap_or_else(|n| n);
         finish_eviction_span(evict_span, evicted, quota_rounds);
-
-        match self.stores[dir].put(id, data) {
-            Ok(()) => {}
-            Err(Error::NoSpace) => {
-                // §8 "Insufficient disk capacity": the device filled up
-                // before our configured capacity — evict early and retry.
-                self.metrics.record_error("put", "no_space");
-                self.evict_some(dir, size.max(1));
-                self.stores[dir].put(id, data)?;
-            }
-            Err(e) => return Err(e),
-        }
+        room.map_err(|_| Error::NoSpace)?;
+        self.store_put(dir, id, data)?;
 
         let info = PageInfo::new(id, size, file.scope.clone(), dir, self.now_ms());
         if let Some(old) = self.index.insert(info) {
@@ -1829,23 +1706,53 @@ impl CacheManager {
         Ok(())
     }
 
-    /// Evicts up to `want_bytes` from directory `dir` (early eviction on
-    /// device pressure).
-    fn evict_some(&self, dir: usize, want_bytes: u64) {
-        let mut freed = 0u64;
-        while freed < want_bytes {
+    /// Capacity eviction in SSD directory `dir` until `size` more bytes fit:
+    /// `Ok(n)` once they do, `Err(n)` when the policy runs out of victims,
+    /// `n` counting the victims drawn.
+    fn make_room(&self, dir: usize, size: u64) -> std::result::Result<u64, u64> {
+        let capacity = self.allocator.capacity(dir);
+        let mut drawn = 0u64;
+        while self.index.bytes_of_dir(dir) + size > capacity {
             let victim = self.policies[dir].lock().victim();
-            let Some(victim) = victim else { return };
+            let Some(victim) = victim else {
+                return Err(drawn);
+            };
+            if self.evict_page(&victim, "capacity").is_none() {
+                // The policy offered a page the index no longer holds (a
+                // racing eviction through another path). Retire the stale
+                // entry, or this loop would redraw the same victim forever.
+                self.policies[dir].lock().on_remove(victim);
+            }
+            drawn += 1;
+        }
+        Ok(drawn)
+    }
+
+    /// Writes a page to directory `dir`'s store. §8 "Insufficient disk
+    /// capacity": when the device fills up before the configured capacity
+    /// (`NoSpace`), evicts at least the page's size early and retries once.
+    fn store_put(&self, dir: usize, id: PageId, data: &[u8]) -> Result<()> {
+        match self.stores[dir].put(id, data) {
+            Err(Error::NoSpace) => {}
+            done => return done,
+        }
+        self.metrics.record_error("put", "no_space");
+        let want = (data.len() as u64).max(1);
+        let mut freed = 0u64;
+        while freed < want {
+            let victim = self.policies[dir].lock().victim();
+            let Some(victim) = victim else { break };
             match self.evict_page(&victim, "no_space") {
                 Some(info) => freed += info.size,
                 None => {
-                    // Stale policy entry (see the capacity loop): retire it
-                    // so the next draw makes progress.
+                    // Stale policy entry (see `make_room`): retire it so the
+                    // next draw makes progress.
                     self.policies[dir].lock().on_remove(victim);
                     freed += 1;
                 }
             }
         }
+        self.stores[dir].put(id, data)
     }
 
     /// Applies the §5.2 strategy for a quota violation. Victims come from
@@ -1971,83 +1878,38 @@ impl CacheManager {
         let Some(mem) = self.mem_dir else { return };
         self.mem_capacity.store(bytes, Ordering::Relaxed);
         // First pass: demote down to the new capacity.
-        self.ensure_mem_room(0, SpanId::NONE);
+        self.shrink_mem(mem, bytes, |victim| self.demote_page(victim, SpanId::NONE));
         // Fallback pass: demotion could not free enough (SSD full beyond
         // eviction, or pinned frames in the victim stream) — evict what
         // remains unpinned so the over-capacity invariant holds.
+        self.shrink_mem(mem, bytes, |victim| {
+            let _guard = self.stripe(*victim).lock();
+            if let Err(outcome) = self.mem_victim(victim, mem) {
+                return outcome;
+            }
+            self.evict_page(victim, "mem_pressure");
+            DemoteOutcome::Freed
+        });
+    }
+
+    /// Passes memory-tier victims to `exit` (demotion, or eviction under
+    /// pressure) until the tier holds at most `target` bytes. Must be called
+    /// while holding **no** stripe lock: `exit` takes the victim's stripe,
+    /// and stripe locks never nest. Stops early when nothing more can be
+    /// freed: a full lap found only pinned frames, or `exit` failed (SSD
+    /// refuses the bytes). Only promotion and [`Self::set_memory_capacity`]
+    /// shrink the tier: publishes land on SSD and never make room here.
+    fn shrink_mem(&self, mem: usize, target: u64, exit: impl Fn(&PageId) -> DemoteOutcome) {
         let mut pinned_skips = 0usize;
-        while self.index.bytes_of_dir(mem) > bytes {
+        while self.index.bytes_of_dir(mem) > target {
             let victim = self.policies[mem].lock().victim();
             let Some(victim) = victim else { return };
-            match self.pressure_evict(&victim) {
+            // `exit` retires stale entries and recycles pinned ones itself
+            // (`mem_victim`), under the victim's stripe lock — doing it here
+            // would race a concurrent promotion re-inserting the same page.
+            match exit(&victim) {
                 DemoteOutcome::Freed | DemoteOutcome::Stale => pinned_skips = 0,
                 DemoteOutcome::Pinned => {
-                    pinned_skips += 1;
-                    if pinned_skips >= self.policies[mem].lock().len() {
-                        return; // everything left is pinned
-                    }
-                }
-                DemoteOutcome::Failed => return,
-            }
-        }
-    }
-
-    /// One pressure pass over a memory victim, under its stripe lock:
-    /// evicts it outright (cause `mem_pressure`) unless pinned. The stripe
-    /// lock is what makes the policy bookkeeping safe against a concurrent
-    /// promotion of the same page (see `demote_page`).
-    fn pressure_evict(&self, id: &PageId) -> DemoteOutcome {
-        let Some(mem) = self.mem_dir else {
-            return DemoteOutcome::Failed;
-        };
-        let _guard = self.stripe(*id).lock();
-        let Some(info) = self.index.get(id) else {
-            // Raced another exit: retire the stale policy entry here, where
-            // no re-insert of this page can be mid-flight.
-            self.policies[mem].lock().on_remove(*id);
-            return DemoteOutcome::Stale;
-        };
-        if info.dir != mem {
-            self.policies[mem].lock().on_remove(*id);
-            return DemoteOutcome::Stale;
-        }
-        if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(*id)) {
-            // Recycle to most-recently-used so the scan moves on.
-            let mut guard = self.policies[mem].lock();
-            guard.on_remove(*id);
-            guard.on_insert(*id);
-            return DemoteOutcome::Pinned;
-        }
-        self.evict_page(id, "mem_pressure");
-        DemoteOutcome::Freed
-    }
-
-    /// Demotes memory-tier victims until `size` more bytes fit under the
-    /// tier's capacity. Must be called while holding **no** stripe lock:
-    /// demotion takes the victim's stripe, and stripe locks never nest.
-    /// Stops early when nothing more can be freed (all pinned, or SSD
-    /// refuses the bytes) — a promotion then leaves its page on SSD. Only
-    /// promotion and [`Self::set_memory_capacity`] call this: publishes land
-    /// on SSD and never make room here.
-    fn ensure_mem_room(&self, size: u64, parent: SpanId) {
-        let Some(mem) = self.mem_dir else { return };
-        let capacity = self.memory_capacity();
-        if size > capacity {
-            return; // can never fit: the page stays on SSD
-        }
-        let mut pinned_skips = 0usize;
-        while self.index.bytes_of_dir(mem) + size > capacity {
-            let victim = self.policies[mem].lock().victim();
-            let Some(victim) = victim else { return };
-            // `demote_page` retires stale entries and recycles pinned ones
-            // itself, under the victim's stripe lock — doing it here would
-            // race a concurrent promotion re-inserting the same page.
-            match self.demote_page(&victim, parent) {
-                DemoteOutcome::Freed | DemoteOutcome::Stale => {
-                    pinned_skips = 0;
-                }
-                DemoteOutcome::Pinned => {
-                    // Give up once a full lap found only pinned frames.
                     pinned_skips += 1;
                     if pinned_skips >= self.policies[mem].lock().len() {
                         return;
@@ -2056,6 +1918,30 @@ impl CacheManager {
                 DemoteOutcome::Failed => return,
             }
         }
+    }
+
+    /// The checks every memory victim passes first, under its stripe lock.
+    /// A victim no longer in memory (it raced another exit or move) has its
+    /// stale policy entry retired: `Stale`. A pinned one is recycled to
+    /// most-recently-used so the scan moves on: `Pinned`. Both are safe
+    /// only under the stripe — a concurrent promotion of this page, which
+    /// re-inserts the policy entry, needs the same stripe, so neither can
+    /// clobber a fresh insert. Otherwise returns the victim's index entry.
+    fn mem_victim(&self, id: &PageId, mem: usize) -> std::result::Result<PageInfo, DemoteOutcome> {
+        let info = match self.index.get(id) {
+            Some(info) if info.dir == mem => info,
+            _ => {
+                self.policies[mem].lock().on_remove(*id);
+                return Err(DemoteOutcome::Stale);
+            }
+        };
+        if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(*id)) {
+            let mut guard = self.policies[mem].lock();
+            guard.on_remove(*id);
+            guard.on_insert(*id);
+            return Err(DemoteOutcome::Pinned);
+        }
+        Ok(info)
     }
 
     /// Moves one memory-resident page down to SSD — the "demotion, not
@@ -2069,26 +1955,10 @@ impl CacheManager {
             return DemoteOutcome::Failed;
         };
         let _guard = self.stripe(*id).lock();
-        let Some(info) = self.index.get(id) else {
-            // Raced another exit: retire the stale policy entry while the
-            // stripe is held — a concurrent promotion of this page (which
-            // re-inserts the policy entry) also needs this stripe, so the
-            // retirement can never clobber a fresh insert.
-            self.policies[mem].lock().on_remove(*id);
-            return DemoteOutcome::Stale;
+        let info = match self.mem_victim(id, mem) {
+            Ok(info) => info,
+            Err(outcome) => return outcome,
         };
-        if info.dir != mem {
-            self.policies[mem].lock().on_remove(*id);
-            return DemoteOutcome::Stale;
-        }
-        if mem_store.is_pinned(*id) {
-            // Recycle to most-recently-used (same stripe-held reasoning) so
-            // the pressure scan moves on to the next victim.
-            let mut guard = self.policies[mem].lock();
-            guard.on_remove(*id);
-            guard.on_insert(*id);
-            return DemoteOutcome::Pinned;
-        }
         let data = match mem_store.verified_full(*id) {
             Ok(data) => data,
             Err(e) => {
@@ -2107,36 +1977,14 @@ impl CacheManager {
         // Make room on the target SSD directory — the same capacity loop a
         // put runs. SSD victims evicted here hold no stripe lock of their
         // own, so no second stripe is ever taken.
-        let capacity = self.allocator.capacity(dir);
-        while self.index.bytes_of_dir(dir) + info.size > capacity {
-            let victim = self.policies[dir].lock().victim();
-            let Some(victim) = victim else {
-                span.annotate("status", "no_victim");
-                span.finish();
-                return DemoteOutcome::Failed;
-            };
-            if self.evict_page(&victim, "capacity").is_none() {
-                self.policies[dir].lock().on_remove(victim);
-            }
+        if self.make_room(dir, info.size).is_err() {
+            span.annotate("status", "no_victim");
+            return DemoteOutcome::Failed;
         }
-        match self.stores[dir].put(*id, &data) {
-            Ok(()) => {}
-            Err(Error::NoSpace) => {
-                self.metrics.record_error("put", "no_space");
-                self.evict_some(dir, info.size.max(1));
-                if let Err(e) = self.stores[dir].put(*id, &data) {
-                    self.metrics.record_error("demote", e.kind());
-                    span.annotate("status", e.kind());
-                    span.finish();
-                    return DemoteOutcome::Failed;
-                }
-            }
-            Err(e) => {
-                self.metrics.record_error("demote", e.kind());
-                span.annotate("status", e.kind());
-                span.finish();
-                return DemoteOutcome::Failed;
-            }
+        if let Err(e) = self.store_put(dir, *id, &data) {
+            self.metrics.record_error("demote", e.kind());
+            span.annotate("status", e.kind());
+            return DemoteOutcome::Failed;
         }
         // Keep `created_ms`: a page's TTL clock does not reset on a tier
         // move — only genuinely new bytes restart the privacy countdown.
@@ -2168,8 +2016,11 @@ impl CacheManager {
         if data.len() as u64 != info.size {
             return; // short read: never promote a partial page
         }
-        self.ensure_mem_room(info.size, parent);
-        if self.index.bytes_of_dir(mem) + info.size > self.memory_capacity() {
+        let Some(room) = self.memory_capacity().checked_sub(info.size) else {
+            return; // can never fit: the page stays on SSD
+        };
+        self.shrink_mem(mem, room, |victim| self.demote_page(victim, parent));
+        if self.index.bytes_of_dir(mem) > room {
             return; // could not make room (pinned frames, demotion failure)
         }
         let id = info.id;
@@ -2223,28 +2074,14 @@ impl CacheManager {
     /// Deletes every cached page of a file (e.g. on HDFS block delete,
     /// §6.2.3). Returns the number of pages removed.
     pub fn delete_file(&self, file: FileId) -> usize {
-        let pages = self.index.pages_of_file(file);
-        let mut n = 0;
-        for id in pages {
-            if self.evict_page(&id, "delete").is_some() {
-                n += 1;
-            }
-        }
-        n
+        self.evict_all(self.index.pages_of_file(file), "delete")
     }
 
     /// Deletes every cached page within a scope — the §4.4 bulk operation
     /// ("delete all pages belonging to a certain outdated partition").
     /// Returns the number of pages removed.
     pub fn delete_scope(&self, scope: &CacheScope) -> usize {
-        let pages = self.index.pages_of_scope(scope);
-        let mut n = 0;
-        for id in pages {
-            if self.evict_page(&id, "delete").is_some() {
-                n += 1;
-            }
-        }
-        n
+        self.evict_all(self.index.pages_of_scope(scope), "delete")
     }
 
     /// Evicts pages older than the configured TTL (§4.1's "periodic
@@ -2252,14 +2089,15 @@ impl CacheManager {
     pub fn evict_expired(&self) -> usize {
         let Some(ttl) = self.config.ttl else { return 0 };
         let cutoff = self.now_ms().saturating_sub(ttl.as_millis() as u64);
-        let expired = self.index.pages_created_before(cutoff);
-        let mut n = 0;
-        for id in expired {
-            if self.evict_page(&id, "ttl").is_some() {
-                n += 1;
-            }
-        }
-        n
+        self.evict_all(self.index.pages_created_before(cutoff), "ttl")
+    }
+
+    /// Evicts every listed page still cached, in list order; returns how
+    /// many were.
+    fn evict_all(&self, ids: Vec<PageId>, cause: &str) -> usize {
+        ids.iter()
+            .filter(|id| self.evict_page(id, cause).is_some())
+            .count()
     }
 
     /// Rebuilds the index from the stores (cold-start recovery, §4.3).

@@ -1503,7 +1503,8 @@ mod tracing {
         assert!(fetch.args.iter().any(|(k, v)| *k == "len" && v == "4096"));
     }
 
-    /// Runs one cold + one warm vectored batch under a tracer.
+    /// Runs one cold + one warm vectored batch, then one cold two-page
+    /// `read` served by a single coalesced run, under a tracer.
     fn traced_multi_run() -> (Vec<edgecache_metrics::SpanRecord>, String) {
         let clock = Arc::new(SimClock::new());
         let shared: SharedClock = Arc::new(SimClock::clone(&clock));
@@ -1529,6 +1530,7 @@ mod tracing {
             assert_eq!(got[0], &data[..2048]);
             assert_eq!(got[1], &data[4096..6144]);
         }
+        assert_eq!(cache.read(&f, 6144, 2048, &remote).unwrap(), &data[6144..]);
         let records = cache.tracer().take_records();
         let json = chrome_trace_json(&records);
         (records, json)
@@ -1541,41 +1543,47 @@ mod tracing {
             .iter()
             .filter(|r| r.parent == SpanId::NONE.raw())
             .collect();
-        assert_eq!(roots.len(), 2, "one root span per read_multi call");
+        let root_names: Vec<&str> = roots.iter().map(|r| r.name).collect();
+        assert_eq!(
+            root_names,
+            ["cache.read_multi", "cache.read_multi", "cache.read"],
+            "one root span per call"
+        );
         for root in &roots {
-            assert_eq!(root.name, "cache.read_multi");
-            let stage_sum: u64 = records
-                .iter()
-                .filter(|r| r.parent == root.id)
-                .map(|r| r.duration().as_nanos() as u64)
-                .sum();
+            let stages: Vec<_> = records.iter().filter(|r| r.parent == root.id).collect();
+            // Both entry points run one pipeline with one stage list —
+            // `assemble` included, even for a cold read served zero-copy.
+            let names: Vec<&str> = stages.iter().map(|r| r.name).collect();
+            assert_eq!(
+                names,
+                [
+                    "classify",
+                    "plan_fetches",
+                    "remote_fetch",
+                    "publish",
+                    "serve",
+                    "collect",
+                    "assemble"
+                ],
+                "stages of {}",
+                root.name
+            );
+            let stage_sum: u64 = stages.iter().map(|r| r.duration().as_nanos() as u64).sum();
             let total = root.duration().as_nanos() as u64;
             // Under SimClock time only advances inside stages, so the
-            // new vectored stages must still partition the root exactly.
+            // stages must partition the root exactly.
             assert_eq!(stage_sum, total, "stages partition {}", root.name);
         }
         let names: Vec<&str> = records.iter().map(|r| r.name).collect();
-        for stage in [
-            "cache.read_multi",
-            "plan_fragments",
-            "vectored_classify",
-            "plan_fetches",
-            "remote_fetch",
-            "fetch_range",
-            "publish",
-            "serve",
-            "ssd_read",
-            "collect",
-            "assemble",
-        ] {
+        for stage in ["fetch_range", "ssd_read"] {
             assert!(names.contains(&stage), "missing span kind {stage}");
         }
-        // The cold batch fetched two coalesced runs.
+        // The cold batch fetched two coalesced runs, the cold read one.
         let cold_fetches = records
             .iter()
             .filter(|r| r.name == "fetch_range" && r.parent != SpanId::NONE.raw())
             .count();
-        assert_eq!(cold_fetches, 2);
+        assert_eq!(cold_fetches, 3);
     }
 
     #[test]
@@ -1873,6 +1881,61 @@ mod mem_tier {
         let got = cache.read(&f, 0, 1024, &remote).unwrap();
         assert_eq!(got.as_ref(), &data[..1024]);
         assert_eq!(remote.read_count(), reads_before, "served locally");
+        cache.index().check_consistency().unwrap();
+        cache.check_policy_coherence().unwrap();
+    }
+
+    #[test]
+    fn demotion_into_a_full_device_evicts_early_and_retries() {
+        let plan = FaultPlan::none();
+        let ssd = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
+        let cache = tiered_cache_on(ssd, 1024, 1 << 20, 1024);
+        let data = pattern(3072);
+        let remote = ScriptedRemote::new().with_file("/f", data.clone());
+        let f = file("/f", 3072);
+        let (id0, id1) = (PageId::new(f.file_id(), 0), PageId::new(f.file_id(), 1));
+        warm(&cache, &f, 0, 1024, &remote);
+        cache.read(&f, 1024, 2048, &remote).unwrap();
+        // The device is full with pages 1 and 2, far below the configured
+        // capacity.
+        plan.set_device_capacity(2048);
+
+        // Page 1's second SSD hit promotes it, demoting page 0 into the
+        // full device: `NoSpace`, one early eviction, a successful retry.
+        for _ in 0..2 {
+            let got = cache.read(&f, 1024, 1024, &NeverRemote).unwrap();
+            assert_eq!(got.as_ref(), &data[1024..2048]);
+        }
+        assert!(counter(&cache, "evictions.no_space") >= 1);
+        assert_eq!(counter(&cache, "mem.demotions"), 1);
+        assert_eq!(cache.index().get(&id0).unwrap().dir, 0, "demoted to SSD");
+        assert_eq!(
+            cache.index().get(&id1).unwrap().dir,
+            cache.memory_dir().unwrap()
+        );
+        assert_mem_balance(&cache);
+        cache.index().check_consistency().unwrap();
+        cache.check_policy_coherence().unwrap();
+    }
+
+    #[test]
+    fn shrink_falls_back_to_pressure_eviction_when_demotion_fails() {
+        let plan = FaultPlan::none();
+        let ssd = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
+        let cache = tiered_cache_on(ssd, 1024, 1 << 20, 4 * 1024);
+        let remote = ScriptedRemote::new().with_file("/f", pattern(4096));
+        let f = file("/f", 4096);
+        warm(&cache, &f, 0, 4096, &remote);
+        assert_eq!(mem_resident_pages(&cache), 4);
+        // The SSD holds nothing it could evict, and refuses every byte.
+        plan.set_device_capacity(0);
+
+        cache.set_memory_capacity(1024);
+        assert_eq!(counter(&cache, "mem.demotions"), 0);
+        assert!(counter(&cache, "evictions.mem_pressure") >= 1);
+        let mem = cache.memory_dir().unwrap();
+        assert!(cache.index().bytes_of_dir(mem) <= 1024, "tier fits");
+        assert_mem_balance(&cache);
         cache.index().check_consistency().unwrap();
         cache.check_policy_coherence().unwrap();
     }

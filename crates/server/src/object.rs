@@ -357,6 +357,27 @@ mod tests {
     }
 
     #[test]
+    fn object_reads_keep_the_page_read_law() {
+        use edgecache_metrics::{assert_conserved, ConservationLaw, SnapshotDiff};
+        let (s, _) = store_with(8, 32);
+        let before = s.cache().metrics().snapshot();
+        s.set("big", 0, 0, &[1u8; 32]);
+        assert!(s.get("big").is_some());
+        // Evicts pages of "big": its next get finds one missing.
+        s.set("other", 0, 0, &[2u8; 16]);
+        assert!(s.get("big").is_none());
+        assert!(s.get("other").is_some());
+        let diff = SnapshotDiff::between(&before, &s.cache().metrics().snapshot());
+        assert!(diff.counter("misses") >= 1, "the evicted page is a miss");
+        let law = ConservationLaw::equal(
+            "page reads balance",
+            &["hits", "misses", "fallbacks.timeout"],
+            &["page_reads"],
+        );
+        assert_conserved(&diff, &[law]).unwrap();
+    }
+
+    #[test]
     fn namespace_maps_to_scope() {
         assert_eq!(
             ObjectStore::scope_of("sales.orders:frag7"),

@@ -120,14 +120,6 @@ fn source_file(sc: &Scenario, file: u32) -> SourceFile {
     SourceFile::new(Scenario::path_of(file), 1, sc.file_len, scope_of(file))
 }
 
-/// Parses a `/sim/fN` path back to its scope (the recovery scope resolver).
-fn scope_of_path(path: &str) -> CacheScope {
-    path.strip_prefix("/sim/f")
-        .and_then(|s| s.parse::<u32>().ok())
-        .map(scope_of)
-        .unwrap_or(CacheScope::Global)
-}
-
 /// Everything the Direct-topology runner rebuilds on a crash restart.
 struct DirectStack {
     cache: CacheManager,
@@ -194,7 +186,6 @@ fn build_direct(
         .with_clock(Arc::clone(clock))
         .with_metrics(registry)
         .with_tracer(tracer)
-        .with_scope_resolver(scope_of_path)
         .with_recovery();
     if let Some(q) = sc.quota {
         builder = builder.with_quota(
