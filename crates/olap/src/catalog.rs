@@ -70,10 +70,12 @@ impl TableDef {
 /// forwarded by the storage layer) purges both caches the same way.
 pub type StaleFileListener = Arc<dyn Fn(&DataFile) + Send + Sync>;
 
-/// The catalog: a registry of tables.
+/// The catalog: a registry of tables. Each table definition is shared as an
+/// [`Arc`] and changed copy-on-write, so a [`Catalog::table`] snapshot stays
+/// consistent while DDL runs and costs a reference-count bump to take.
 #[derive(Default)]
 pub struct Catalog {
-    tables: RwLock<BTreeMap<(String, String), TableDef>>,
+    tables: RwLock<BTreeMap<(String, String), Arc<TableDef>>>,
     listeners: RwLock<Vec<StaleFileListener>>,
 }
 
@@ -112,13 +114,13 @@ impl Catalog {
 
     /// Registers (or replaces) a table.
     pub fn register(&self, table: TableDef) {
-        self.tables
-            .write()
-            .insert((table.schema_name.clone(), table.table_name.clone()), table);
+        let key = (table.schema_name.clone(), table.table_name.clone());
+        self.tables.write().insert(key, Arc::new(table));
     }
 
-    /// Looks up a table.
-    pub fn table(&self, schema: &str, table: &str) -> Result<TableDef> {
+    /// Looks up a table: a snapshot that later changes to the catalog leave
+    /// as it is.
+    pub fn table(&self, schema: &str, table: &str) -> Result<Arc<TableDef>> {
         self.tables
             .read()
             .get(&(schema.to_string(), table.to_string()))
@@ -126,15 +128,26 @@ impl Catalog {
             .ok_or_else(|| Error::NotFound(format!("table `{schema}.{table}`")))
     }
 
+    /// Applies `change` to a table's definition under the table lock,
+    /// copying it first if a snapshot of it is still held.
+    fn update<T>(
+        &self,
+        schema: &str,
+        table: &str,
+        change: impl FnOnce(&mut TableDef) -> Result<T>,
+    ) -> Result<T> {
+        let mut tables = self.tables.write();
+        let def = tables
+            .get_mut(&(schema.to_string(), table.to_string()))
+            .ok_or_else(|| Error::NotFound(format!("table `{schema}.{table}`")))?;
+        change(Arc::make_mut(def))
+    }
+
     /// Adds a partition to an existing table. Replacing a same-name
     /// partition marks every file of the old definition that did not carry
     /// over (same path and version) as stale.
     pub fn add_partition(&self, schema: &str, table: &str, partition: PartitionDef) -> Result<()> {
-        let stale = {
-            let mut tables = self.tables.write();
-            let def = tables
-                .get_mut(&(schema.to_string(), table.to_string()))
-                .ok_or_else(|| Error::NotFound(format!("table `{schema}.{table}`")))?;
+        let stale = self.update(schema, table, |def| {
             let stale: Vec<DataFile> = def
                 .partitions
                 .iter()
@@ -145,8 +158,8 @@ impl Catalog {
                 .collect();
             def.partitions.retain(|p| p.name != partition.name);
             def.partitions.push(partition);
-            stale
-        };
+            Ok(stale)
+        })?;
         self.notify_stale(&stale);
         Ok(())
     }
@@ -163,11 +176,7 @@ impl Catalog {
         new_version: u64,
         new_length: u64,
     ) -> Result<DataFile> {
-        let old = {
-            let mut tables = self.tables.write();
-            let def = tables
-                .get_mut(&(schema.to_string(), table.to_string()))
-                .ok_or_else(|| Error::NotFound(format!("table `{schema}.{table}`")))?;
+        let old = self.update(schema, table, |def| {
             let part = def
                 .partitions
                 .iter_mut()
@@ -181,8 +190,8 @@ impl Catalog {
             let old = file.clone();
             file.version = new_version;
             file.length = new_length;
-            old
-        };
+            Ok(old)
+        })?;
         self.notify_stale(std::slice::from_ref(&old));
         Ok(old)
     }
@@ -195,17 +204,14 @@ impl Catalog {
         table: &str,
         partition: &str,
     ) -> Result<PartitionDef> {
-        let mut tables = self.tables.write();
-        let def = tables
-            .get_mut(&(schema.to_string(), table.to_string()))
-            .ok_or_else(|| Error::NotFound(format!("table `{schema}.{table}`")))?;
-        let idx = def
-            .partitions
-            .iter()
-            .position(|p| p.name == partition)
-            .ok_or_else(|| Error::NotFound(format!("partition `{partition}`")))?;
-        let dropped = def.partitions.remove(idx);
-        drop(tables);
+        let dropped = self.update(schema, table, |def| {
+            let idx = def
+                .partitions
+                .iter()
+                .position(|p| p.name == partition)
+                .ok_or_else(|| Error::NotFound(format!("partition `{partition}`")))?;
+            Ok(def.partitions.remove(idx))
+        })?;
         self.notify_stale(&dropped.files);
         Ok(dropped)
     }
@@ -335,6 +341,52 @@ mod tests {
             .rewrite_file("sales", "orders", "nope", "/w/orders/p0/f0", 3, 1)
             .is_err());
         assert!(seen.lock().is_empty());
+    }
+
+    #[test]
+    fn snapshots_outlive_ddl_and_the_next_lookup_sees_it() {
+        use parking_lot::Mutex;
+        let c = Catalog::new();
+        c.register(table());
+        let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        c.on_stale_file(Arc::new(move |f: &DataFile| {
+            sink.lock().push(format!("{}@{}", f.path, f.version));
+        }));
+        let held = c.table("sales", "orders").unwrap();
+        assert!(Arc::ptr_eq(&held, &c.table("sales", "orders").unwrap()));
+        let frozen = (*held).clone();
+
+        c.rewrite_file("sales", "orders", "2024-01-01", "/w/orders/p0/f0", 2, 120)
+            .unwrap();
+        assert_eq!(*held, frozen, "a held snapshot never changes");
+        let rewritten = c.table("sales", "orders").unwrap();
+        assert_eq!(rewritten.partitions[0].files[0].version, 2);
+
+        let p1 = PartitionDef {
+            name: "2024-01-02".into(),
+            files: vec![DataFile {
+                path: "/w/orders/p1/f0".into(),
+                version: 1,
+                length: 50,
+            }],
+        };
+        c.add_partition("sales", "orders", p1.clone()).unwrap();
+        assert_eq!(*held, frozen);
+        assert_eq!(rewritten.partitions.len(), 1);
+        assert_eq!(c.table("sales", "orders").unwrap().partitions.len(), 2);
+
+        c.drop_partition("sales", "orders", "2024-01-01").unwrap();
+        assert_eq!(*held, frozen);
+        assert_eq!(rewritten.partitions.len(), 1);
+        assert_eq!(c.table("sales", "orders").unwrap().partitions, vec![p1]);
+
+        // The listeners fire as they always did: the rewrite's old version,
+        // nothing for a new partition, the dropped partition's file.
+        assert_eq!(
+            seen.lock().as_slice(),
+            ["/w/orders/p0/f0@1", "/w/orders/p0/f0@2"]
+        );
     }
 
     #[test]

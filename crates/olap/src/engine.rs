@@ -21,7 +21,7 @@ use edgecache_metrics::Tracer;
 use crate::catalog::{Catalog, DataFile};
 use crate::plan::{JoinClause, QueryPlan};
 use crate::resultcache::{
-    split_key, CanonicalQuery, Fingerprint, ResultCache, ResultCacheConfig, PROBE_NANOS_PER_SPLIT,
+    split_key, CanonicalQuery, ResultCache, ResultCacheConfig, PROBE_NANOS_PER_SPLIT,
 };
 use crate::scheduler::{SchedulerConfig, SoftAffinityScheduler};
 use crate::stats::{QueryStatsCollector, RuntimeStats};
@@ -114,7 +114,7 @@ impl Engine {
             let workers = Arc::clone(&workers);
             let rc = result_cache.clone();
             catalog.on_stale_file(Arc::new(move |file: &DataFile| {
-                let key = format!("{}@{}", file.path, file.version);
+                let key = split_key(file);
                 for worker in workers.values() {
                     worker.metadata_cache().invalidate(&key);
                 }
@@ -240,21 +240,19 @@ impl Engine {
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let mut query_span = self.tracer.span("olap.query");
         query_span.annotate("query", query_id);
-        query_span.annotate("table", format!("{}.{}", plan.schema, plan.table));
+        query_span.annotate("table", format_args!("{}.{}", plan.schema, plan.table));
         let table = self.catalog.table(&plan.schema, &plan.table)?;
 
         // Enumerate splits first — one per data file of the selected
-        // partitions. The result cache may cover some (or all) of them, and
-        // a fully covered query skips the join build sides too.
-        let mut splits: Vec<(String, DataFile)> = Vec::new();
-        for partition in &table.partitions {
-            if !plan.partitions.is_empty() && !plan.partitions.contains(&partition.name) {
-                continue;
-            }
-            for file in &partition.files {
-                splits.push((partition.name.clone(), file.clone()));
-            }
-        }
+        // partitions, borrowed from the catalog snapshot. The result cache
+        // may cover some (or all) of them, and a fully covered query skips
+        // the join build sides too.
+        let splits: Vec<(&str, &DataFile)> = table
+            .files()
+            .filter(|(partition, _)| {
+                plan.partitions.is_empty() || plan.partitions.iter().any(|p| p == partition)
+            })
+            .collect();
 
         let mut stats = RuntimeStats {
             query_id,
@@ -266,23 +264,26 @@ impl Engine {
         // Result-cache probe: canonicalize, fingerprint (salted with the
         // join build sides' current `path@version` sets), and look up every
         // split. Covered splits bypass the scheduler entirely.
-        let canonical = self
-            .result_cache
-            .as_ref()
-            .and_then(|_| CanonicalQuery::of(plan));
-        let fingerprint: Option<Fingerprint> = canonical
-            .as_ref()
-            .and_then(|c| c.fingerprint(&self.catalog).ok());
-        let mut cached: Vec<Option<Arc<PartialAgg>>> = vec![None; splits.len()];
+        let cacheable = self.result_cache.as_deref().and_then(|rc| {
+            let canonical = CanonicalQuery::of(plan)?;
+            let fingerprint = canonical.fingerprint(&self.catalog).ok()?;
+            Some((rc, canonical, fingerprint))
+        });
+        // Every split's partial, in enumeration order and — when the query
+        // is cacheable — in canonical aggregate order: probed or computed.
+        let mut partials: Vec<Option<Arc<PartialAgg>>> = vec![None; splits.len()];
         let mut probe_cost = Duration::ZERO;
-        if let (Some(rc), Some(fp)) = (self.result_cache.as_deref(), &fingerprint) {
+        if let Some((rc, _, fp)) = &cacheable {
             let probe_start = self.tracer.now_nanos();
-            for (slot, (_, file)) in cached.iter_mut().zip(&splits) {
-                if let Some(partial) = rc.probe(fp, &split_key(file)) {
-                    stats.scan_bytes_saved += file.length;
-                    stats.splits_skipped += 1;
-                    *slot = Some(partial);
-                }
+            let keys = splits.iter().map(|(_, f)| (f.path.as_str(), f.version));
+            rc.probe_all(fp, keys, &mut partials);
+            for ((_, file), _) in splits
+                .iter()
+                .zip(&partials)
+                .filter(|(_, hit)| hit.is_some())
+            {
+                stats.scan_bytes_saved += file.length;
+                stats.splits_skipped += 1;
             }
             probe_cost = Duration::from_nanos(splits.len() as u64 * PROBE_NANOS_PER_SPLIT);
             *stats
@@ -303,12 +304,6 @@ impl Engine {
                 );
             }
         }
-        let uncovered: Vec<(usize, String, DataFile)> = splits
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| cached[*i].is_none())
-            .map(|(i, (partition, file))| (i, partition.clone(), file.clone()))
-            .collect();
 
         // Broadcast-join build sides; their scan costs are part of this
         // query's time and traffic. A fully covered query never builds
@@ -316,7 +311,7 @@ impl Engine {
         // fingerprint's dimension-file salt guarantees they are current.
         let mut joins = Vec::with_capacity(plan.joins.len());
         let mut build_stats: Vec<RuntimeStats> = Vec::new();
-        if !uncovered.is_empty() {
+        if stats.splits_skipped < splits.len() {
             for clause in &plan.joins {
                 let (prepared, b) = self.prepare_join(clause)?;
                 joins.push(prepared);
@@ -326,9 +321,13 @@ impl Engine {
 
         // Schedule the uncovered splits (soft affinity), then execute per
         // worker; each split's partial lands back in its enumeration slot.
-        let mut assigned: BTreeMap<String, Vec<(usize, String, DataFile, bool)>> = BTreeMap::new();
-        let mut assignments = Vec::with_capacity(uncovered.len());
-        for (slot, partition, file) in uncovered {
+        let mut assigned: BTreeMap<String, Vec<(usize, &str, &DataFile, bool)>> = BTreeMap::new();
+        let mut assignments = Vec::with_capacity(splits.len() - stats.splits_skipped);
+        let uncovered = splits
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| partials[*i].is_none());
+        for (slot, &(partition, file)) in uncovered {
             let a = self.scheduler.assign(&file.path)?;
             assigned.entry(a.worker.clone()).or_default().push((
                 slot,
@@ -342,12 +341,13 @@ impl Engine {
 
         // Paths each inserted entry depends on besides its own file: the
         // join build sides' files (a dimension rewrite must purge it).
-        let dim_paths: Vec<String> = match (&fingerprint, &canonical) {
-            (Some(_), Some(c)) => c.dim_paths(&self.catalog).unwrap_or_default(),
+        let dim_paths: Vec<String> = match &cacheable {
+            Some((_, canonical, _)) if !assignments.is_empty() => {
+                canonical.dim_paths(&self.catalog).unwrap_or_default()
+            }
             _ => Vec::new(),
         };
 
-        let mut fresh: Vec<Option<PartialAgg>> = (0..splits.len()).map(|_| None).collect();
         let mut batch = RowBatch::default();
         let mut critical_path = Duration::ZERO;
         let mut critical_input = Duration::ZERO;
@@ -385,24 +385,25 @@ impl Engine {
                     stats.cache_hits += out.cache_hits;
                     stats.cache_misses += out.cache_misses;
                     stats.merge_stage_breakdown(&out.stage_breakdown);
-                    match out.partial {
-                        Some(p) => {
-                            // Populate the result cache as splits complete
-                            // (canonical aggregate order) — even on the
-                            // scheduler's cache-bypass path: bypass is a
-                            // load-shedding decision, not staleness.
-                            if let (Some(rc), Some(fp), Some(cq)) =
-                                (self.result_cache.as_deref(), &fingerprint, &canonical)
-                            {
-                                let mut paths = Vec::with_capacity(1 + dim_paths.len());
-                                paths.push(file.path.clone());
-                                paths.extend(dim_paths.iter().cloned());
-                                rc.insert(fp, &split_key(file), paths, cq.to_canonical(&p));
-                            }
-                            fresh[*slot] = Some(p);
+                    let Some(partial) = out.partial else {
+                        batch.append(split_batch)?;
+                        continue;
+                    };
+                    // Populate the result cache as splits complete — even on
+                    // the scheduler's cache-bypass path: bypass is a
+                    // load-shedding decision, not staleness.
+                    partials[*slot] = Some(match &cacheable {
+                        Some((rc, canonical, fp)) => {
+                            let partial = Arc::new(canonical.to_canonical(&partial));
+                            let mut paths = Vec::with_capacity(1 + dim_paths.len());
+                            paths.push(file.path.clone());
+                            paths.extend(dim_paths.iter().cloned());
+                            let split = (file.path.as_str(), file.version);
+                            rc.insert(fp, split, paths, Arc::clone(&partial));
+                            partial
                         }
-                        None => batch.append(split_batch)?,
-                    }
+                        None => Arc::new(partial),
+                    });
                 }
                 if worker_time > critical_path {
                     critical_path = worker_time;
@@ -421,27 +422,18 @@ impl Engine {
         // Merge per-split partials in *split enumeration order* — not
         // worker order — so the float accumulation order is identical no
         // matter which splits came from the cache: cached ≡ recomputed,
-        // bit for bit.
-        let mut merged_partial: Option<PartialAgg> = None;
-        for (slot, computed) in fresh.into_iter().enumerate() {
-            let partial = match computed {
-                Some(p) => Some(p),
-                None => cached[slot].take().map(|arc| {
-                    let cq = canonical.as_ref().expect("cached implies canonical");
-                    if cq.identity_order() {
-                        (*arc).clone()
-                    } else {
-                        cq.to_plan(&arc)
-                    }
-                }),
-            };
-            if let Some(p) = partial {
-                match &mut merged_partial {
-                    Some(m) => m.merge(&p),
-                    None => merged_partial = Some(p),
-                }
+        // bit for bit. Each merges straight out of its `Arc`, reordered
+        // from canonical into plan aggregate order on the way.
+        let order = cacheable
+            .as_ref()
+            .map(|(_, canonical, _)| canonical.plan_order());
+        let merged_partial = (!plan.aggregates.is_empty()).then(|| {
+            let mut merged = PartialAgg::new(plan.aggregates.len());
+            for partial in partials.iter().flatten() {
+                merged.merge(partial, order);
             }
-        }
+            merged
+        });
 
         let produced = merged_partial.as_ref().map_or(batch.rows, PartialAgg::len);
         stats.rows_output = plan.limit.map_or(produced, |limit| produced.min(limit)) as u64;
@@ -979,7 +971,7 @@ mod tests {
         assert_eq!(e.execute(&q).unwrap().rows, vec![vec![Value::Int64(200)]]);
 
         // Append a fifth file (30 rows) to the first partition.
-        let schema = catalog.table("sales", "orders").unwrap().columns;
+        let schema = catalog.table("sales", "orders").unwrap().columns.clone();
         let mut w = ColfWriter::new(schema, 20);
         for i in 0..30i64 {
             w.push_row(vec![
@@ -995,9 +987,10 @@ mod tests {
             .table("sales", "orders")
             .unwrap()
             .partitions
-            .into_iter()
+            .iter()
             .find(|p| p.name == "2024-01-01")
-            .unwrap();
+            .unwrap()
+            .clone();
         part.files.push(DataFile {
             path: "/wh/sales/2024-01-01/part-2.colf".into(),
             version: 1,
@@ -1020,7 +1013,7 @@ mod tests {
         e.execute(&q).unwrap();
 
         // Rewrite one file with fewer rows under a bumped version.
-        let schema = catalog.table("sales", "orders").unwrap().columns;
+        let schema = catalog.table("sales", "orders").unwrap().columns.clone();
         let mut w = ColfWriter::new(schema, 20);
         for i in 0..10i64 {
             w.push_row(vec![

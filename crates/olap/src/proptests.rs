@@ -8,6 +8,9 @@
 //!   interleavings of queries, appends, rewrites, drops, and cache
 //!   perturbations, while the scheduler/stats split accounting reconciles
 //!   exactly.
+//! * **Exact LRU** — the cache against a reference LRU (a `Vec` in recency
+//!   order) over random inserts, probes, batch probes, invalidations,
+//!   capacity changes and clears; a batch probe ≡ the same probes in turn.
 #![cfg(test)]
 
 use std::sync::Arc;
@@ -22,8 +25,10 @@ use proptest::prelude::*;
 use crate::catalog::{Catalog, DataFile, PartitionDef, TableDef};
 use crate::engine::{Engine, EngineConfig};
 use crate::plan::{AggExpr, QueryPlan};
-use crate::resultcache::{CanonicalQuery, ResultCacheConfig};
-use crate::worker::WorkerConfig;
+use crate::resultcache::{
+    CanonicalQuery, Fingerprint, ResultCache, ResultCacheConfig, ResultCacheCounters,
+};
+use crate::worker::{PartialAgg, WorkerConfig};
 
 fn cases() -> u32 {
     std::env::var("EDGECACHE_PROPTEST_CASES")
@@ -476,5 +481,263 @@ proptest! {
         prop_assert_eq!(warm2.stats.splits_skipped, warm2.stats.splits);
         prop_assert_eq!(format!("{:?}", warm1.rows), format!("{:?}", truth.rows));
         prop_assert_eq!(format!("{:?}", warm2.rows), format!("{:?}", truth.rows));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The result cache against a reference LRU
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum LruOp {
+    /// Insert `file@version` under fingerprint `fp`, depending on its own
+    /// file and, for `dim < 2`, on a dimension path too.
+    Insert {
+        fp: u8,
+        file: u8,
+        version: u8,
+        dim: u8,
+        n_aggs: u8,
+        groups: u8,
+    },
+    Probe {
+        fp: u8,
+        file: u8,
+        version: u8,
+    },
+    /// A split key that no file spells.
+    ProbeMalformed {
+        fp: u8,
+    },
+    ProbeAll {
+        fp: u8,
+        splits: Vec<(u8, u8)>,
+    },
+    /// Paths 0..5 are files, 5..7 dimensions.
+    Invalidate {
+        path: u8,
+    },
+    SetCapacity {
+        bytes: u16,
+    },
+    Clear,
+}
+
+fn lru_op_strategy() -> impl Strategy<Value = LruOp> {
+    prop_oneof![
+        5 => (0u8..3, 0u8..5, 1u8..3, 0u8..4, 1u8..4, 1u8..4).prop_map(
+            |(fp, file, version, dim, n_aggs, groups)| LruOp::Insert {
+                fp, file, version, dim, n_aggs, groups,
+            }
+        ),
+        4 => (0u8..3, 0u8..5, 1u8..3)
+            .prop_map(|(fp, file, version)| LruOp::Probe { fp, file, version }),
+        1 => (0u8..3).prop_map(|fp| LruOp::ProbeMalformed { fp }),
+        4 => (0u8..3, proptest::collection::vec((0u8..5, 1u8..3), 0..8))
+            .prop_map(|(fp, splits)| LruOp::ProbeAll { fp, splits }),
+        1 => (0u8..7).prop_map(|path| LruOp::Invalidate { path }),
+        1 => (0u16..2500).prop_map(|bytes| LruOp::SetCapacity { bytes }),
+        1 => Just(LruOp::Clear),
+    ]
+}
+
+fn model_path(path: u8) -> String {
+    match path {
+        0..5 => format!("/m/f{path}"),
+        _ => format!("/m/dim{}", path - 5),
+    }
+}
+
+/// One entry of the reference LRU.
+struct ModelEntry {
+    fp: String,
+    path: String,
+    version: u64,
+    deps: Vec<String>,
+    bytes: u64,
+    /// `Debug` of the inserted partial: what a hit must hand back.
+    value: String,
+}
+
+/// The reference: entries in a `Vec` from least to most recently used, a
+/// byte budget, and the cache's five counters.
+#[derive(Default)]
+struct ModelLru {
+    entries: Vec<ModelEntry>,
+    capacity: u64,
+    counters: ResultCacheCounters,
+}
+
+impl ModelLru {
+    fn bytes(&self) -> u64 {
+        self.entries.iter().map(|e| e.bytes).sum()
+    }
+
+    fn evict(&mut self) {
+        while self.bytes() > self.capacity && !self.entries.is_empty() {
+            self.entries.remove(0);
+            self.counters.evictions += 1;
+        }
+    }
+
+    fn insert(&mut self, entry: ModelEntry) {
+        self.entries
+            .retain(|e| (&e.fp, &e.path, e.version) != (&entry.fp, &entry.path, entry.version));
+        self.entries.push(entry);
+        self.counters.inserts += 1;
+        self.evict();
+    }
+
+    fn probe(&mut self, fp: &str, path: &str, version: u64) -> Option<String> {
+        let at = self
+            .entries
+            .iter()
+            .position(|e| (e.fp.as_str(), e.path.as_str(), e.version) == (fp, path, version));
+        match at {
+            Some(i) => {
+                let entry = self.entries.remove(i);
+                let value = entry.value.clone();
+                self.entries.push(entry);
+                self.counters.hits += 1;
+                Some(value)
+            }
+            None => {
+                self.counters.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn invalidate(&mut self, path: &str) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !e.deps.iter().any(|d| d == path));
+        let dropped = before - self.entries.len();
+        self.counters.invalidations += dropped as u64;
+        dropped
+    }
+
+    fn clear(&mut self) {
+        self.counters.invalidations += self.entries.len() as u64;
+        self.entries.clear();
+    }
+
+    fn order(&self) -> Vec<(String, String, u64)> {
+        let key = |e: &ModelEntry| (e.fp.clone(), e.path.clone(), e.version);
+        self.entries.iter().map(key).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The result cache is an exact LRU: after every operation it holds the
+    /// model's entries in the model's recency order (so the victims were the
+    /// same, in the same order), its hits return the partial inserted last,
+    /// its counters equal the model's, and its bookkeeping is consistent.
+    /// One cache takes each batch probe as `probe_all`, a twin takes it as
+    /// the same `probe`s in sequence, and both must match the model.
+    #[test]
+    fn result_cache_is_an_exact_lru(
+        ops in proptest::collection::vec(lru_op_strategy(), 1..80),
+        capacity in 200u16..2500,
+    ) {
+        let batch = ResultCache::new(ByteSize::new(u64::from(capacity)));
+        let single = ResultCache::new(ByteSize::new(u64::from(capacity)));
+        let mut model = ModelLru { capacity: u64::from(capacity), ..Default::default() };
+        let fps: Vec<Fingerprint> =
+            (0..3).map(|i| Fingerprint::new(&format!("q{i}"))).collect();
+        let mut serial = 0;
+        for op in &ops {
+            match op {
+                &LruOp::Insert { fp, file, version, dim, n_aggs, groups } => {
+                    serial += 1;
+                    let partial = Arc::new(PartialAgg::filler(
+                        &format!("t{serial}"),
+                        n_aggs.into(),
+                        groups.into(),
+                    ));
+                    let path = model_path(file);
+                    let mut deps = vec![path.clone()];
+                    if dim < 2 {
+                        deps.push(model_path(5 + dim));
+                    }
+                    model.insert(ModelEntry {
+                        fp: fps[fp as usize].as_str().into(),
+                        path: path.clone(),
+                        version: version.into(),
+                        deps: deps.clone(),
+                        bytes: partial.approx_bytes(),
+                        value: format!("{partial:?}"),
+                    });
+                    let split = (path.as_str(), u64::from(version));
+                    batch.insert(&fps[fp as usize], split, deps.clone(), partial.clone());
+                    single.insert(&fps[fp as usize], split, deps, partial);
+                }
+                &LruOp::Probe { fp, file, version } => {
+                    let (fp, path) = (&fps[fp as usize], model_path(file));
+                    let want = model.probe(fp.as_str(), &path, version.into());
+                    let key = format!("{path}@{version}");
+                    for cache in [&batch, &single] {
+                        let got = cache.probe(fp, &key).map(|p| format!("{p:?}"));
+                        prop_assert_eq!(&got, &want, "{:?}", op);
+                    }
+                }
+                &LruOp::ProbeMalformed { fp } => {
+                    model.counters.misses += 2;
+                    for cache in [&batch, &single] {
+                        prop_assert!(cache.probe(&fps[fp as usize], "/m/f0").is_none());
+                        prop_assert!(cache.probe(&fps[fp as usize], "/m/f0@x").is_none());
+                    }
+                }
+                LruOp::ProbeAll { fp, splits } => {
+                    let fp = &fps[*fp as usize];
+                    let paths: Vec<String> = splits.iter().map(|&(f, _)| model_path(f)).collect();
+                    let want: Vec<Option<String>> = paths
+                        .iter()
+                        .zip(splits)
+                        .map(|(path, &(_, v))| model.probe(fp.as_str(), path, v.into()))
+                        .collect();
+                    let mut out = vec![None; splits.len()];
+                    let pairs = paths.iter().zip(splits).map(|(p, &(_, v))| (p.as_str(), v.into()));
+                    batch.probe_all(fp, pairs, &mut out);
+                    let got: Vec<Option<String>> =
+                        out.iter().map(|p| p.as_ref().map(|p| format!("{p:?}"))).collect();
+                    prop_assert_eq!(&got, &want, "{:?}", op);
+                    let one_by_one: Vec<Option<String>> = paths
+                        .iter()
+                        .zip(splits)
+                        .map(|(path, (_, v))| {
+                            single.probe(fp, &format!("{path}@{v}")).map(|p| format!("{p:?}"))
+                        })
+                        .collect();
+                    prop_assert_eq!(&one_by_one, &want, "{:?}", op);
+                }
+                &LruOp::Invalidate { path } => {
+                    let want = model.invalidate(&model_path(path));
+                    for cache in [&batch, &single] {
+                        prop_assert_eq!(cache.invalidate_path(&model_path(path)), want);
+                    }
+                }
+                &LruOp::SetCapacity { bytes } => {
+                    model.capacity = bytes.into();
+                    model.evict();
+                    for cache in [&batch, &single] {
+                        cache.set_capacity(ByteSize::new(bytes.into()));
+                    }
+                }
+                LruOp::Clear => {
+                    model.clear();
+                    for cache in [&batch, &single] {
+                        cache.clear();
+                    }
+                }
+            }
+            for cache in [&batch, &single] {
+                prop_assert_eq!(cache.recency_order(), model.order(), "after {:?}", op);
+                prop_assert_eq!(cache.counters(), model.counters, "after {:?}", op);
+                prop_assert_eq!(cache.bytes(), model.bytes());
+                prop_assert!(cache.check_consistency().is_ok(), "{:?}", cache.check_consistency());
+            }
+        }
     }
 }

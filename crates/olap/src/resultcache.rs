@@ -20,17 +20,21 @@
 //!   the fingerprint (and the stale entries are dropped via the path
 //!   index).
 //!
-//! The cache is byte-budgeted (estimated [`PartialAgg`] footprint) with LRU
-//! eviction, and counts hits/misses/inserts/evictions/invalidations in a
-//! [`MetricRegistry`].
+//! The cache is byte-budgeted (estimated [`PartialAgg`] footprint) with exact
+//! LRU eviction, and counts hits/misses/inserts/evictions/invalidations in a
+//! [`MetricRegistry`]. A query probes all of its splits under one lock
+//! acquisition: its fingerprint is hashed once, at construction, and looked
+//! up once; each split is a `(path, version)` pair looked up in place.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use edgecache_columnar::{Predicate, Value};
 use edgecache_common::error::{Error, Result};
+use edgecache_common::hash::fnv1a64;
 use edgecache_common::ByteSize;
-use edgecache_metrics::MetricRegistry;
+use edgecache_metrics::{Counter, MetricRegistry};
 use parking_lot::Mutex;
 
 use crate::catalog::{Catalog, DataFile};
@@ -73,23 +77,37 @@ impl ResultCacheConfig {
 /// A canonical query identity: equal fingerprints guarantee bit-identical
 /// aggregate semantics (the converse does not hold — canonicalization is
 /// sound, not complete).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Fingerprint(Arc<str>);
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// FNV-1a of `text`, taken once: maps hash only this, and the derived
+    /// equality compares it first (field order), the text only on a match.
+    hash: u64,
+    text: Arc<str>,
+}
 
 impl Fingerprint {
+    pub(crate) fn new(text: &str) -> Self {
+        let hash = fnv1a64(text.as_bytes());
+        Self {
+            hash,
+            text: Arc::from(text),
+        }
+    }
+
     /// The full canonical text (exact; no collisions by construction).
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
     /// A compact FNV-1a digest for display/annotation.
     pub fn hash64(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.0.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.hash
+    }
+}
+
+impl Hash for Fingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -257,15 +275,12 @@ impl CanonicalQuery {
                 text.push(';');
             }
             let def = catalog.table(schema, table)?;
-            let mut files: Vec<String> = def
-                .files()
-                .map(|(_, f)| format!("{}@{}", f.path, f.version))
-                .collect();
+            let mut files: Vec<String> = def.files().map(|(_, f)| split_key(f)).collect();
             files.sort();
             text.push_str(&format!("{schema}.{table}=[{}]", files.join(",")));
         }
         text.push(']');
-        Ok(Fingerprint(Arc::from(text.as_str())))
+        Ok(Fingerprint::new(&text))
     }
 
     /// The paths of the join build sides' files (for the invalidation
@@ -279,56 +294,157 @@ impl CanonicalQuery {
         Ok(out)
     }
 
-    /// Reorders a plan-order partial into canonical aggregate order.
+    /// A plan-order partial in canonical aggregate order.
     pub fn to_canonical(&self, partial: &PartialAgg) -> PartialAgg {
-        partial.permute(&self.canon_from_plan)
+        let mut canonical = PartialAgg::new(partial.n_aggs());
+        canonical.merge(partial, Some(&self.canon_from_plan));
+        canonical
     }
 
-    /// Reorders a canonical-order partial back into plan aggregate order.
-    pub fn to_plan(&self, partial: &PartialAgg) -> PartialAgg {
-        partial.permute(&self.plan_from_canon)
-    }
-
-    /// Whether plan order and canonical order coincide (permutes are
-    /// no-ops then).
-    pub fn identity_order(&self) -> bool {
-        self.canon_from_plan
-            .iter()
-            .enumerate()
-            .all(|(i, &p)| i == p)
+    /// The permutation that merges a canonical-order partial into plan
+    /// aggregate order (see [`PartialAgg::merge`]).
+    pub fn plan_order(&self) -> &[usize] {
+        &self.plan_from_canon
     }
 }
 
-/// The split half of a cache key.
+/// A split's file as a `path@version` key: the result cache's split, the
+/// footer metadata cache's key, and the dimension salt of a fingerprint.
 pub fn split_key(file: &DataFile) -> String {
     format!("{}@{}", file.path, file.version)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct EntryKey {
-    fingerprint: Fingerprint,
-    split: String,
+/// One fingerprint's entries: path → `(version, slot)` of each version
+/// cached, so a probe looks a borrowed `(path, version)` up in place.
+type Splits = HashMap<Box<str>, Vec<(u64, usize)>>;
+
+fn find(splits: &Splits, (path, version): (&str, u64)) -> Option<usize> {
+    let versions = splits.get(path)?;
+    versions
+        .iter()
+        .find(|&&(v, _)| v == version)
+        .map(|&(_, i)| i)
 }
 
 struct Entry {
+    fingerprint: Fingerprint,
+    path: Box<str>,
+    version: u64,
     partial: Arc<PartialAgg>,
     bytes: u64,
-    stamp: u64,
     /// Paths this entry depends on (the split's own file plus the join
     /// build sides' files): any of them going stale drops the entry.
     paths: Vec<String>,
 }
 
+/// The entries in a slab, threaded on an intrusive recency list: a touch
+/// is an unlink and a relink, the victim is the list's oldest end. The
+/// list is circular through slot 0, a sentinel holding no entry, whose
+/// `newer` neighbour is the oldest entry and `older` one the newest.
+struct Slab {
+    slots: Vec<Option<Entry>>,
+    /// `(older, newer)` neighbours of each slot.
+    links: Vec<(usize, usize)>,
+    free: Vec<usize>,
+}
+
+impl Default for Slab {
+    fn default() -> Self {
+        Self {
+            slots: vec![None],
+            links: vec![(0, 0)],
+            free: Vec::new(),
+        }
+    }
+}
+
+impl Slab {
+    fn get(&self, i: usize) -> &Entry {
+        self.slots[i].as_ref().expect("live slot")
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - 1 - self.free.len()
+    }
+
+    /// Adds an entry as the most recently used.
+    fn push(&mut self, entry: Entry) -> usize {
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.links.push((0, 0));
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[i] = Some(entry);
+        self.link_newest(i);
+        i
+    }
+
+    fn remove(&mut self, i: usize) -> Entry {
+        self.unlink(i);
+        self.free.push(i);
+        self.slots[i].take().expect("live slot")
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = self.links[i];
+        self.links[older].1 = newer;
+        self.links[newer].0 = older;
+    }
+
+    fn link_newest(&mut self, i: usize) {
+        let newest = self.links[0].0;
+        self.links[i] = (newest, 0);
+        self.links[newest].1 = i;
+        self.links[0].0 = i;
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<EntryKey, Entry>,
-    /// Recency stamps → keys; the smallest stamp is the LRU victim.
-    lru: BTreeMap<u64, EntryKey>,
-    /// Path → keys depending on it (all fingerprints, all versions).
-    by_path: HashMap<String, HashSet<EntryKey>>,
+    /// Fingerprint → its entries: a query looks its fingerprint up once.
+    index: HashMap<Fingerprint, Splits>,
+    slab: Slab,
+    /// Path → slots of the entries depending on it (all fingerprints, all
+    /// versions).
+    by_path: HashMap<String, HashSet<usize>>,
     bytes: u64,
     capacity: u64,
-    next_stamp: u64,
+}
+
+impl Inner {
+    /// Drops one entry from the slab, the index, the path index and the
+    /// byte ledger.
+    fn remove(&mut self, i: usize) {
+        let entry = self.slab.remove(i);
+        self.bytes -= entry.bytes;
+        let splits = self.index.get_mut(&entry.fingerprint).expect("indexed");
+        let versions = splits.get_mut(&entry.path).expect("indexed");
+        versions.retain(|&(_, slot)| slot != i);
+        if versions.is_empty() {
+            splits.remove(&entry.path);
+            if splits.is_empty() {
+                self.index.remove(&entry.fingerprint);
+            }
+        }
+        for path in &entry.paths {
+            if let Some(set) = self.by_path.get_mut(path) {
+                set.remove(&i);
+                if set.is_empty() {
+                    self.by_path.remove(path);
+                }
+            }
+        }
+    }
+
+    /// Evicts least recently used entries until the byte budget holds.
+    fn evict_to_capacity(&mut self) -> u64 {
+        let mut evicted = 0;
+        while self.bytes > self.capacity && self.slab.links[0].1 != 0 {
+            self.remove(self.slab.links[0].1);
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// Point-in-time counter values.
@@ -358,85 +474,105 @@ impl ResultCacheCounters {
 pub struct ResultCache {
     inner: Mutex<Inner>,
     metrics: MetricRegistry,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inserts: Arc<Counter>,
+    evictions: Arc<Counter>,
+    invalidations: Arc<Counter>,
 }
 
 impl ResultCache {
     /// Creates a cache with the given byte budget.
     pub fn new(capacity: ByteSize) -> Self {
+        let metrics = MetricRegistry::new("resultcache");
         Self {
             inner: Mutex::new(Inner {
                 capacity: capacity.as_u64(),
                 ..Default::default()
             }),
-            metrics: MetricRegistry::new("resultcache"),
+            hits: metrics.counter("hits"),
+            misses: metrics.counter("misses"),
+            inserts: metrics.counter("inserts"),
+            evictions: metrics.counter("evictions"),
+            invalidations: metrics.counter("invalidations"),
+            metrics,
         }
     }
 
-    /// Looks up one split's partial for a fingerprint, refreshing its
-    /// recency on a hit.
+    /// Looks up one split's partial (`split` as [`split_key`] spells it)
+    /// for a fingerprint, refreshing its recency on a hit: the one-split
+    /// case of the batch probe a query makes.
     pub fn probe(&self, fp: &Fingerprint, split: &str) -> Option<Arc<PartialAgg>> {
-        let key = EntryKey {
-            fingerprint: fp.clone(),
-            split: split.to_string(),
-        };
-        let mut inner = self.inner.lock();
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                let old = entry.stamp;
-                entry.stamp = stamp;
-                let partial = Arc::clone(&entry.partial);
-                inner.lru.remove(&old);
-                inner.lru.insert(stamp, key);
-                self.metrics.counter("hits").inc();
-                Some(partial)
-            }
-            None => {
-                self.metrics.counter("misses").inc();
-                None
-            }
+        let mut out = [None];
+        let pair = split.rsplit_once('@');
+        match pair.and_then(|(path, version)| Some((path, version.parse().ok()?))) {
+            Some(split) => self.probe_all(fp, [split], &mut out),
+            None => self.misses.inc(),
         }
+        let [partial] = out;
+        partial
+    }
+
+    /// Looks up every split of a query — `(path, version)` pairs — under one
+    /// lock acquisition, writing split `i`'s partial to `out[i]`. Hits
+    /// refresh recency in split order, exactly as the same probes one by
+    /// one would.
+    pub(crate) fn probe_all<'s>(
+        &self,
+        fp: &Fingerprint,
+        splits: impl IntoIterator<Item = (&'s str, u64)>,
+        out: &mut [Option<Arc<PartialAgg>>],
+    ) {
+        let (mut hits, mut misses) = (0, 0);
+        let mut inner = self.inner.lock();
+        let Inner { index, slab, .. } = &mut *inner;
+        let entries = index.get(fp);
+        for (slot, split) in out.iter_mut().zip(splits) {
+            *slot = entries.and_then(|e| find(e, split)).map(|i| {
+                slab.unlink(i);
+                slab.link_newest(i);
+                Arc::clone(&slab.get(i).partial)
+            });
+            hits += u64::from(slot.is_some());
+            misses += u64::from(slot.is_none());
+        }
+        drop(inner);
+        self.hits.add(hits);
+        self.misses.add(misses);
     }
 
     /// Inserts one split's partial (canonical aggregate order), indexed
     /// under every path it depends on, then evicts LRU entries until the
     /// byte budget holds again.
-    pub fn insert(&self, fp: &Fingerprint, split: &str, paths: Vec<String>, partial: PartialAgg) {
-        let key = EntryKey {
-            fingerprint: fp.clone(),
-            split: split.to_string(),
-        };
+    pub fn insert(
+        &self,
+        fp: &Fingerprint,
+        (path, version): (&str, u64),
+        paths: Vec<String>,
+        partial: Arc<PartialAgg>,
+    ) {
         let bytes = partial.approx_bytes();
         let mut inner = self.inner.lock();
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        if inner.entries.contains_key(&key) {
-            Self::remove_key(&mut inner, &key);
+        if let Some(i) = inner.index.get(fp).and_then(|e| find(e, (path, version))) {
+            inner.remove(i);
         }
-        for path in &paths {
-            inner
-                .by_path
-                .entry(path.clone())
-                .or_default()
-                .insert(key.clone());
+        let i = inner.slab.push(Entry {
+            fingerprint: fp.clone(),
+            path: path.into(),
+            version,
+            partial,
+            bytes,
+            paths,
+        });
+        let versions = inner.index.entry(fp.clone()).or_default();
+        versions.entry(path.into()).or_default().push((version, i));
+        let Inner { slab, by_path, .. } = &mut *inner;
+        for path in &slab.get(i).paths {
+            by_path.entry(path.clone()).or_default().insert(i);
         }
         inner.bytes += bytes;
-        inner.lru.insert(stamp, key.clone());
-        inner.entries.insert(
-            key,
-            Entry {
-                partial: Arc::new(partial),
-                bytes,
-                stamp,
-                paths,
-            },
-        );
-        self.metrics.counter("inserts").inc();
-        let evicted = Self::evict_to_capacity(&mut inner);
-        if evicted > 0 {
-            self.metrics.counter("evictions").add(evicted);
-        }
+        self.inserts.inc();
+        self.evictions.add(inner.evict_to_capacity());
     }
 
     /// Drops every entry depending on `path` (any version, any
@@ -444,90 +580,43 @@ impl ResultCache {
     /// through the catalog's stale-file listeners.
     pub fn invalidate_path(&self, path: &str) -> usize {
         let mut inner = self.inner.lock();
-        let keys: Vec<EntryKey> = inner
+        let slots: Vec<usize> = inner
             .by_path
             .get(path)
-            .map(|set| set.iter().cloned().collect())
+            .map(|set| set.iter().copied().collect())
             .unwrap_or_default();
-        for key in &keys {
-            Self::remove_key(&mut inner, key);
+        for &i in &slots {
+            inner.remove(i);
         }
-        if !keys.is_empty() {
-            self.metrics.counter("invalidations").add(keys.len() as u64);
-        }
-        keys.len()
+        self.invalidations.add(slots.len() as u64);
+        slots.len()
     }
 
     /// Drops everything (counted as invalidations).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let n = inner.entries.len() as u64;
+        self.invalidations.add(inner.slab.len() as u64);
         *inner = Inner {
             capacity: inner.capacity,
-            next_stamp: inner.next_stamp,
             ..Default::default()
         };
-        if n > 0 {
-            self.metrics.counter("invalidations").add(n);
-        }
     }
 
     /// Adjusts the byte budget, evicting down if it shrank.
     pub fn set_capacity(&self, capacity: ByteSize) {
         let mut inner = self.inner.lock();
         inner.capacity = capacity.as_u64();
-        let evicted = Self::evict_to_capacity(&mut inner);
-        if evicted > 0 {
-            self.metrics.counter("evictions").add(evicted);
-        }
-    }
-
-    fn remove_key(inner: &mut Inner, key: &EntryKey) {
-        if let Some(entry) = inner.entries.remove(key) {
-            inner.bytes -= entry.bytes;
-            inner.lru.remove(&entry.stamp);
-            for path in &entry.paths {
-                if let Some(set) = inner.by_path.get_mut(path) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        inner.by_path.remove(path);
-                    }
-                }
-            }
-        }
-    }
-
-    fn evict_to_capacity(inner: &mut Inner) -> u64 {
-        let mut evicted = 0;
-        while inner.bytes > inner.capacity {
-            let Some((&stamp, _)) = inner.lru.iter().next() else {
-                break;
-            };
-            let key = inner.lru.remove(&stamp).expect("stamp just seen");
-            if let Some(entry) = inner.entries.remove(&key) {
-                inner.bytes -= entry.bytes;
-                for path in &entry.paths {
-                    if let Some(set) = inner.by_path.get_mut(path) {
-                        set.remove(&key);
-                        if set.is_empty() {
-                            inner.by_path.remove(path);
-                        }
-                    }
-                }
-            }
-            evicted += 1;
-        }
-        evicted
+        self.evictions.add(inner.evict_to_capacity());
     }
 
     /// Number of cached split partials.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().slab.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.len() == 0
     }
 
     /// Estimated resident bytes.
@@ -543,54 +632,87 @@ impl ResultCache {
     /// Point-in-time counter values.
     pub fn counters(&self) -> ResultCacheCounters {
         ResultCacheCounters {
-            hits: self.metrics.counter("hits").get(),
-            misses: self.metrics.counter("misses").get(),
-            inserts: self.metrics.counter("inserts").get(),
-            evictions: self.metrics.counter("evictions").get(),
-            invalidations: self.metrics.counter("invalidations").get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            inserts: self.inserts.get(),
+            evictions: self.evictions.get(),
+            invalidations: self.invalidations.get(),
         }
     }
 
-    /// Validates internal bookkeeping (tests and the simtest oracle):
-    /// entries ≡ LRU stamps, byte ledger exact, path index bidirectional.
+    /// Every entry as `(fingerprint, path, version)`, least recently used
+    /// first.
+    #[cfg(test)]
+    pub(crate) fn recency_order(&self) -> Vec<(String, String, u64)> {
+        let inner = self.inner.lock();
+        let mut out = Vec::new();
+        let mut at = inner.slab.links[0].1;
+        while at != 0 {
+            let e = inner.slab.get(at);
+            out.push((e.fingerprint.as_str().into(), e.path.to_string(), e.version));
+            at = inner.slab.links[at].1;
+        }
+        out
+    }
+
+    /// Validates internal bookkeeping (tests and the simtest oracle): the
+    /// recency list links every entry exactly once, both ways; the index
+    /// maps each entry's key to its slot and nothing else; the byte ledger
+    /// is exact; the path index is bidirectional.
     pub fn check_consistency(&self) -> Result<()> {
         let inner = self.inner.lock();
-        if inner.entries.len() != inner.lru.len() {
-            return Err(Error::Other(format!(
-                "resultcache: {} entries vs {} lru stamps",
-                inner.entries.len(),
-                inner.lru.len()
-            )));
+        let fail = |what: String| Err(Error::Other(format!("resultcache: {what}")));
+        let (slab, live) = (&inner.slab, inner.slab.len());
+        let entry = |i: usize| slab.slots.get(i).and_then(Option::as_ref);
+        let (mut listed, mut at) = (0, 0);
+        loop {
+            let next = slab.links[at].1;
+            if slab.links.get(next).map(|l| l.0) != Some(at) || listed > live {
+                return fail(format!("recency list breaks after slot {at}"));
+            }
+            if next == 0 {
+                break;
+            }
+            if entry(next).is_none() {
+                return fail(format!("recency list holds empty slot {next}"));
+            }
+            (listed, at) = (listed + 1, next);
         }
-        let booked: u64 = inner.entries.values().map(|e| e.bytes).sum();
-        if booked != inner.bytes {
-            return Err(Error::Other(format!(
-                "resultcache: ledger {} != summed {}",
-                inner.bytes, booked
-            )));
+        let indexed: usize = inner
+            .index
+            .values()
+            .flat_map(|e| e.values())
+            .map(Vec::len)
+            .sum();
+        if (listed, indexed) != (live, live) {
+            return fail(format!(
+                "{live} entries, {listed} listed, {indexed} indexed"
+            ));
         }
-        if inner.bytes > inner.capacity && inner.entries.len() > 1 {
-            return Err(Error::Other(format!(
-                "resultcache: {} bytes over budget {}",
-                inner.bytes, inner.capacity
-            )));
-        }
-        for (stamp, key) in &inner.lru {
-            match inner.entries.get(key) {
-                Some(e) if e.stamp == *stamp => {}
-                _ => return Err(Error::Other("resultcache: lru points at ghost".into())),
+        for (fp, splits) in &inner.index {
+            for (path, versions) in splits {
+                let owns = |(v, i): &(u64, usize)| {
+                    entry(*i)
+                        .is_some_and(|e| (&e.fingerprint, &e.path, e.version) == (fp, path, *v))
+                };
+                if !versions.iter().all(owns) {
+                    return fail("index points at ghost".into());
+                }
             }
         }
-        for (path, keys) in &inner.by_path {
-            for key in keys {
-                match inner.entries.get(key) {
-                    Some(e) if e.paths.iter().any(|p| p == path) => {}
-                    _ => {
-                        return Err(Error::Other(format!(
-                            "resultcache: path index `{path}` points at ghost"
-                        )))
-                    }
-                }
+        let booked: u64 = slab.slots.iter().flatten().map(|e| e.bytes).sum();
+        if booked != inner.bytes {
+            return fail(format!("ledger {} != summed {booked}", inner.bytes));
+        }
+        if inner.bytes > inner.capacity && live > 1 {
+            return fail(format!("{} bytes over {}", inner.bytes, inner.capacity));
+        }
+        for (path, slots) in &inner.by_path {
+            if !slots
+                .iter()
+                .all(|&i| entry(i).is_some_and(|e| e.paths.contains(path)))
+            {
+                return fail(format!("path index `{path}` points at ghost"));
             }
         }
         Ok(())
@@ -637,7 +759,7 @@ mod tests {
             cb.fingerprint(&catalog).unwrap()
         );
         // And the permutations map each plan's own order correctly.
-        assert!(!ca.identity_order() || !cb.identity_order());
+        assert_ne!(ca.canon_from_plan, cb.canon_from_plan);
     }
 
     #[test]
@@ -688,26 +810,26 @@ mod tests {
         assert_eq!(eq(1.5), eq(1.5));
     }
 
-    fn partial(n: usize) -> PartialAgg {
+    fn partial(n: usize) -> Arc<PartialAgg> {
         // A count-only partial whose footprint is stable.
-        PartialAgg::new(&vec![AggExpr::count(); n])
+        Arc::new(PartialAgg::new(n))
     }
 
     fn fp(tag: &str) -> Fingerprint {
-        Fingerprint(Arc::from(tag))
+        Fingerprint::new(tag)
     }
 
     #[test]
     fn probe_hit_miss_and_lru_eviction() {
         let cache = ResultCache::new(ByteSize::new(3 * partial(1).approx_bytes()));
         assert!(cache.probe(&fp("q"), "/f1@1").is_none());
-        cache.insert(&fp("q"), "/f1@1", vec!["/f1".into()], partial(1));
-        cache.insert(&fp("q"), "/f2@1", vec!["/f2".into()], partial(1));
-        cache.insert(&fp("q"), "/f3@1", vec!["/f3".into()], partial(1));
+        cache.insert(&fp("q"), ("/f1", 1), vec!["/f1".into()], partial(1));
+        cache.insert(&fp("q"), ("/f2", 1), vec!["/f2".into()], partial(1));
+        cache.insert(&fp("q"), ("/f3", 1), vec!["/f3".into()], partial(1));
         assert_eq!(cache.len(), 3);
         // Touch f1 so f2 becomes LRU, then overflow.
         assert!(cache.probe(&fp("q"), "/f1@1").is_some());
-        cache.insert(&fp("q"), "/f4@1", vec!["/f4".into()], partial(1));
+        cache.insert(&fp("q"), ("/f4", 1), vec!["/f4".into()], partial(1));
         assert_eq!(cache.len(), 3);
         assert!(cache.probe(&fp("q"), "/f2@1").is_none(), "f2 was LRU");
         assert!(cache.probe(&fp("q"), "/f1@1").is_some());
@@ -720,12 +842,12 @@ mod tests {
     #[test]
     fn invalidate_path_drops_all_dependents() {
         let cache = ResultCache::new(ByteSize::mib(1));
-        cache.insert(&fp("q1"), "/f1@1", vec!["/f1".into()], partial(1));
-        cache.insert(&fp("q2"), "/f1@1", vec!["/f1".into()], partial(1));
-        cache.insert(&fp("q1"), "/f1@2", vec!["/f1".into()], partial(1));
+        cache.insert(&fp("q1"), ("/f1", 1), vec!["/f1".into()], partial(1));
+        cache.insert(&fp("q2"), ("/f1", 1), vec!["/f1".into()], partial(1));
+        cache.insert(&fp("q1"), ("/f1", 2), vec!["/f1".into()], partial(1));
         cache.insert(
             &fp("q3"),
-            "/f2@1",
+            ("/f2", 1),
             vec!["/f2".into(), "/dim".into()],
             partial(1),
         );
@@ -744,7 +866,7 @@ mod tests {
         for i in 0..8 {
             cache.insert(
                 &fp("q"),
-                &format!("/f{i}@1"),
+                (&format!("/f{i}"), 1),
                 vec![format!("/f{i}")],
                 partial(2),
             );
@@ -762,8 +884,8 @@ mod tests {
     #[test]
     fn reinserting_a_key_replaces_it() {
         let cache = ResultCache::new(ByteSize::mib(1));
-        cache.insert(&fp("q"), "/f@1", vec!["/f".into()], partial(1));
-        cache.insert(&fp("q"), "/f@1", vec!["/f".into()], partial(3));
+        cache.insert(&fp("q"), ("/f", 1), vec!["/f".into()], partial(1));
+        cache.insert(&fp("q"), ("/f", 1), vec!["/f".into()], partial(3));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), partial(3).approx_bytes());
         assert_eq!(cache.probe(&fp("q"), "/f@1").unwrap().n_aggs(), 3);

@@ -105,7 +105,11 @@ impl QueryStatsCollector {
     /// Records one query's stats.
     pub fn record(&self, stats: &RuntimeStats) {
         let mut tables = self.tables.lock();
-        let acc = tables.entry(stats.table.clone()).or_default();
+        // The table name is copied only for a table seen the first time.
+        if !tables.contains_key(&stats.table) {
+            tables.insert(stats.table.clone(), TableAccum::default());
+        }
+        let acc = tables.get_mut(&stats.table).expect("inserted above");
         acc.queries += 1;
         acc.input_wall_us
             .record(stats.input_wall.as_micros() as u64);

@@ -30,6 +30,7 @@ use edgecache_storage::DeviceModel;
 
 use crate::catalog::DataFile;
 use crate::plan::{AggExpr, AggFunc, QueryPlan};
+use crate::resultcache::split_key;
 
 /// Worker tuning.
 #[derive(Debug, Clone)]
@@ -622,7 +623,7 @@ impl Worker {
     ) -> Result<(SplitOutput, RowBatch)> {
         let mut cpu = Duration::ZERO;
         let mut out = SplitOutput::default();
-        let key = format!("{}@{}", file.path, file.version);
+        let key = split_key(file);
         let colf = if self.config.enable_metadata_cache {
             let parsed_before = self.meta_cache.bytes_parsed();
             let r = ColfReader::open_with_cache(reader, &self.meta_cache, &key)?;
@@ -1167,26 +1168,34 @@ impl<'p> SplitAgg<'p> {
 }
 
 impl PartialAgg {
-    /// Fresh state for the given aggregates.
-    pub fn new(aggregates: &[AggExpr]) -> Self {
+    /// Fresh state for `n_aggs` aggregates.
+    pub fn new(n_aggs: usize) -> Self {
         Self {
             groups: BTreeMap::new(),
-            n_aggs: aggregates.len(),
+            n_aggs,
         }
     }
 
-    /// Merges another partial state (from a different split).
-    pub fn merge(&mut self, other: &PartialAgg) {
+    /// Merges another partial state (from a different split). With `perm`,
+    /// `other` holds the same aggregates in another order: aggregate `i`
+    /// here takes `other`'s `perm[i]`. Reordering is exact — each state
+    /// accumulates its own aggregate whatever its position — so the result
+    /// cache keeps canonical-order partials and every equivalent plan merges
+    /// them straight into its own order.
+    pub fn merge(&mut self, other: &PartialAgg, perm: Option<&[usize]>) {
         assert_eq!(self.n_aggs, other.n_aggs);
+        assert!(perm.is_none_or(|p| p.len() == self.n_aggs));
+        let source = |i: usize| perm.map_or(i, |p| p[i]);
         for (key, states) in &other.groups {
             match self.groups.get_mut(key) {
                 Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(states) {
-                        a.merge(b);
+                    for (i, a) in mine.iter_mut().enumerate() {
+                        a.merge(&states[source(i)]);
                     }
                 }
                 None => {
-                    self.groups.insert(key.clone(), states.clone());
+                    let states = (0..self.n_aggs).map(|i| states[source(i)].clone());
+                    self.groups.insert(key.clone(), states.collect());
                 }
             }
         }
@@ -1222,28 +1231,6 @@ impl PartialAgg {
         self.n_aggs
     }
 
-    /// Reorders the per-group aggregate states: output position `i` takes
-    /// input position `perm[i]`. Exact, not approximate — each state
-    /// accumulates its own aggregate independently of its position, so the
-    /// result cache can store canonical-order partials and convert to any
-    /// equivalent plan's order losslessly.
-    pub fn permute(&self, perm: &[usize]) -> PartialAgg {
-        assert_eq!(perm.len(), self.n_aggs);
-        PartialAgg {
-            groups: self
-                .groups
-                .iter()
-                .map(|(key, states)| {
-                    (
-                        key.clone(),
-                        perm.iter().map(|&i| states[i].clone()).collect(),
-                    )
-                })
-                .collect(),
-            n_aggs: self.n_aggs,
-        }
-    }
-
     /// Estimated resident footprint of this state, the currency of the
     /// result cache's byte budget.
     pub fn approx_bytes(&self) -> u64 {
@@ -1266,6 +1253,21 @@ impl PartialAgg {
 
 #[cfg(test)]
 mod proptests;
+
+#[cfg(test)]
+impl PartialAgg {
+    /// `n_aggs` counts over `groups` groups keyed `{tag}/{g}`: a partial
+    /// told apart by its tag, of a footprint the caller picks.
+    pub(crate) fn filler(tag: &str, n_aggs: usize, groups: usize) -> Self {
+        let state = |g: usize| vec![AggState::Count(g as u64); n_aggs];
+        Self {
+            groups: (0..groups)
+                .map(|g| (Some(format!("{tag}/{g}")), state(g)))
+                .collect(),
+            n_aggs,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1476,7 +1478,7 @@ mod tests {
 
         let single = fold(vec![1, 2, 3, 4, 5, 6]);
         let mut a = fold(vec![1, 2, 3]);
-        a.merge(&fold(vec![4, 5, 6]));
+        a.merge(&fold(vec![4, 5, 6]), None);
 
         assert_eq!(a.finalize(), single.finalize());
         let row = &a.finalize()[0];
@@ -1485,6 +1487,31 @@ mod tests {
         assert_eq!(row[2], Value::Int64(1));
         assert_eq!(row[3], Value::Int64(6));
         assert_eq!(row[4], Value::Float64(3.5));
+    }
+
+    #[test]
+    fn merge_with_a_permutation_reorders_states_exactly() {
+        let aggs = [AggExpr::count(), AggExpr::sum("x"), AggExpr::min("x")];
+        let col = ColumnData::Int64(vec![3, 1, 2]);
+        let sel: Vec<u32> = (0..3).collect();
+        let x = Some(ColumnView::direct(&col));
+        let mut agg = SplitAgg::new(&aggs);
+        let groups = agg.group_ids(None, &sel);
+        agg.accumulate(&[None, x, x], &sel, &groups).unwrap();
+        let partial = agg.finish();
+        let row = partial.finalize().remove(0);
+
+        // Position `i` takes the source's `perm[i]`: [min, count, sum].
+        let mut reordered = PartialAgg::new(3);
+        reordered.merge(&partial, Some(&[2, 0, 1]));
+        let expected = vec![row[2].clone(), row[0].clone(), row[1].clone()];
+        assert_eq!(reordered.finalize(), vec![expected]);
+        // A second merge accumulates position by position.
+        reordered.merge(&partial, Some(&[2, 0, 1]));
+        assert_eq!(
+            reordered.finalize(),
+            vec![vec![Value::Int64(1), Value::Int64(6), Value::Float64(12.0)]]
+        );
     }
 
     /// A remote that charges virtual latency per request, so modeled spans

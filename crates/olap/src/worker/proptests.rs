@@ -601,7 +601,7 @@ proptest! {
             if let Some(groups) = want.groups {
                 let partial = PartialAgg { groups, n_aggs: plan.aggregates.len() };
                 match &mut merged {
-                    Some(m) => m.merge(&partial),
+                    Some(m) => m.merge(&partial, None),
                     None => merged = Some(partial),
                 }
             }

@@ -978,6 +978,43 @@ fn olap_plan(q: u8) -> edgecache_olap::QueryPlan {
     }
 }
 
+/// The pruning-soundness oracle: for each current fact file — regenerated
+/// from its `(partition, file, version)` recipe, so nothing is read from the
+/// store and no span is recorded — every row group `prune` drops for
+/// `predicate` must hold no row that `Predicate::select` selects.
+fn pruned_rows_that_match(
+    predicate: &edgecache_columnar::Predicate,
+    partitions: &[(usize, usize, u64)],
+) -> Vec<String> {
+    use edgecache_columnar::{ColfReader, ColumnView};
+    let mut found = Vec::new();
+    for &(part, files, version) in partitions {
+        for file in 0..files {
+            let version = if file == 0 { version } else { 1 };
+            let reader = ColfReader::open(olap_file_bytes(part, file, version))
+                .expect("regenerated file opens");
+            let kept = reader.prune(Some(predicate));
+            let schema = reader.schema();
+            let every_column: Vec<usize> = (0..schema.len()).collect();
+            for group in (0..reader.row_groups()).filter(|g| !kept.contains(g)) {
+                let columns = reader
+                    .read_row_group(group, &every_column)
+                    .expect("regenerated row group decodes");
+                let rows: Vec<u32> = (0..columns[0].len() as u32).collect();
+                let column =
+                    |name: &str| Some(ColumnView::direct(&columns[schema.index_of(name)?]));
+                let selected = predicate.select(&column, &rows);
+                if !selected.is_empty() {
+                    found.push(format!(
+                        "p{part} f{file} v{version} row group {group}: pruned rows {selected:?} match {predicate:?}"
+                    ));
+                }
+            }
+        }
+    }
+    found
+}
+
 /// Runs a Resultcache-profile scenario: a cached engine and an uncached
 /// shadow share one catalog/store/clock while the op stream interleaves
 /// repeated queries with appends, rewrites, and partition drops. Oracles:
@@ -990,6 +1027,9 @@ fn olap_plan(q: u8) -> edgecache_olap::QueryPlan {
 ///   after every op.
 /// * **Reconciliation** — the sum of `splits_scheduled` equals the
 ///   scheduler's assigned-splits total at end of run.
+/// * **Pruning soundness** — after every query, no row group that statistics
+///   pruning drops for its predicate holds a matching row
+///   ([`pruned_rows_that_match`]).
 fn run_olap(sc: &Scenario) -> RunReport {
     use edgecache_olap::{
         Catalog, DataFile, Engine, EngineConfig, PartitionDef, ResultCacheConfig, TableDef,
@@ -1125,6 +1165,15 @@ fn run_olap(sc: &Scenario) -> RunReport {
                             b.stats.splits_skipped
                         ),
                     });
+                }
+                if let Some(predicate) = &plan.predicate {
+                    for detail in pruned_rows_that_match(predicate, &partitions) {
+                        violations.push(Violation {
+                            op: Some(i),
+                            kind: "pruning-soundness",
+                            detail: format!("q{q}: {detail}"),
+                        });
+                    }
                 }
                 queries += 1;
                 skipped_total += a.stats.splits_skipped as u64;
