@@ -6,7 +6,8 @@
 //! to the next replica, and `replicate_on_read` keeps that next replica
 //! warm so failover serves hits instead of origin misses. This experiment
 //! measures all three on simulated time, so every number is deterministic
-//! and `BENCH_cluster.json` can be diffed byte-for-byte in CI.
+//! and `bench cluster_churn --check` compares `BENCH_cluster.json` byte for
+//! byte.
 //!
 //! Two arms (replication off / on) each run three phases over a Zipf
 //! workload against a 4-worker tier:
@@ -25,7 +26,6 @@
 //! user-visible latency (a real deployment warms off the critical path).
 //! A "hit" is a read served from some worker's warm cache.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,9 +37,9 @@ use edgecache_distcache::tier::{DistCacheTier, TierConfig};
 use edgecache_distcache::worker::WorkerCacheConfig;
 use edgecache_pagestore::CacheScope;
 use edgecache_workload::zipf::ZipfSampler;
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 /// Workers in the tier; the rolling restart cycles through all of them.
 const WORKERS: usize = 4;
@@ -279,23 +279,6 @@ fn simulate(replicate: bool, files: usize, steady: u64, per_phase: u64) -> [Phas
     ]
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
 const PHASES: [&str; 3] = ["steady", "restart", "degraded"];
 
 /// Runs the churn sweep.
@@ -449,21 +432,11 @@ pub fn run(quick: bool) -> ExperimentReport {
             ),
             ("cells", Value::Array(cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_cluster.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_cluster.json",
+            json,
+            wall_clock: &[],
+        });
     }
     report
 }

@@ -19,17 +19,16 @@
 //!   on the same cold page and the sharded in-flight table must collapse
 //!   them into exactly one remote fetch.
 //!
-//! Results are emitted as `BENCH_hotpath.json` at the workspace root.
+//! A full run records `BENCH_hotpath.json` at the workspace root.
 //! Wall-clock numbers are machine-dependent, so the JSON records
-//! `host_cpus` and the gates are host-aware: the ≥3x scaling check (1→8
+//! `host_cpus` and the checks are host-aware: the ≥3x scaling check (1→8
 //! threads) is enforced only on hosts with ≥8 CPUs; smaller hosts instead
 //! check that contention does not *collapse* throughput (8 threads keep at
 //! least half the single-thread rate) plus the machine-independent
-//! invariants (zero slow-path hits, exact single-flight dedup). CI's
-//! `hotpath-smoke` job re-runs the suite with `--gate` against the
-//! committed JSON and fails if any same-host cell regresses beyond 1.2x.
+//! invariants (zero slow-path hits, exact single-flight dedup).
+//! `bench hotpath --check` compares everything but `WALL_CLOCK` with the
+//! committed JSON; wall-clock regressions are the repo benchmark's job.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -39,9 +38,9 @@ use edgecache_common::ByteSize;
 use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_pagestore::{CacheScope, MemoryPageStore, PageId};
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{host_cpus, num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 /// Thread counts swept by every benchmark.
 const THREADS: [usize; 4] = [1, 4, 8, 16];
@@ -50,9 +49,8 @@ const PAGE: u64 = 4096;
 /// Warm working set: small enough to stay resident, large enough that
 /// threads do not all hammer one shard.
 const PAGES: usize = 64;
-/// A fresh run must beat `baseline / GATE_FACTOR` in every cell to pass the
-/// `--gate` comparison.
-const GATE_FACTOR: f64 = 1.2;
+/// What `--check` ignores: the wall-clock cells and the host shape.
+pub(crate) const WALL_CLOCK: &[&str] = &["ops_per_sec", "host_cpus"];
 
 /// Serves deterministic bytes for any path, instantly, and counts requests.
 struct CountingRemote {
@@ -269,73 +267,19 @@ fn bench_singleflight(threads: usize, rounds: usize) -> (Cell, u64, u64) {
     )
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Looks up a cell's ops/sec in a parsed `BENCH_hotpath.json`.
-fn baseline_cell(baseline: &Value, bench: &str, threads: usize) -> Option<f64> {
-    baseline.get("cells")?.as_array()?.iter().find_map(|c| {
-        if c.get("bench")?.as_str()? == bench && c.get("threads")?.as_u64()? == threads as u64 {
-            c.get("ops_per_sec")?.as_f64()
-        } else {
-            None
-        }
-    })
-}
-
-/// Runs the hot-path sweep. `gate_baseline`, when given, is a path to a
-/// previously committed `BENCH_hotpath.json`; every cell of the fresh run
-/// must reach at least `baseline / 1.2` ops/sec (compared only when the
-/// baseline was produced on a host with the same CPU count — wall-clock
-/// numbers do not transfer between machines).
-pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
+/// Runs the hot-path sweep.
+pub fn run(quick: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "hotpath",
         "Lock-free hit path: wall-clock serve/index/single-flight throughput by thread count",
     );
-    // Read the baseline *before* the run clobbers the JSON on disk.
-    let baseline: Option<Value> = gate_baseline.and_then(|path| {
-        match std::fs::read_to_string(path).map(|s| serde_json::from_str::<Value>(&s)) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                report.notes.push(format!("gate baseline unparseable: {e}"));
-                None
-            }
-            Err(e) => {
-                report
-                    .notes
-                    .push(format!("gate baseline unreadable ({path}): {e}"));
-                None
-            }
-        }
-    });
 
     let (hit_iters, touch_iters, rounds, reps) = if quick {
         (2_000, 10_000, 50, 1)
     } else {
         // Full runs take the best of three repetitions per cell: wall-clock
         // throughput on a shared host is scheduler-noisy, and the peak is
-        // the stable, comparable statistic for a regression gate.
+        // the stable, comparable statistic.
         (40_000, 200_000, 400, 3)
     };
 
@@ -467,42 +411,12 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
         ));
     }
 
-    if let Some(base) = &baseline {
-        let base_cpus = base.get("host_cpus").and_then(Value::as_u64).unwrap_or(0);
-        if base_cpus == cpus as u64 {
-            let mut worst: Option<(String, f64)> = None;
-            let mut compared = 0;
-            for c in &cells {
-                if let Some(b) = baseline_cell(base, c.bench, c.threads) {
-                    compared += 1;
-                    let ratio = b / c.ops_per_sec.max(1e-9);
-                    if worst.as_ref().is_none_or(|(_, w)| ratio > *w) {
-                        worst = Some((format!("{}@{}", c.bench, c.threads), ratio));
-                    }
-                }
-            }
-            let (cell, ratio) = worst.unwrap_or(("none".to_string(), 0.0));
-            report.checks.push(Check::new(
-                "regression gate",
-                format!("every cell >= baseline / {GATE_FACTOR}"),
-                format!("worst {ratio:.2}x slower ({cell}), {compared} cells compared"),
-                compared > 0 && ratio <= GATE_FACTOR,
-            ));
-        } else {
-            report.gate_skipped(format!(
-                "baseline host has {base_cpus} CPUs, this host {cpus} — \
-                 wall-clock cells are not comparable"
-            ));
-        }
-    }
-
     report.notes.push(format!(
         "{PAGES} x {PAGE} B warm pages; {hit_iters} hit reads and {touch_iters} touches \
          per thread; {rounds} single-flight rounds; host_cpus={cpus}"
     ));
 
-    // Quick (CI/test) runs skip the write so the committed full-run
-    // artifact is not clobbered with reduced-scale numbers.
+    // Quick runs are reduced-scale: only a full run records the artifact.
     if !quick {
         let json_cells: Vec<Value> = cells
             .iter()
@@ -525,28 +439,13 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
             ("slow_path_hits", num_u(slow_path)),
             ("cells", Value::Array(json_cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_hotpath.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_hotpath.json",
+            json,
+            wall_clock: WALL_CLOCK,
+        });
     }
     report
-}
-
-/// Runs the hot-path sweep without a regression baseline.
-pub fn run(quick: bool) -> ExperimentReport {
-    run_with(quick, None)
 }
 
 #[cfg(test)]

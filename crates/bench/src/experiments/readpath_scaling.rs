@@ -7,10 +7,8 @@
 //! (coalescing + concurrent fetches) against the sequential baseline
 //! (`coalesce_fetches = false`, `max_concurrent_fetches = 1`).
 //!
-//! Results are also emitted as `BENCH_readpath.json` at the workspace root
-//! so runs can be diffed across revisions.
+//! A full run records `BENCH_readpath.json` at the workspace root.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -20,14 +18,17 @@ use edgecache_common::ByteSize;
 use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_pagestore::{CacheScope, MemoryPageStore};
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 const PAGE: u64 = 16 << 10;
 
 /// Pages per reader range; the acceptance workload is 8-page scans.
 pub const PAGES_PER_RANGE: u64 = 8;
+
+/// What `--check` ignores: the wall-clock timings. Request counts are exact.
+pub(crate) const WALL_CLOCK: &[&str] = &["sequential_ms", "parallel_ms", "speedup"];
 
 /// A remote charging a fixed latency per request (per range).
 struct SlowRemote {
@@ -193,23 +194,6 @@ fn time_scans(
     (total, harness.requests())
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
 /// Runs the read-path scaling sweep.
 pub fn run(quick: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(
@@ -289,8 +273,7 @@ pub fn run(quick: bool) -> ExperimentReport {
         ByteSize::new(PAGE),
     ));
 
-    // Quick (CI/test) runs skip the write so the committed full-run
-    // artifact is not clobbered with reduced-scale numbers.
+    // Quick runs are reduced-scale: only a full run records the artifact.
     if !quick {
         let json = obj(vec![
             ("experiment", Value::String("readpath_scaling".to_string())),
@@ -300,21 +283,11 @@ pub fn run(quick: bool) -> ExperimentReport {
             ("pages_per_range", num_u(PAGES_PER_RANGE)),
             ("cells", Value::Array(cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_readpath.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_readpath.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_readpath.json",
+            json,
+            wall_clock: WALL_CLOCK,
+        });
     }
     report
 }

@@ -22,9 +22,9 @@
 //!
 //! Wall time is the engine's modeled `wall_time` (worker critical path +
 //! probe cost + coordinator overhead) on the sim clock, so every number is
-//! deterministic and `BENCH_resultcache.json` diffs byte-for-byte in CI.
+//! deterministic and `bench resultcache --check` compares
+//! `BENCH_resultcache.json` byte for byte.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,9 +37,9 @@ use edgecache_olap::{
 };
 use edgecache_storage::ObjectStore;
 use edgecache_workload::{BurstConfig, RepeatedQueryConfig, RepeatedQueryMix};
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 /// Distinct query shapes in the dashboard pool.
 const POOL: usize = 8;
@@ -343,23 +343,6 @@ impl Bench {
     }
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
 const PHASES: [&str; 8] = [
     "cold", "warm", "commuted", "drift", "append", "rewrite", "burst", "thrash",
 ];
@@ -588,21 +571,11 @@ pub fn run(quick: bool) -> ExperimentReport {
             ),
             ("cells", Value::Array(cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resultcache.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_resultcache.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_resultcache.json",
+            json,
+            wall_clock: &[],
+        });
     }
     report
 }

@@ -11,12 +11,11 @@
 //! modeled split latency (I/O + CPU on the device cost models) of both
 //! paths.
 //!
-//! Results are also emitted as `BENCH_scanpath.json` at the workspace root
-//! so runs can be diffed across revisions; CI's `scanpath-smoke` job fails
-//! if the vectored path regresses more than 20% against the baseline at
-//! any hit ratio.
+//! A full run records `BENCH_scanpath.json` at the workspace root. The
+//! times are modeled, so `bench scanpath --check` compares the whole file
+//! byte for byte, and the run itself fails if the vectored path is more
+//! than 20% slower than the per-column baseline at any hit ratio.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,9 +26,9 @@ use edgecache_common::ByteSize;
 use edgecache_core::manager::{RemoteSource, SourceFile};
 use edgecache_olap::{AggExpr, DataFile, QueryPlan, Worker, WorkerConfig};
 use edgecache_pagestore::CacheScope;
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 /// Projected columns of the scan (the acceptance floor is four).
 const PROJECTED_COLUMNS: usize = 5;
@@ -156,23 +155,6 @@ fn measure(vectored: bool, hit_pct: u64, row_groups: usize, rows_per_group: usiz
     }
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
 /// Runs the scan-path sweep.
 pub fn run(quick: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(
@@ -259,8 +241,7 @@ pub fn run(quick: bool) -> ExperimentReport {
          4 KiB pages, local-SSD/object-store device models"
     ));
 
-    // Quick (CI/test) runs skip the write so the committed full-run
-    // artifact is not clobbered with reduced-scale numbers.
+    // Quick runs are reduced-scale: only a full run records the artifact.
     if !quick {
         let json = obj(vec![
             ("experiment", Value::String("scanpath".to_string())),
@@ -269,21 +250,11 @@ pub fn run(quick: bool) -> ExperimentReport {
             ("projected_columns", num_u(PROJECTED_COLUMNS as u64)),
             ("cells", Value::Array(cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scanpath.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_scanpath.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_scanpath.json",
+            json,
+            wall_clock: &[],
+        });
     }
     report
 }

@@ -8,20 +8,14 @@
 //! (`edgecache_server::loadgen`) against it over real TCP sockets. Because
 //! the op stream is seeded, the request *accounting* of a cell — requests,
 //! gets, stores, bytes sent — is exactly deterministic even though the
-//! throughput is not: the committed `BENCH_server.json` carries both, and
-//! the `--gate` comparison treats them differently. Accounting must match
-//! the baseline **exactly** on every host (any drift means the protocol
-//! path dropped, duplicated, or corrupted a frame); throughput/p99 are
-//! compared within 1.2x only when the baseline was recorded on a host
-//! with the same CPU count, and the skip is loud
-//! (`ExperimentReport::gate_skipped`) when it was not. The hit/miss split
-//! is recorded but not exact-compared: a get racing an in-flight
-//! overwrite of its key can legitimately miss (complete-old-or-
-//! complete-new visibility), so it wobbles by a few per million.
-//!
-//! Gate runs never rewrite the JSON; regenerate it with a plain full run.
+//! throughput is not: the committed `BENCH_server.json` carries both.
+//! `bench server --check` compares everything but `WALL_CLOCK` exactly
+//! on every host (any drift means the protocol path dropped, duplicated,
+//! or corrupted a frame). The hit/miss split is recorded but not compared:
+//! a get racing an in-flight overwrite of its key can legitimately miss
+//! (complete-old-or-complete-new visibility), so it wobbles by a few per
+//! million.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -36,9 +30,9 @@ use edgecache_metrics::{assert_conserved, server_laws, SnapshotDiff};
 use edgecache_pagestore::MemoryPageStore;
 use edgecache_server::{serve, Command, LoadgenOptions, ServerConfig, ServerHandle};
 use edgecache_workload::kv::{fill_value, KeyMix, KeyMixConfig};
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-use crate::report::{Check, ExperimentReport, TextTable};
+use crate::report::{host_cpus, num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 /// Connection counts swept in both modes.
 const CONNS: [usize; 4] = [1, 4, 8, 16];
@@ -48,8 +42,18 @@ const DEPTH: usize = 16;
 const KEYS: usize = 2_000;
 /// Value bytes per key.
 const VALUE_LEN: usize = 1024;
-/// Wall-clock cells must stay within this factor of a same-host baseline.
-const GATE_FACTOR: f64 = 1.2;
+/// What `--check` ignores: wall-clock numbers and host shape, plus the
+/// hit/miss split (and so the bytes returned), which a get racing an
+/// in-flight overwrite of its key may shift by a few.
+pub(crate) const WALL_CLOCK: &[&str] = &[
+    "req_per_sec",
+    "p50_us",
+    "p99_us",
+    "hits",
+    "misses",
+    "bytes_received",
+    "host_cpus",
+];
 /// The one wall-clock shape check (pipelined ≥ 1.3× serial at 1 conn).
 const PIPELINING_CHECK: &str = "pipelining wins";
 
@@ -181,64 +185,16 @@ fn run_cell(mode: &'static str, conns: usize, depth: usize, requests_per_conn: u
     }
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn num_u(v: u64) -> Value {
-    Value::Number(Number::PosInt(v))
-}
-
-fn num_f(v: f64) -> Value {
-    Value::Number(Number::Float(v))
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Finds a cell object in a parsed `BENCH_server.json`.
-fn baseline_cell<'a>(baseline: &'a Value, mode: &str, conns: usize) -> Option<&'a Value> {
-    baseline.get("cells")?.as_array()?.iter().find(|c| {
-        c.get("mode").and_then(Value::as_str) == Some(mode)
-            && c.get("conns").and_then(Value::as_u64) == Some(conns as u64)
-    })
-}
-
-/// Runs the front-end sweep. `gate_baseline`, when given, is a committed
-/// `BENCH_server.json`: deterministic accounting must match it exactly on
-/// any host; wall-clock cells must stay within 1.2x on a same-CPU host.
-pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
+/// Runs the front-end sweep.
+pub fn run(quick: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "server",
         "Memcached front-end: wall-clock throughput/latency by connections, serial vs pipelined",
     );
-    let baseline: Option<Value> = gate_baseline.and_then(|path| {
-        match std::fs::read_to_string(path).map(|s| serde_json::from_str::<Value>(&s)) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                report.notes.push(format!("gate baseline unparseable: {e}"));
-                None
-            }
-            Err(e) => {
-                report
-                    .notes
-                    .push(format!("gate baseline unreadable ({path}): {e}"));
-                None
-            }
-        }
-    });
 
     // Every run takes the best of three repetitions per cell: wall-clock
     // throughput on a shared host is scheduler-noisy and the peak is the
-    // stable statistic for a regression gate. (A quick cell lasts a couple
+    // stable statistic to record. (A quick cell lasts a couple
     // of milliseconds, so one host stall in a lone repetition would halve
     // it and fail the "pipelining wins" check.) Accounting is identical
     // across repetitions (the op stream is seeded), so picking the
@@ -304,92 +260,13 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
     ));
 
     let cpus = host_cpus();
-    if let Some(base) = &baseline {
-        if quick {
-            report.gate_skipped(
-                "quick run uses a reduced request count — accounting is not \
-                 comparable to the committed full-scale baseline",
-            );
-        } else {
-            // Accounting is deterministic on EVERY host: exact match required.
-            let mut drift: Vec<String> = Vec::new();
-            for c in &cells {
-                let Some(b) = baseline_cell(base, c.mode, c.conns) else {
-                    drift.push(format!("{}@{}: missing from baseline", c.mode, c.conns));
-                    continue;
-                };
-                // Only the fields the seeded op mix fully determines:
-                // hits/misses (and so bytes_received) can shift by a few
-                // when a get races an in-flight overwrite.
-                let fields: [(&str, u64); 4] = [
-                    ("requests", c.requests),
-                    ("gets", c.gets),
-                    ("stored", c.stored),
-                    ("bytes_sent", c.bytes_sent),
-                ];
-                for (name, got) in fields {
-                    let want = b.get(name).and_then(Value::as_u64);
-                    if want != Some(got) {
-                        drift.push(format!(
-                            "{}@{}: {name} {got} != baseline {want:?}",
-                            c.mode, c.conns
-                        ));
-                    }
-                }
-            }
-            report.checks.push(Check::new(
-                "deterministic accounting",
-                "every cell's request accounting matches the baseline exactly",
-                if drift.is_empty() {
-                    format!("{} cells exact", cells.len())
-                } else {
-                    drift.join("; ")
-                },
-                drift.is_empty(),
-            ));
-
-            let base_cpus = base.get("host_cpus").and_then(Value::as_u64).unwrap_or(0);
-            if base_cpus == cpus as u64 {
-                let mut worst: Option<(String, f64)> = None;
-                let mut compared = 0;
-                for c in &cells {
-                    let b = baseline_cell(base, c.mode, c.conns)
-                        .and_then(|b| b.get("req_per_sec"))
-                        .and_then(Value::as_f64);
-                    if let Some(b) = b {
-                        compared += 1;
-                        let ratio = b / c.req_per_sec.max(1e-9);
-                        if worst.as_ref().is_none_or(|(_, w)| ratio > *w) {
-                            worst = Some((format!("{}@{}", c.mode, c.conns), ratio));
-                        }
-                    }
-                }
-                let (cell, ratio) = worst.unwrap_or(("none".to_string(), 0.0));
-                report.checks.push(Check::new(
-                    "throughput gate",
-                    format!("every cell >= baseline / {GATE_FACTOR}"),
-                    format!("worst {ratio:.2}x slower ({cell}), {compared} cells compared"),
-                    compared > 0 && ratio <= GATE_FACTOR,
-                ));
-            } else {
-                report.gate_skipped(format!(
-                    "baseline host has {base_cpus} CPUs, this host {cpus} — \
-                     wall-clock cells are not comparable (accounting was still \
-                     compared exactly)"
-                ));
-            }
-        }
-    }
-
     report.notes.push(format!(
         "{KEYS} keys x {VALUE_LEN} B values, zipf 1.0, 10% sets, 4 tenant namespaces; \
          {requests_per_conn} requests/conn, pipeline depth {DEPTH}; host_cpus={cpus}"
     ));
 
-    // Quick runs are reduced-scale and gate runs must not clobber the
-    // baseline they are comparing against: only a plain full run rewrites
-    // the committed artifact.
-    if !quick && baseline.is_none() {
+    // Quick runs are reduced-scale: only a full run records the artifact.
+    if !quick {
         let json_cells: Vec<Value> = cells
             .iter()
             .map(|c| {
@@ -418,28 +295,13 @@ pub fn run_with(quick: bool, gate_baseline: Option<&str>) -> ExperimentReport {
             ("requests_per_conn", num_u(requests_per_conn as u64)),
             ("cells", Value::Array(json_cells)),
         ]);
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-        match serde_json::to_string_pretty(&json) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(out, text + "\n") {
-                    report.notes.push(format!("could not write {out}: {e}"));
-                } else {
-                    report
-                        .notes
-                        .push("results written to BENCH_server.json".to_string());
-                }
-            }
-            Err(e) => report
-                .notes
-                .push(format!("could not serialize results: {e}")),
-        }
+        report.artifact = Some(Artifact {
+            file: "BENCH_server.json",
+            json,
+            wall_clock: WALL_CLOCK,
+        });
     }
     report
-}
-
-/// Runs the front-end sweep without a regression baseline.
-pub fn run(quick: bool) -> ExperimentReport {
-    run_with(quick, None)
 }
 
 #[cfg(test)]

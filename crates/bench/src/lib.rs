@@ -3,15 +3,23 @@
 //!
 //! Each experiment lives in [`experiments`] as a `run(quick: bool)` function
 //! returning an [`ExperimentReport`]: the regenerated table/series plus
-//! explicit paper-vs-measured checks. The binaries in `src/bin/` are thin
-//! wrappers; `all_experiments` runs the whole suite and is what
-//! `EXPERIMENTS.md` records.
+//! explicit paper-vs-measured checks, and, for a full run of the
+//! experiments that record one, the [`Artifact`] (`BENCH_*.json`). The one
+//! `bench` binary dispatches on [`experiments::EXPERIMENTS`]:
 //!
-//! `quick` mode shrinks workload sizes so the whole suite runs in seconds
-//! (used by tests and CI); full mode matches the scales documented in
-//! DESIGN.md.
+//! ```text
+//! cargo run --release -p edgecache-bench -- <name>|all [--quick] [--check]
+//! cargo run --release -p edgecache-bench -- trace_dump [--out <path>]
+//! ```
+//!
+//! A full run writes each artifact at the workspace root; `--check` writes
+//! nothing and compares the fresh artifact with the committed file
+//! ([`Artifact::check`]). `quick` mode shrinks workload sizes so the whole
+//! suite runs in seconds (used by tests) and records nothing; full mode
+//! matches the scales documented in DESIGN.md.
 
 pub mod experiments;
 pub mod report;
+pub mod trace_dump;
 
-pub use report::{Check, ExperimentReport, TextTable};
+pub use report::{Artifact, Check, ExperimentReport, TextTable};

@@ -1,6 +1,11 @@
-//! Experiment reporting: aligned text tables and paper-vs-measured checks.
+//! Experiment reporting: aligned text tables, paper-vs-measured checks, and
+//! the `BENCH_*.json` artifact a full run records.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::path::PathBuf;
+
+use serde_json::{Number, Value};
 
 /// One paper-vs-measured comparison row.
 #[derive(Debug, Clone)]
@@ -106,6 +111,9 @@ pub struct ExperimentReport {
     pub checks: Vec<Check>,
     /// Free-form notes (calibration, scale substitutions).
     pub notes: Vec<String>,
+    /// What a full run records; `None` for quick runs and for experiments
+    /// that record nothing.
+    pub artifact: Option<Artifact>,
 }
 
 impl ExperimentReport {
@@ -117,28 +125,13 @@ impl ExperimentReport {
             table: TextTable::default(),
             checks: Vec::new(),
             notes: Vec::new(),
+            artifact: None,
         }
     }
 
     /// Whether every check passed.
     pub fn all_ok(&self) -> bool {
         self.checks.iter().all(|c| c.ok)
-    }
-
-    /// Records a skipped regression gate *loudly*. A gate that silently
-    /// degrades to a note is indistinguishable from a gate that ran and
-    /// passed — which is how a regression ships. This prints an
-    /// unmissable `GATE SKIPPED` line to stderr, emits a GitHub Actions
-    /// `::warning` job annotation when running under CI, and keeps the
-    /// reason in the report's notes.
-    pub fn gate_skipped(&mut self, reason: impl fmt::Display) {
-        let msg = format!("GATE SKIPPED [{}]: {reason}", self.id);
-        eprintln!("{msg}");
-        if std::env::var_os("GITHUB_ACTIONS").is_some() {
-            // Surfaces in the job's annotation list, not just the log.
-            println!("::warning title=bench gate skipped::{msg}");
-        }
-        self.notes.push(msg);
     }
 }
 
@@ -167,6 +160,119 @@ impl fmt::Display for ExperimentReport {
     }
 }
 
+/// A `BENCH_*.json` file at the workspace root: what a full run writes, and
+/// what `bench <name> --check` compares a fresh run against.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    /// File name at the workspace root, e.g. `BENCH_cluster.json`.
+    pub file: &'static str,
+    /// The results.
+    pub json: Value,
+    /// Keys whose values depend on the host or the wall clock. The check
+    /// drops them, at every depth, from both sides; every other byte must
+    /// match.
+    pub wall_clock: &'static [&'static str],
+}
+
+impl Artifact {
+    /// Where the committed copy lives.
+    pub fn path(&self) -> PathBuf {
+        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(self.file)
+    }
+
+    /// The bytes a full run writes.
+    pub fn text(&self) -> String {
+        render(&self.json)
+    }
+
+    /// Compares this fresh result with the committed file; a missing or
+    /// unparseable file is an error like any mismatch.
+    pub fn check_committed(&self) -> Result<(), String> {
+        let committed = std::fs::read_to_string(self.path())
+            .map_err(|e| format!("{}: cannot read the committed file: {e}", self.file))?;
+        self.check(&committed)
+    }
+
+    /// Compares this fresh result with `committed`, the text of the
+    /// committed file. The file must be exactly what the writer produces,
+    /// and equal to the fresh result once the `wall_clock` keys are gone.
+    pub fn check(&self, committed: &str) -> Result<(), String> {
+        let parsed = serde_json::parse_value(committed)
+            .map_err(|e| format!("{}: committed file is unparseable: {e}", self.file))?;
+        if let Some(d) = first_diff(committed, &render(&parsed)) {
+            return Err(format!("{}: not what a full run writes, {d}", self.file));
+        }
+        let want = render(&strip(parsed, self.wall_clock));
+        match first_diff(&want, &render(&strip(self.json.clone(), self.wall_clock))) {
+            None => Ok(()),
+            Some(d) => Err(format!(
+                "{} differs from the fresh run (wall-clock keys dropped), {d}",
+                self.file
+            )),
+        }
+    }
+}
+
+/// Pretty JSON plus a trailing newline: the one artifact format.
+fn render(v: &Value) -> String {
+    serde_json::to_string_pretty(v).expect("a Value always serializes") + "\n"
+}
+
+/// Drops every member named in `keys`, at any depth.
+fn strip(v: Value, keys: &[&str]) -> Value {
+    match v {
+        Value::Object(members) => Value::Object(
+            members
+                .into_iter()
+                .filter(|(k, _)| !keys.contains(&k.as_str()))
+                .map(|(k, v)| (k, strip(v, keys)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(|v| strip(v, keys)).collect()),
+        v => v,
+    }
+}
+
+/// The first line where `committed` and `fresh` differ, with both sides.
+fn first_diff(committed: &str, fresh: &str) -> Option<String> {
+    let (want, got): (Vec<&str>, Vec<&str>) =
+        (committed.split('\n').collect(), fresh.split('\n').collect());
+    let i = (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i))?;
+    Some(format!(
+        "line {}: committed `{}`, fresh `{}`",
+        i + 1,
+        want.get(i).map_or("<end of file>", |l| l.trim()),
+        got.get(i).map_or("<end of file>", |l| l.trim())
+    ))
+}
+
+/// A JSON object from `(key, value)` pairs.
+pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect::<BTreeMap<_, _>>(),
+    )
+}
+
+/// A JSON unsigned integer.
+pub(crate) fn num_u(v: u64) -> Value {
+    Value::Number(Number::PosInt(v))
+}
+
+/// A JSON float.
+pub(crate) fn num_f(v: f64) -> Value {
+    Value::Number(Number::Float(v))
+}
+
+/// CPUs this process may run on (recorded by the wall-clock experiments).
+pub(crate) fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,19 +286,72 @@ mod tests {
         assert!(s.contains("| xxx | y    |"));
     }
 
+    fn artifact(json: Value) -> Artifact {
+        Artifact {
+            file: "BENCH_test.json",
+            json,
+            wall_clock: &["t"],
+        }
+    }
+
     #[test]
-    fn gate_skip_is_recorded_in_notes() {
-        let mut r = ExperimentReport::new("x", "test");
-        r.gate_skipped("baseline host has 64 CPUs, this host 8");
-        assert_eq!(r.notes.len(), 1);
-        assert!(
-            r.notes[0].starts_with("GATE SKIPPED [x]:"),
-            "{}",
-            r.notes[0]
+    fn a_wall_clock_key_is_dropped_at_every_depth() {
+        let doc = |t: u64| {
+            obj(vec![
+                ("a", num_u(1)),
+                ("t", num_u(t)),
+                (
+                    "x",
+                    obj(vec![
+                        ("t", num_u(t)),
+                        (
+                            "y",
+                            Value::Array(vec![obj(vec![("t", num_u(t)), ("z", num_u(5))])]),
+                        ),
+                    ]),
+                ),
+            ])
+        };
+        let stripped = strip(doc(2), &["t"]);
+        assert_eq!(
+            render(&stripped),
+            render(&obj(vec![
+                ("a", num_u(1)),
+                (
+                    "x",
+                    obj(vec![("y", Value::Array(vec![obj(vec![("z", num_u(5))])]))])
+                ),
+            ]))
         );
-        assert!(r.notes[0].contains("64 CPUs"));
-        // A skip is loud but not red: checks that did run still decide.
-        assert!(r.all_ok());
+        // So a committed file whose `t`s all differ still checks clean.
+        assert_eq!(artifact(doc(2)).check(&render(&doc(9))), Ok(()));
+    }
+
+    #[test]
+    fn the_check_is_byte_exact_outside_wall_clock_keys() {
+        let fresh = artifact(obj(vec![("a", num_u(1)), ("b", num_f(0.5))]));
+        assert_eq!(fresh.check(&fresh.text()), Ok(()));
+        let err = fresh.check(&fresh.text().replace('1', "2")).unwrap_err();
+        assert!(
+            err.contains("committed `\"a\": 2,`, fresh `\"a\": 1,`"),
+            "{err}"
+        );
+        // Same value, other bytes: not what the writer produces.
+        let err = fresh
+            .check(&fresh.text().replace("  ", "    "))
+            .unwrap_err();
+        assert!(err.contains("not what a full run writes"), "{err}");
+        let err = fresh.check(fresh.text().trim_end()).unwrap_err();
+        assert!(err.contains("<end of file>"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_or_unparseable_committed_file_fails_the_check() {
+        let fresh = artifact(obj(vec![("a", num_u(1))]));
+        let err = fresh.check_committed().unwrap_err();
+        assert!(err.contains("cannot read the committed file"), "{err}");
+        let err = fresh.check("{\"a\": ").unwrap_err();
+        assert!(err.contains("unparseable"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! `trace_dump` — runs a small traced workload against the cache manager on
-//! a virtual clock and writes every span as Chrome trace-event JSON
-//! (`--out <path>`, default `BENCH_trace.json`; load it in `chrome://tracing`
-//! or Perfetto, or summarize it with `edgecache-cli trace <path>`). This is
-//! the artifact the CI trace smoke step feeds through the CLI.
+//! `bench trace_dump` — runs a small traced workload against the cache
+//! manager on a virtual clock and returns every span as Chrome trace-event
+//! JSON (load it in `chrome://tracing` or Perfetto, or summarize it with
+//! `edgecache-cli trace <path>`). This is the dump the CI trace smoke step
+//! feeds through the CLI.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,6 +15,8 @@ use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_metrics::{MetricRegistry, Tracer};
 use edgecache_pagestore::{CacheScope, MemoryPageStore};
 use edgecache_workload::zipf::ZipfSampler;
+
+use crate::report::{Check, ExperimentReport, TextTable};
 
 const PAGE: u64 = 4096;
 const FILES: usize = 32;
@@ -46,15 +48,9 @@ impl RemoteSource for VirtualRemote {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_trace.json".to_string());
-
+/// Runs the traced workload. Returns a report (span and slow-op counts,
+/// checked non-empty) and the Chrome trace JSON.
+pub fn run() -> (ExperimentReport, String) {
     let clock = Arc::new(SimClock::new());
     let registry = MetricRegistry::new("trace-dump");
     let tracer = Tracer::enabled(clock.clone())
@@ -89,17 +85,25 @@ fn main() {
 
     let records = tracer.records();
     let slow = tracer.slow_ops();
-    std::fs::write(&out, tracer.chrome_trace_json()).expect("write dump");
-    println!(
-        "wrote {} span(s) to {out} ({} slow op(s) over 1ms)",
-        records.len(),
-        slow.len()
+    let mut report = ExperimentReport::new(
+        "trace_dump",
+        "Read-path spans of a traced Zipf workload, as Chrome trace events",
     );
-    for op in slow.iter().take(3) {
-        println!("  slow: {op}");
-    }
-    if !records.iter().any(|r| r.name == "cache.read") || slow.is_empty() {
-        eprintln!("expected cache.read spans and a non-empty slow-op log");
-        std::process::exit(1);
-    }
+    let roots = records.iter().filter(|r| r.name == "cache.read").count();
+    report.table = TextTable::new(&["spans", "cache.read roots", "slow ops (> 1 ms)"]);
+    report.table.row(vec![
+        records.len().to_string(),
+        roots.to_string(),
+        slow.len().to_string(),
+    ]);
+    report.checks.push(Check::new(
+        "every stage traced",
+        "cache.read roots and a non-empty slow-op log",
+        format!("{roots} roots, {} slow ops", slow.len()),
+        roots > 0 && !slow.is_empty(),
+    ));
+    report
+        .notes
+        .extend(slow.iter().take(3).map(|op| op.to_string()));
+    (report, tracer.chrome_trace_json())
 }
