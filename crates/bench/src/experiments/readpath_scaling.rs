@@ -83,8 +83,6 @@ fn cache_with(parallel: bool) -> CacheManager {
 /// A reusable scan workload: `threads` persistent readers, each owning one
 /// 8-page range of a shared file, released in barrier-synchronized waves so
 /// the timed region contains only cache reads — no thread spawns.
-///
-/// Used both by this experiment and by the `readpath` criterion bench.
 pub struct ScanHarness {
     cache: Arc<CacheManager>,
     remote: Arc<SlowRemote>,

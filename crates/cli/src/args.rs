@@ -22,8 +22,6 @@ pub struct ServeArgs {
     pub addr: String,
     /// SSD capacity of the cache directory.
     pub capacity: ByteSize,
-    /// DRAM tier capacity (zero disables the tier).
-    pub memory: ByteSize,
     /// Per-scope quotas: `(dotted scope, size)`.
     pub quotas: Vec<(String, ByteSize)>,
     /// Connection semaphore size.
@@ -40,7 +38,6 @@ impl Default for ServeArgs {
             dir: PathBuf::new(),
             addr: "127.0.0.1:11211".to_string(),
             capacity: ByteSize::gib(1),
-            memory: ByteSize::new(0),
             quotas: Vec::new(),
             max_conns: 1024,
             ttl_secs: 0,
@@ -75,8 +72,8 @@ pub const USAGE: &str = "usage:\n  \
     edgecache-cli purge <dir> [--file <hex-id>]\n  \
     edgecache-cli trace <dump.json>\n  \
     edgecache-cli serve <dir> [--addr <host:port>] [--capacity <size>]\n    \
-    [--mem <size>] [--quota <scope>=<size>]... [--max-conns <n>]\n    \
-    [--ttl <secs>] [--allow-shutdown]";
+    [--quota <scope>=<size>]... [--max-conns <n>] [--ttl <secs>]\n    \
+    [--allow-shutdown]";
 
 /// Parses an invocation (everything after the program name). Errors carry
 /// a human-readable message; callers print it plus [`USAGE`] and exit 2.
@@ -152,7 +149,6 @@ pub fn parse_cli(args: &[String]) -> Result<CliCommand, String> {
                             .clone()
                     }
                     "--capacity" => serve.capacity = parse_value("serve", "--capacity", it.next())?,
-                    "--mem" => serve.memory = parse_value("serve", "--mem", it.next())?,
                     "--max-conns" => {
                         serve.max_conns = parse_value("serve", "--max-conns", it.next())?
                     }
@@ -249,8 +245,6 @@ mod tests {
             "127.0.0.1:0",
             "--capacity",
             "256MB",
-            "--mem",
-            "32MB",
             "--quota",
             "sales.orders=64MB",
             "--max-conns",
@@ -264,7 +258,6 @@ mod tests {
         };
         assert_eq!(s.addr, "127.0.0.1:0");
         assert_eq!(s.capacity, ByteSize::mib(256));
-        assert_eq!(s.memory, ByteSize::mib(32));
         assert_eq!(s.quotas, vec![("sales.orders".into(), ByteSize::mib(64))]);
         assert_eq!(s.max_conns, 16);
         assert_eq!(s.ttl(), Some(Duration::from_secs(60)));
@@ -286,6 +279,7 @@ mod tests {
             &["purge", "/d", "stray"],
             &["serve", "/d", "--adr", "x"],
             &["serve", "/d", "--allow-shutdown", "yes"],
+            &["serve", "/d", "--mem", "32MB"],
         ];
         for case in cases {
             let err = parse(case).expect_err(&format!("{case:?} must be rejected"));

@@ -193,9 +193,7 @@ pub fn start_serve(args: &ServeArgs) -> Result<ServeSession> {
         },
     )?;
     let clock = system_clock();
-    let mut config = CacheConfig::default()
-        .with_page_size(ByteSize::new(page_size))
-        .with_memory_tier(args.memory);
+    let mut config = CacheConfig::default().with_page_size(ByteSize::new(page_size));
     if let Some(ttl) = args.ttl() {
         config = config.with_ttl(ttl);
     }

@@ -7,8 +7,8 @@
 //! edgecache-cli purge   <dir> [--file <hex-file-id>]
 //! edgecache-cli trace   <dump.json>
 //! edgecache-cli serve   <dir> [--addr <host:port>] [--capacity <size>]
-//!                       [--mem <size>] [--quota <scope>=<size>]...
-//!                       [--max-conns <n>] [--ttl <secs>] [--allow-shutdown]
+//!                       [--quota <scope>=<size>]... [--max-conns <n>]
+//!                       [--ttl <secs>] [--allow-shutdown]
 //! ```
 //!
 //! Argument parsing is strict (see `args`): any unrecognized argument is a

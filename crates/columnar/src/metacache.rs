@@ -11,16 +11,18 @@
 //! metadata-caching ablation.
 //!
 //! The cache is **bounded** (entry-count capacity, LRU eviction with an
-//! `evictions` counter) and **single-flight**: concurrent misses on the
-//! same key parse the footer once; the other callers wait for the published
-//! result instead of duplicating the CPU-heavy deserialization.
+//! `evictions` counter, one [`LruMap`] holding footers and their order) and
+//! **single-flight**: concurrent misses on the same key parse the footer
+//! once; the other callers wait for the published result instead of
+//! duplicating the CPU-heavy deserialization.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 
 use edgecache_common::error::Result;
+use edgecache_common::lru::LruMap;
 use parking_lot::Mutex;
 
 use crate::format::FileMetadata;
@@ -34,60 +36,6 @@ pub const PARSE_NANOS_PER_BYTE: u64 = 100;
 /// never evict unless a test or experiment shrinks it on purpose.
 pub const DEFAULT_METADATA_CAPACITY: usize = 4096;
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// key → (footer, LRU stamp).
-    entries: HashMap<String, (Arc<FileMetadata>, u64)>,
-    /// LRU stamp → key; the smallest stamp is the eviction victim.
-    lru: BTreeMap<u64, String>,
-    next_stamp: u64,
-}
-
-impl Inner {
-    fn touch(&mut self, key: &str) -> Option<Arc<FileMetadata>> {
-        let (meta, stamp) = self.entries.get_mut(key)?;
-        let meta = Arc::clone(meta);
-        self.lru.remove(&*stamp);
-        self.next_stamp += 1;
-        *stamp = self.next_stamp;
-        self.lru.insert(self.next_stamp, key.to_string());
-        Some(meta)
-    }
-
-    fn insert(&mut self, key: &str, meta: Arc<FileMetadata>) -> Arc<FileMetadata> {
-        if let Some(existing) = self.touch(key) {
-            // Another thread published first; keep its entry.
-            return existing;
-        }
-        self.next_stamp += 1;
-        self.entries
-            .insert(key.to_string(), (meta.clone(), self.next_stamp));
-        self.lru.insert(self.next_stamp, key.to_string());
-        meta
-    }
-
-    fn remove(&mut self, key: &str) {
-        if let Some((_, stamp)) = self.entries.remove(key) {
-            self.lru.remove(&stamp);
-        }
-    }
-
-    /// Evicts least-recently-used entries down to `capacity`; returns how
-    /// many were dropped.
-    fn evict_to(&mut self, capacity: usize) -> u64 {
-        let mut evicted = 0;
-        while self.entries.len() > capacity {
-            let Some((&stamp, _)) = self.lru.iter().next() else {
-                break;
-            };
-            let key = self.lru.remove(&stamp).expect("stamp just observed");
-            self.entries.remove(&key);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// A shared, bounded cache of deserialized footers.
 ///
 /// Optionally backed by a persistent key-value store
@@ -96,7 +44,8 @@ impl Inner {
 /// *read* entirely (only the cheap local decode remains).
 #[derive(Debug)]
 pub struct MetadataCache {
-    inner: Mutex<Inner>,
+    /// `path@version` → footer, least recently used first.
+    inner: Mutex<LruMap<String, Arc<FileMetadata>>>,
     /// Keys with a parse in progress; misses on them block on the condvar
     /// instead of parsing the same footer again (single-flight).
     inflight: StdMutex<HashSet<String>>,
@@ -126,7 +75,7 @@ impl MetadataCache {
     /// Creates an empty cache bounded to `capacity` footers.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(LruMap::default()),
             inflight: StdMutex::new(HashSet::new()),
             inflight_done: Condvar::new(),
             capacity: capacity.max(1),
@@ -156,9 +105,9 @@ impl MetadataCache {
         parse: impl FnOnce() -> Result<FileMetadata>,
     ) -> Result<Arc<FileMetadata>> {
         loop {
-            if let Some(meta) = self.inner.lock().touch(key) {
+            if let Some(meta) = self.inner.lock().get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(meta);
+                return Ok(Arc::clone(meta));
             }
             // Single-flight gate: first thread in claims the key; others
             // wait for the parse to publish (or fail) and re-check.
@@ -210,10 +159,14 @@ impl MetadataCache {
 
     fn publish(&self, key: &str, meta: Arc<FileMetadata>) -> Arc<FileMetadata> {
         let mut inner = self.inner.lock();
-        let meta = inner.insert(key, meta);
-        let evicted = inner.evict_to(self.capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if let Some(existing) = inner.get(key) {
+            // Another thread published first; keep its entry.
+            return Arc::clone(existing);
+        }
+        inner.insert(key.to_string(), Arc::clone(&meta));
+        while inner.len() > self.capacity {
+            inner.pop_oldest();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         meta
     }
@@ -230,9 +183,7 @@ impl MetadataCache {
 
     /// Drops everything.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.lru.clear();
+        self.inner.lock().clear();
     }
 
     /// Cache hits.
@@ -262,12 +213,12 @@ impl MetadataCache {
 
     /// Number of cached footers.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.inner.lock().is_empty()
     }
 
     /// Simulated CPU time for parsing `footer_bytes` of footer.

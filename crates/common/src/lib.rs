@@ -11,6 +11,9 @@
 //! * [`ring`] — a consistent-hash ring with virtual nodes, bounded replica
 //!   lookup, and the paper's "lazy data movement" node-timeout behaviour
 //!   (§7 of the paper).
+//! * [`lru`] — the one O(1) recency list ([`lru::RecencyList`]) and the
+//!   map built on it ([`lru::LruMap`]) behind every LRU in the workspace:
+//!   the evictors, the footer cache and the result cache.
 //! * [`bytesize`] — parsing and formatting of human-readable byte sizes.
 //! * [`error`] — the shared [`Error`] type.
 
@@ -18,6 +21,8 @@ pub mod bytesize;
 pub mod clock;
 pub mod error;
 pub mod hash;
+pub mod lru;
+mod lru_proptests;
 pub mod ring;
 mod ring_proptests;
 

@@ -5,8 +5,9 @@
 //! The cache manager keeps one policy instance per cache directory, so
 //! evicting to make room on one SSD never touches pages on another device.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 
+use edgecache_common::lru::LruMap;
 use edgecache_pagestore::PageId;
 
 use crate::config::EvictionPolicyKind;
@@ -46,67 +47,41 @@ pub fn build_policy(kind: EvictionPolicyKind) -> Box<dyn EvictionPolicy> {
     }
 }
 
-/// Shared order-tracking machinery for LRU and FIFO: a monotone sequence
-/// number per page, with the smallest sequence being the victim.
+/// Page ids in recency order: the victim is the oldest. LRU-style policies
+/// `insert` (move to newest), FIFO-style ones `insert_if_absent`.
+type Order = LruMap<PageId, ()>;
+
+fn oldest(order: &Order) -> Option<PageId> {
+    order.oldest().map(|(&id, ())| id)
+}
+
+/// Least-recently-used eviction: inserts and reads move a page to newest.
+pub type LruPolicy = RecencyPolicy<true>;
+
+/// First-in-first-out eviction: insertion order, reads don't refresh.
+pub type FifoPolicy = RecencyPolicy<false>;
+
+/// One recency list evicting its oldest page; `REFRESH` says whether
+/// re-inserts and reads move a page to newest (LRU) or not (FIFO).
 #[derive(Debug, Default)]
-struct OrderedTracker {
-    seq_of: HashMap<PageId, u64>,
-    order: BTreeMap<u64, PageId>,
-    next_seq: u64,
+pub struct RecencyPolicy<const REFRESH: bool> {
+    order: Order,
 }
 
-impl OrderedTracker {
-    fn touch(&mut self, id: PageId) {
-        if let Some(old) = self.seq_of.remove(&id) {
-            self.order.remove(&old);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.seq_of.insert(id, seq);
-        self.order.insert(seq, id);
-    }
-
-    fn insert_if_absent(&mut self, id: PageId) {
-        if !self.seq_of.contains_key(&id) {
-            self.touch(id);
-        }
-    }
-
-    fn remove(&mut self, id: PageId) {
-        if let Some(seq) = self.seq_of.remove(&id) {
-            self.order.remove(&seq);
-        }
-    }
-
-    fn oldest(&self) -> Option<PageId> {
-        self.order.values().next().copied()
-    }
-
-    fn contains(&self, id: PageId) -> bool {
-        self.seq_of.contains_key(&id)
-    }
-
-    fn len(&self) -> usize {
-        self.seq_of.len()
-    }
-}
-
-/// Least-recently-used eviction.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
-    tracker: OrderedTracker,
-}
-
-impl LruPolicy {
-    /// Creates an empty LRU policy.
+impl<const REFRESH: bool> RecencyPolicy<REFRESH> {
+    /// Creates an empty policy.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
-impl EvictionPolicy for LruPolicy {
+impl<const REFRESH: bool> EvictionPolicy for RecencyPolicy<REFRESH> {
     fn on_insert(&mut self, id: PageId) {
-        self.tracker.touch(id);
+        if REFRESH {
+            self.order.insert(id, ());
+        } else {
+            self.order.insert_if_absent(id, ());
+        }
     }
 
     fn on_access(&mut self, id: PageId) {
@@ -114,63 +89,30 @@ impl EvictionPolicy for LruPolicy {
         // be drained *after* the page was evicted or deleted; touching an
         // untracked id here would resurrect a dead entry (and a dead entry
         // can become a `victim()` no eviction confirms, wedging the
-        // capacity loop). Only refresh pages we still track.
-        if self.tracker.contains(id) {
-            self.tracker.touch(id);
+        // capacity loop). `get` refreshes a tracked page and adds nothing.
+        if REFRESH {
+            self.order.get(&id);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.tracker.remove(id);
+        self.order.remove(&id);
     }
 
     fn victim(&mut self) -> Option<PageId> {
-        self.tracker.oldest()
+        oldest(&self.order)
     }
 
     fn len(&self) -> usize {
-        self.tracker.len()
+        self.order.len()
     }
 
     fn name(&self) -> &'static str {
-        "lru"
-    }
-}
-
-/// First-in-first-out eviction: insertion order, reads don't refresh.
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    tracker: OrderedTracker,
-}
-
-impl FifoPolicy {
-    /// Creates an empty FIFO policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EvictionPolicy for FifoPolicy {
-    fn on_insert(&mut self, id: PageId) {
-        self.tracker.insert_if_absent(id);
-    }
-
-    fn on_access(&mut self, _id: PageId) {}
-
-    fn on_remove(&mut self, id: PageId) {
-        self.tracker.remove(id);
-    }
-
-    fn victim(&mut self) -> Option<PageId> {
-        self.tracker.oldest()
-    }
-
-    fn len(&self) -> usize {
-        self.tracker.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
+        if REFRESH {
+            "lru"
+        } else {
+            "fifo"
+        }
     }
 }
 
@@ -267,8 +209,8 @@ impl EvictionPolicy for RandomPolicy {
 /// structure that justifies it.
 #[derive(Debug, Default)]
 pub struct SlruPolicy {
-    probation: OrderedTracker,
-    protected: OrderedTracker,
+    probation: Order,
+    protected: Order,
 }
 
 /// Protected-segment cap, as a fraction of tracked pages: 3/4.
@@ -285,38 +227,32 @@ impl SlruPolicy {
 
 impl EvictionPolicy for SlruPolicy {
     fn on_insert(&mut self, id: PageId) {
-        if self.protected.contains(id) {
-            self.protected.touch(id);
-        } else {
-            self.probation.touch(id);
+        if self.protected.get(&id).is_none() {
+            self.probation.insert(id, ());
         }
     }
 
     fn on_access(&mut self, id: PageId) {
-        if self.probation.contains(id) {
+        if self.probation.remove(&id).is_some() {
             // Promotion on re-access.
-            self.probation.remove(id);
-            self.protected.touch(id);
-        } else if self.protected.contains(id) {
-            self.protected.touch(id);
+            self.protected.insert(id, ());
+        } else {
+            self.protected.get(&id);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.probation.remove(id);
-        self.protected.remove(id);
+        self.probation.remove(&id);
+        self.protected.remove(&id);
     }
 
     fn victim(&mut self) -> Option<PageId> {
         let cap = (self.len() * SLRU_PROTECTED_NUM / SLRU_PROTECTED_DENOM).max(1);
         while self.protected.len() > cap {
-            let Some(old) = self.protected.oldest() else {
-                break;
-            };
-            self.protected.remove(old);
-            self.probation.touch(old);
+            let (old, ()) = self.protected.pop_oldest().expect("over cap: non-empty");
+            self.probation.insert(old, ());
         }
-        self.probation.oldest().or_else(|| self.protected.oldest())
+        oldest(&self.probation).or_else(|| oldest(&self.protected))
     }
 
     fn len(&self) -> usize {
@@ -329,15 +265,14 @@ impl EvictionPolicy for SlruPolicy {
 }
 
 /// 2Q: a FIFO admission queue (`a1in`), a main LRU (`am`), and a bounded
-/// ghost list (`a1out`) of recently evicted IDs. A page whose ID is still in
-/// the ghost list re-enters directly into the main LRU — it has proven
-/// itself beyond a one-hit wonder.
+/// FIFO ghost list (`a1out`) of IDs recently removed from `a1in`. A page
+/// whose ID is still in the ghost list re-enters directly into the main
+/// LRU — it has proven itself beyond a one-hit wonder.
 #[derive(Debug, Default)]
 pub struct TwoQPolicy {
-    a1in: OrderedTracker,
-    am: OrderedTracker,
-    a1out: VecDeque<PageId>,
-    a1out_set: HashMap<PageId, ()>,
+    a1in: Order,
+    am: Order,
+    a1out: Order,
 }
 
 /// `a1in` holds at most 1/4 of tracked pages; the ghost list remembers up
@@ -350,57 +285,44 @@ impl TwoQPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn remember_ghost(&mut self, id: PageId) {
-        if self.a1out_set.insert(id, ()).is_none() {
-            self.a1out.push_back(id);
-        }
-        let cap = ((self.a1in.len() + self.am.len()) / TWOQ_GHOST_DENOM).max(4);
-        while self.a1out.len() > cap {
-            if let Some(old) = self.a1out.pop_front() {
-                self.a1out_set.remove(&old);
-            }
-        }
-    }
 }
 
 impl EvictionPolicy for TwoQPolicy {
     fn on_insert(&mut self, id: PageId) {
-        if self.am.contains(id) {
-            self.am.touch(id);
-        } else if self.a1out_set.remove(&id).is_some() {
+        if self.am.get(&id).is_some() {
+            return;
+        }
+        if self.a1out.remove(&id).is_some() {
             // Seen recently: straight to the main queue.
-            self.a1out.retain(|g| *g != id);
-            self.am.touch(id);
+            self.am.insert(id, ());
         } else {
-            self.a1in.insert_if_absent(id);
+            self.a1in.insert_if_absent(id, ());
         }
     }
 
     fn on_access(&mut self, id: PageId) {
-        if self.am.contains(id) {
-            self.am.touch(id);
-        }
+        self.am.get(&id);
         // Accesses inside a1in do not promote (2Q's "one access is not
         // enough" rule); promotion happens via the ghost queue.
     }
 
     fn on_remove(&mut self, id: PageId) {
-        if self.a1in.contains(id) {
-            self.a1in.remove(id);
-            self.remember_ghost(id);
+        if self.a1in.remove(&id).is_some() {
+            self.a1out.insert_if_absent(id, ());
+            let cap = ((self.a1in.len() + self.am.len()) / TWOQ_GHOST_DENOM).max(4);
+            while self.a1out.len() > cap {
+                self.a1out.pop_oldest();
+            }
         }
-        self.am.remove(id);
+        self.am.remove(&id);
     }
 
     fn victim(&mut self) -> Option<PageId> {
         let a1in_cap = ((self.a1in.len() + self.am.len()) / TWOQ_A1IN_DENOM).max(1);
         if self.a1in.len() >= a1in_cap {
-            if let Some(v) = self.a1in.oldest() {
-                return Some(v);
-            }
+            return oldest(&self.a1in);
         }
-        self.am.oldest().or_else(|| self.a1in.oldest())
+        oldest(&self.am).or_else(|| oldest(&self.a1in))
     }
 
     fn len(&self) -> usize {
@@ -755,5 +677,53 @@ mod tests {
             twoq > lru,
             "2q {twoq:.3} must beat lru {lru:.3} under scans"
         );
+    }
+
+    /// The victim order of every policy, pinned across refactors: one seeded
+    /// stream of inserts, accesses, removes and evictions over 512 ids, the
+    /// victims of each policy hashed in order. The constants were recorded
+    /// before the policies moved onto `edgecache_common::lru`; a change in
+    /// any policy's order (a touch that stops refreshing, a re-insert that
+    /// starts refreshing, a ghost list that forgets in another order) moves
+    /// its hash.
+    #[test]
+    fn victim_sequences_match_the_recorded_golden() {
+        const GOLDEN: [(EvictionPolicyKind, u64); 5] = [
+            (EvictionPolicyKind::Lru, 0x2f62_ec82_ef11_8266),
+            (EvictionPolicyKind::Fifo, 0x6fcf_484d_a9a1_cbe1),
+            (
+                EvictionPolicyKind::Random { seed: 11 },
+                0xc0d7_963b_dfd7_0f6d,
+            ),
+            (EvictionPolicyKind::Slru, 0xf6b6_dae1_a4cd_5044),
+            (EvictionPolicyKind::TwoQ, 0x6c00_577e_dd37_5329),
+        ];
+        for (kind, want) in GOLDEN {
+            let mut p = build_policy(kind);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut victims = Vec::new();
+            for _ in 0..20_000 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let id = pid(state % 512);
+                match (state >> 40) % 8 {
+                    0..=2 => p.on_insert(id),
+                    3..=4 => p.on_access(id),
+                    5 => p.on_remove(id),
+                    _ => {
+                        let v = p.victim();
+                        if let Some(v) = v {
+                            p.on_remove(v);
+                        }
+                        let word = v.map_or(u64::MAX, |v| v.index);
+                        victims.extend_from_slice(&word.to_le_bytes());
+                    }
+                }
+            }
+            victims.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            let got = edgecache_common::hash::xxh64(&victims, 0);
+            assert_eq!(got, want, "{}: victim order moved ({got:#x})", p.name());
+        }
     }
 }

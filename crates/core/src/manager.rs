@@ -270,11 +270,6 @@ impl PolicyCell {
         }
         guard
     }
-
-    /// Buffered events not yet applied to the policy.
-    fn pending_events(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// Metric handles the per-page serve path increments, resolved once at
@@ -663,13 +658,6 @@ impl CacheManager {
 
     fn inflight_shard(&self, id: PageId) -> &Mutex<HashMap<PageId, Arc<InflightFetch>>> {
         &self.inflight[(id.stable_hash() as usize) & (INFLIGHT_SHARDS - 1)]
-    }
-
-    /// Access events buffered across all directories but not yet applied to
-    /// their eviction policies (introspection for tests and oracles).
-    #[doc(hidden)]
-    pub fn pending_access_events(&self) -> usize {
-        self.policies.iter().map(PolicyCell::pending_events).sum()
     }
 
     /// Oracle used by the simulation harness: after draining buffered

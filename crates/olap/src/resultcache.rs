@@ -33,6 +33,7 @@ use std::sync::Arc;
 use edgecache_columnar::{Predicate, Value};
 use edgecache_common::error::{Error, Result};
 use edgecache_common::hash::fnv1a64;
+use edgecache_common::lru::RecencyList;
 use edgecache_common::ByteSize;
 use edgecache_metrics::{Counter, MetricRegistry};
 use parking_lot::Mutex;
@@ -337,73 +338,12 @@ struct Entry {
     paths: Vec<String>,
 }
 
-/// The entries in a slab, threaded on an intrusive recency list: a touch
-/// is an unlink and a relink, the victim is the list's oldest end. The
-/// list is circular through slot 0, a sentinel holding no entry, whose
-/// `newer` neighbour is the oldest entry and `older` one the newest.
-struct Slab {
-    slots: Vec<Option<Entry>>,
-    /// `(older, newer)` neighbours of each slot.
-    links: Vec<(usize, usize)>,
-    free: Vec<usize>,
-}
-
-impl Default for Slab {
-    fn default() -> Self {
-        Self {
-            slots: vec![None],
-            links: vec![(0, 0)],
-            free: Vec::new(),
-        }
-    }
-}
-
-impl Slab {
-    fn get(&self, i: usize) -> &Entry {
-        self.slots[i].as_ref().expect("live slot")
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len() - 1 - self.free.len()
-    }
-
-    /// Adds an entry as the most recently used.
-    fn push(&mut self, entry: Entry) -> usize {
-        let i = self.free.pop().unwrap_or_else(|| {
-            self.links.push((0, 0));
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        self.slots[i] = Some(entry);
-        self.link_newest(i);
-        i
-    }
-
-    fn remove(&mut self, i: usize) -> Entry {
-        self.unlink(i);
-        self.free.push(i);
-        self.slots[i].take().expect("live slot")
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (older, newer) = self.links[i];
-        self.links[older].1 = newer;
-        self.links[newer].0 = older;
-    }
-
-    fn link_newest(&mut self, i: usize) {
-        let newest = self.links[0].0;
-        self.links[i] = (newest, 0);
-        self.links[newest].1 = i;
-        self.links[0].0 = i;
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     /// Fingerprint → its entries: a query looks its fingerprint up once.
     index: HashMap<Fingerprint, Splits>,
-    slab: Slab,
+    /// The entries, least recently used first; a slot is an entry's id.
+    slab: RecencyList<Entry>,
     /// Path → slots of the entries depending on it (all fingerprints, all
     /// versions).
     by_path: HashMap<String, HashSet<usize>>,
@@ -439,8 +379,9 @@ impl Inner {
     /// Evicts least recently used entries until the byte budget holds.
     fn evict_to_capacity(&mut self) -> u64 {
         let mut evicted = 0;
-        while self.bytes > self.capacity && self.slab.links[0].1 != 0 {
-            self.remove(self.slab.links[0].1);
+        while self.bytes > self.capacity {
+            let Some(i) = self.slab.oldest() else { break };
+            self.remove(i);
             evicted += 1;
         }
         evicted
@@ -528,11 +469,9 @@ impl ResultCache {
         let Inner { index, slab, .. } = &mut *inner;
         let entries = index.get(fp);
         for (slot, split) in out.iter_mut().zip(splits) {
-            *slot = entries.and_then(|e| find(e, split)).map(|i| {
-                slab.unlink(i);
-                slab.link_newest(i);
-                Arc::clone(&slab.get(i).partial)
-            });
+            *slot = entries
+                .and_then(|e| find(e, split))
+                .map(|i| Arc::clone(&slab.touch(i).partial));
             hits += u64::from(slot.is_some());
             misses += u64::from(slot.is_none());
         }
@@ -567,7 +506,7 @@ impl ResultCache {
         let versions = inner.index.entry(fp.clone()).or_default();
         versions.entry(path.into()).or_default().push((version, i));
         let Inner { slab, by_path, .. } = &mut *inner;
-        for path in &slab.get(i).paths {
+        for path in &slab.get(i).expect("just pushed").paths {
             by_path.entry(path.clone()).or_default().insert(i);
         }
         inner.bytes += bytes;
@@ -640,21 +579,6 @@ impl ResultCache {
         }
     }
 
-    /// Every entry as `(fingerprint, path, version)`, least recently used
-    /// first.
-    #[cfg(test)]
-    pub(crate) fn recency_order(&self) -> Vec<(String, String, u64)> {
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        let mut at = inner.slab.links[0].1;
-        while at != 0 {
-            let e = inner.slab.get(at);
-            out.push((e.fingerprint.as_str().into(), e.path.to_string(), e.version));
-            at = inner.slab.links[at].1;
-        }
-        out
-    }
-
     /// Validates internal bookkeeping (tests and the simtest oracle): the
     /// recency list links every entry exactly once, both ways; the index
     /// maps each entry's key to its slot and nothing else; the byte ledger
@@ -663,36 +587,20 @@ impl ResultCache {
         let inner = self.inner.lock();
         let fail = |what: String| Err(Error::Other(format!("resultcache: {what}")));
         let (slab, live) = (&inner.slab, inner.slab.len());
-        let entry = |i: usize| slab.slots.get(i).and_then(Option::as_ref);
-        let (mut listed, mut at) = (0, 0);
-        loop {
-            let next = slab.links[at].1;
-            if slab.links.get(next).map(|l| l.0) != Some(at) || listed > live {
-                return fail(format!("recency list breaks after slot {at}"));
-            }
-            if next == 0 {
-                break;
-            }
-            if entry(next).is_none() {
-                return fail(format!("recency list holds empty slot {next}"));
-            }
-            (listed, at) = (listed + 1, next);
-        }
+        slab.check().or_else(fail)?;
         let indexed: usize = inner
             .index
             .values()
             .flat_map(|e| e.values())
             .map(Vec::len)
             .sum();
-        if (listed, indexed) != (live, live) {
-            return fail(format!(
-                "{live} entries, {listed} listed, {indexed} indexed"
-            ));
+        if indexed != live {
+            return fail(format!("{live} entries, {indexed} indexed"));
         }
         for (fp, splits) in &inner.index {
             for (path, versions) in splits {
                 let owns = |(v, i): &(u64, usize)| {
-                    entry(*i)
+                    slab.get(*i)
                         .is_some_and(|e| (&e.fingerprint, &e.path, e.version) == (fp, path, *v))
                 };
                 if !versions.iter().all(owns) {
@@ -700,7 +608,7 @@ impl ResultCache {
                 }
             }
         }
-        let booked: u64 = slab.slots.iter().flatten().map(|e| e.bytes).sum();
+        let booked: u64 = slab.iter().map(|e| e.bytes).sum();
         if booked != inner.bytes {
             return fail(format!("ledger {} != summed {booked}", inner.bytes));
         }
@@ -710,12 +618,23 @@ impl ResultCache {
         for (path, slots) in &inner.by_path {
             if !slots
                 .iter()
-                .all(|&i| entry(i).is_some_and(|e| e.paths.contains(path)))
+                .all(|&i| slab.get(i).is_some_and(|e| e.paths.contains(path)))
             {
                 return fail(format!("path index `{path}` points at ghost"));
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl ResultCache {
+    /// Every entry as `(fingerprint, path, version)`, least recently used
+    /// first.
+    pub(crate) fn recency_order(&self) -> Vec<(String, String, u64)> {
+        let inner = self.inner.lock();
+        let entry = |e: &Entry| (e.fingerprint.as_str().into(), e.path.to_string(), e.version);
+        inner.slab.iter().map(entry).collect()
     }
 }
 
