@@ -8,14 +8,19 @@
 //! pipeline: runs of adjacent missing pages coalesce into single ranged
 //! remote reads issued concurrently, and a per-page single-flight latch
 //! guarantees N concurrent readers of one cold page cost one remote request.
-//! Failure handling follows §8:
+//! Failure handling follows §8, on the same pipeline — a hit that degrades
+//! is re-planned and served by one repair round of its fetch stages:
 //!
 //! * **Read hang** — local reads optionally run on an I/O pool with a
-//!   deadline (10 s in production); on timeout the manager falls back to the
-//!   remote source without failing the request.
-//! * **Corruption** — a checksum failure evicts the page early and refetches.
+//!   deadline (10 s in production); on timeout the page's range is read
+//!   from the remote and the page stays cached.
+//! * **Corruption** — a checksum failure (or a short store read) evicts the
+//!   page early and refetches it as a miss.
 //! * **`No space left on device`** — a `NoSpace` from the store triggers
 //!   early eviction (before the configured capacity is reached) and a retry.
+//!
+//! Modules: `read` holds the pipeline, `tiering` the DRAM/SSD tier moves
+//! and capacity loops, `io_pool` the deadline and fetch pools.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -608,9 +613,9 @@ impl CacheManager {
         step(prev).wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Explicitly caches one page (used by block-level integrations like the
-    /// HDFS local cache, which load whole blocks rather than reading
-    /// through).
+    /// Explicitly caches one page, with no remote read behind it. The object
+    /// layer (`server::object`) publishes each page of a stored value this
+    /// way and reads it back through [`Self::read`].
     pub fn put_page(&self, file: &SourceFile, page_index: u64, data: &[u8]) -> Result<()> {
         let id = PageId::new(file.file_id(), page_index);
         let _guard = self.stripe(id).lock();

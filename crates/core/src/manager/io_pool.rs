@@ -1,3 +1,6 @@
+//! The I/O pool: deadline-bounded local reads (§8 read hang) and the
+//! persistent workers behind concurrent remote fetches.
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -1,3 +1,7 @@
+//! The read pipeline behind [`CacheManager::read`] and
+//! [`CacheManager::read_multi`]: classify, fetch, publish, serve (with one
+//! repair round for degraded hits), collect, assemble.
+
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -54,7 +58,8 @@ enum PageClass {
     Owner { latch: Arc<InflightFetch> },
     /// Missing, but another reader is already fetching it.
     Waiter { latch: Arc<InflightFetch> },
-    /// Missing and rejected by admission: remote-read the exact range only.
+    /// Missing and rejected by admission, or a hit whose store read hung:
+    /// remote-read the exact range only.
     Bypass,
 }
 
@@ -321,16 +326,18 @@ impl CacheManager {
     }
 
     /// Stages 2–5 of the read pipeline ([`Self::read_fragments`]): plan
-    /// and execute remote fetches, publish owned pages, serve hits, and
-    /// collect waiter/bypass pages. On success every plan has produced a
-    /// chunk covering exactly its requested sub-range
-    /// (`within_off .. within_off + within_len`, page-relative).
+    /// and execute remote fetches, publish owned pages, serve hits (and
+    /// repair the ones that degrade), and collect waiter/bypass pages. On
+    /// success every plan has produced a chunk covering exactly its
+    /// requested sub-range (`within_off .. within_off + within_len`,
+    /// page-relative). Stage spans are children of `parent`: the read's
+    /// root, or the `repair` span of a repair round.
     fn fetch_publish_serve(
         &self,
         file: &SourceFile,
         plans: &mut [PagePlan],
         source: &dyn RemoteSource,
-        root: SpanId,
+        parent: SpanId,
     ) -> Result<ServedPages> {
         // Owned latches must be released even if this read errors or
         // panics, or waiters would block forever.
@@ -347,11 +354,11 @@ impl CacheManager {
 
         // Stage 2: coalesce owned misses into runs and fetch them (plus any
         // admission bypasses) concurrently.
-        let mut plan_span = self.tracer.child(root, "plan_fetches");
+        let mut plan_span = self.tracer.child(parent, "plan_fetches");
         let fetches = self.plan_fetches(plans);
         plan_span.annotate("ranges", fetches.len());
         plan_span.finish();
-        let mut fetch_span = self.tracer.child(root, "remote_fetch");
+        let mut fetch_span = self.tracer.child(parent, "remote_fetch");
         let mut fetched = self.execute_fetches(file, &fetches, source, fetch_span.id());
         if fetch_span.is_recording() {
             fetch_span.annotate("ranges", fetches.len());
@@ -387,7 +394,7 @@ impl CacheManager {
         // Stage 3: publish owned pages — cache them and release the latches
         // before any waiting below, so two readers that own pages of each
         // other's requests cannot deadlock.
-        let publish_span = self.tracer.child(root, "publish");
+        let publish_span = self.tracer.child(parent, "publish");
         let mut chunks: Vec<Option<Bytes>> = plans.iter().map(|_| None).collect();
         // Publish in ascending page order (pending was built ascending, so
         // pop from a reversed list): insertion order is what recency-based
@@ -419,17 +426,53 @@ impl CacheManager {
         }
 
         // Stage 4: serve hits from the local store (I/O outside the locks).
-        let serve_span = self.tracer.child(root, "serve");
-        for pos in 0..plans.len() {
-            if matches!(plans[pos].class, PageClass::Hit { .. }) {
-                chunks[pos] = Some(self.serve_hit(file, &plans[pos], source, serve_span.id())?);
+        // A hit that degrades (§8) is re-planned — after a hang as an
+        // exact-range bypass that keeps the page cached, otherwise as a miss
+        // — and served by one repair round of stages 2–5. A repair plan is
+        // never a hit, so the round cannot recurse.
+        let serve_span = self.tracer.child(parent, "serve");
+        let mut repairs: Vec<(usize, bool)> = Vec::new();
+        for (pos, plan) in plans.iter().enumerate() {
+            if matches!(plan.class, PageClass::Hit { .. }) {
+                match self.serve_hit(plan, serve_span.id()) {
+                    Ok(chunk) => chunks[pos] = Some(chunk),
+                    Err(e) => repairs.push((pos, matches!(e, Error::Timeout { .. }))),
+                }
+            }
+        }
+        if !repairs.is_empty() {
+            let mut repair_span = self.tracer.child(serve_span.id(), "repair");
+            repair_span.annotate("pages", repairs.len());
+            let now = self.now_ms();
+            let mut replans: Vec<PagePlan> = repairs
+                .iter()
+                .map(|&(pos, timed_out)| {
+                    let plan = &plans[pos];
+                    let class = if timed_out {
+                        PageClass::Bypass
+                    } else {
+                        let _guard = self.stripe(plan.id).lock();
+                        self.classify_miss(file, plan.id, now, repair_span.id())
+                    };
+                    PagePlan {
+                        class,
+                        slot: None,
+                        off_in_slot: 0,
+                        ..*plan
+                    }
+                })
+                .collect();
+            let repaired =
+                self.fetch_publish_serve(file, &mut replans, source, repair_span.id())?;
+            for (&(pos, _), chunk) in repairs.iter().zip(repaired.chunks) {
+                chunks[pos] = Some(chunk);
             }
         }
         serve_span.finish();
 
         // Stage 5: collect pages concurrent readers fetched for us, and the
         // bypass slots (those already hold exactly the requested ranges).
-        let collect_span = self.tracer.child(root, "collect");
+        let collect_span = self.tracer.child(parent, "collect");
         for (pos, plan) in plans.iter().enumerate() {
             match &plan.class {
                 PageClass::Waiter { latch } => {
@@ -475,11 +518,12 @@ impl CacheManager {
     /// shard's *read* lock, records recency in per-entry atomics, and
     /// pushes the policy access event into the lock-free ring — no stripe
     /// mutex, no policy mutex, no aggregates lock. Recording the access at
-    /// classify (not serve) time keeps the old guarantee: stage 3 of this
-    /// very read drains the ring before choosing eviction victims, so it
-    /// cannot evict a page we are about to serve. Safety of the optimism:
-    /// if the page is evicted between classify and serve, [`Self::serve_hit`]
-    /// already degrades to a direct refetch.
+    /// classify (not serve) time means stage 3 of this very read drains the
+    /// ring before choosing eviction victims, so recency-based eviction sees
+    /// the page as just used. Safety of the optimism: a page evicted between
+    /// classify and serve anyway (quota eviction ignores recency) makes
+    /// [`Self::serve_hit`] fail, and the page is repaired like any other
+    /// degraded hit.
     ///
     /// Only misses take the stripe lock, re-check the index (a concurrent
     /// publisher may have landed the page), and consult the single-flight
@@ -506,6 +550,13 @@ impl CacheManager {
             }
             return PageClass::Hit { dir, hits };
         }
+        self.classify_miss(file, id, now, parent)
+    }
+
+    /// The miss half of stage 1; the caller holds the page's stripe lock.
+    /// A repair classifies its pages here directly: it never probes the
+    /// index for a hit, so one repair round is the most a read runs.
+    fn classify_miss(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
         self.hot.misses.inc();
         let mut inflight = self.inflight_shard(id).lock();
         if let Some(latch) = inflight.get(&id) {
@@ -620,55 +671,46 @@ impl CacheManager {
         let per_thread = self.tracer.concurrent_timing();
         let now = || self.tracer.now_nanos().unwrap_or(0);
         let window_start = now();
-        // Slot count, fetch outcome, and timing interval of one worker chunk.
-        type FetchedChunk = (usize, Result<Vec<Bytes>>, (u64, u64));
-        let chunk_results: Vec<FetchedChunk> = match &self.fetch_pool {
-            Some(pool) if workers > 1 => {
-                // Contiguous chunks, sized as evenly as possible; each runs
-                // as one `read_ranges` call on the persistent fetch pool.
-                let base = fetches.len() / workers;
-                let extra = fetches.len() % workers;
-                let mut bounds = Vec::with_capacity(workers);
-                let mut start = 0;
-                for w in 0..workers {
-                    let size = base + usize::from(w < extra);
-                    bounds.push((start, start + size));
-                    start += size;
-                }
-                type ChunkSlot = Mutex<Option<(Result<Vec<Bytes>>, (u64, u64))>>;
-                let results: Vec<ChunkSlot> = bounds.iter().map(|_| Mutex::new(None)).collect();
-                let now = &now;
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = bounds
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(a, b))| {
-                        let slot = &results[i];
-                        Box::new(move || {
-                            let t0 = if per_thread { now() } else { 0 };
-                            let result = source.read_ranges(path, &fetches[a..b]);
-                            let t1 = if per_thread { now() } else { 0 };
-                            *slot.lock() = Some((result, (t0, t1)));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run_scoped(jobs);
-                let window = (window_start, now());
-                bounds
-                    .iter()
-                    .zip(results)
-                    .map(|(&(a, b), slot)| {
-                        let (result, interval) = slot.into_inner().unwrap_or_else(|| {
-                            (Err(Error::Other("fetch worker panicked".into())), (0, 0))
-                        });
-                        (b - a, result, if per_thread { interval } else { window })
-                    })
-                    .collect()
-            }
-            _ => {
-                let result = source.read_ranges(path, fetches);
-                vec![(fetches.len(), result, (window_start, now()))]
-            }
-        };
+        // Contiguous chunks, sized as evenly as possible, one per worker:
+        // each is one `read_ranges` call, on the persistent fetch pool when
+        // there are several, inline otherwise.
+        let pool = self.fetch_pool.as_ref().filter(|_| workers > 1);
+        let chunks = if pool.is_some() { workers } else { 1 };
+        let (base, extra) = (fetches.len() / chunks, fetches.len() % chunks);
+        let bounds: Vec<(usize, usize)> = (0..chunks)
+            .scan(0, |start, w| {
+                let a = *start;
+                *start += base + usize::from(w < extra);
+                Some((a, *start))
+            })
+            .collect();
+        type ChunkSlot = Mutex<Option<(Result<Vec<Bytes>>, (u64, u64))>>;
+        let results: Vec<ChunkSlot> = bounds.iter().map(|_| Mutex::new(None)).collect();
+        let now = &now;
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = bounds
+            .iter()
+            .zip(&results)
+            .map(|(&(a, b), slot)| {
+                Box::new(move || {
+                    let t0 = if per_thread { now() } else { 0 };
+                    let result = source.read_ranges(path, &fetches[a..b]);
+                    let t1 = if per_thread { now() } else { 0 };
+                    *slot.lock() = Some((result, (t0, t1)));
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        match pool {
+            Some(pool) => pool.run_scoped(jobs),
+            None => jobs.into_iter().for_each(|job| job()),
+        }
+        let window = (window_start, now());
+        // Slot count, fetch outcome, and timing interval of each chunk.
+        let chunk_results = bounds.iter().zip(results).map(|(&(a, b), slot)| {
+            let (result, interval) = slot
+                .into_inner()
+                .unwrap_or_else(|| (Err(Error::Other("fetch worker panicked".into())), (0, 0)));
+            (b - a, result, if per_thread { interval } else { window })
+        });
         // Flatten chunk responses into per-slot results; a failed chunk
         // fails each of its slots.
         let mut out: Vec<Result<Bytes>> = Vec::with_capacity(fetches.len());
@@ -775,20 +817,14 @@ impl CacheManager {
         latch.publish(outcome.clone());
     }
 
-    /// Serves a page classified as a hit. Runs without the stripe lock; if
-    /// the page vanished or the store failed, degrades to the appropriate
-    /// §8 fallback.
-    fn serve_hit(
-        &self,
-        file: &SourceFile,
-        plan: &PagePlan,
-        source: &dyn RemoteSource,
-        parent: SpanId,
-    ) -> Result<Bytes> {
+    /// Serves a page classified as a hit, without the stripe lock. A hit
+    /// that degrades returns the store's error after the §8 bookkeeping —
+    /// a hang keeps the page, a lost page leaves the index, anything else
+    /// evicts it — and the caller repairs it.
+    fn serve_hit(&self, plan: &PagePlan, parent: SpanId) -> Result<Bytes> {
         let id = plan.id;
         let Some(info) = self.index.get(&id) else {
-            // Evicted since classification: refetch.
-            return self.fetch_page_direct(file, plan, source, parent);
+            return Err(Error::NotFound(format!("page {id} evicted since classify")));
         };
         let mem_hit = Some(info.dir) == self.mem_dir;
         // Second-touch promotion: a one-off SSD hit reads just the range it
@@ -822,6 +858,16 @@ impl CacheManager {
             }
         }
         read_span.finish();
+        // A read that does not cover the requested range is a truncated
+        // page: served, it would be wrong bytes, so it counts as corrupt.
+        let covered = read_off + read_len >= plan.within_off + plan.within_len;
+        let got = got.and_then(|bytes| {
+            if bytes.len() as u64 == read_len && covered {
+                Ok(bytes)
+            } else {
+                Err(Error::Corrupted(format!("page {id}: short store read")))
+            }
+        });
         match got {
             Ok(bytes) => {
                 // The policy access was recorded at classification time.
@@ -831,121 +877,38 @@ impl CacheManager {
                 }
                 let served = if promote {
                     self.promote_to_mem(&info, &bytes, parent);
-                    let start = (plan.within_off as usize).min(bytes.len());
-                    let end = ((plan.within_off + plan.within_len) as usize).min(bytes.len());
-                    bytes.slice(start..end)
+                    let start = plan.within_off as usize;
+                    bytes.slice(start..start + plan.within_len as usize)
                 } else {
                     bytes
                 };
                 self.hot.bytes_from_cache.add(served.len() as u64);
                 Ok(served)
             }
-            Err(Error::Timeout { .. }) => {
-                // §8 "File read hanging": fall back to remote, keeping the
-                // cached page for future reads.
-                self.metrics.record_error("get", "timeout");
-                self.hot.fallbacks_timeout.inc();
-                let mut fallback_span = self.tracer.child(parent, "remote_fallback");
-                fallback_span.annotate("reason", "timeout");
-                fallback_span.annotate("page", id);
-                let abs = plan.page_start + plan.within_off;
-                self.remote_exact(file, abs, plan.within_len, source)
-            }
-            Err(e @ Error::Corrupted(_)) => {
-                // §8 "Corrupted files": evict early and refetch.
-                self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "corrupt");
-                self.fetch_page_direct(file, plan, source, parent)
-            }
-            Err(Error::NotFound(_)) => {
-                // Either the store lost the page (external cleanup), or a
-                // concurrent tier move relocated it between our index
-                // snapshot and the store read. If it moved, serve from its
-                // new home; only repair the index when the bytes are gone.
-                if let Some(cur) = self.index.get(&id) {
-                    if cur.dir != info.dir {
-                        if let Ok(bytes) =
-                            self.store_get(cur.dir, id, plan.within_off, plan.within_len)
-                        {
-                            self.hot.hits.inc();
-                            if Some(cur.dir) == self.mem_dir {
-                                self.hot.mem_hits.inc();
-                            }
-                            self.hot.bytes_from_cache.add(bytes.len() as u64);
-                            return Ok(bytes);
-                        }
-                    }
-                }
+            // Either the store lost the page (external cleanup), or a
+            // concurrent tier move relocated it since our index snapshot;
+            // `drop_from_index` only drops it when the bytes are gone.
+            Err(e @ Error::NotFound(_)) => {
                 self.drop_from_index(&id);
-                self.fetch_page_direct(file, plan, source, parent)
+                Err(e)
             }
             Err(e) => {
                 self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "error");
-                self.fetch_page_direct(file, plan, source, parent)
+                if matches!(e, Error::Timeout { .. }) {
+                    // §8 "File read hanging": the page stays cached.
+                    self.hot.fallbacks_timeout.inc();
+                } else {
+                    // §8 "Corrupted files" (and store errors): evict early.
+                    let cause = if matches!(e, Error::Corrupted(_)) {
+                        "corrupt"
+                    } else {
+                        "error"
+                    };
+                    self.evict_page(&id, cause);
+                }
+                Err(e)
             }
         }
-    }
-
-    /// Fetches one page read-through without the single-flight machinery:
-    /// the rare repair path when a classified hit degrades (eviction race,
-    /// corruption, lost page).
-    fn fetch_page_direct(
-        &self,
-        file: &SourceFile,
-        plan: &PagePlan,
-        source: &dyn RemoteSource,
-        parent: SpanId,
-    ) -> Result<Bytes> {
-        let mut direct_span = self.tracer.child(parent, "remote_fallback");
-        direct_span.annotate("reason", "refetch");
-        direct_span.annotate("page", plan.id);
-        self.hot.misses.inc();
-        if !self.admission.admit(&file.path, &file.scope, self.now_ms()) {
-            self.hot.admission_rejected.inc();
-            let abs = plan.page_start + plan.within_off;
-            return self.remote_exact(file, abs, plan.within_len, source);
-        }
-        // Never cache a short page (see execute_fetches).
-        let data = match self.remote_exact(file, plan.page_start, plan.page_len, source) {
-            Ok(data) => data,
-            Err(e) => {
-                self.release_admission_if_vacant(&file.scope);
-                return Err(e);
-            }
-        };
-        {
-            let _guard = self.stripe(plan.id).lock();
-            if let Err(e) = self.put_page_locked(file, plan.id, &data, direct_span.id()) {
-                self.metrics.record_error("put", e.kind());
-                self.release_admission_if_vacant(&file.scope);
-            }
-        }
-        let start = (plan.within_off as usize).min(data.len());
-        let end = ((plan.within_off + plan.within_len) as usize).min(data.len());
-        Ok(data.slice(start..end))
-    }
-
-    /// One counted remote read of exactly `len` bytes at `offset`. Ranges
-    /// are pre-clamped to the file length, so a short buffer is an error:
-    /// served or cached, it would be wrong data.
-    fn remote_exact(
-        &self,
-        file: &SourceFile,
-        offset: u64,
-        len: u64,
-        source: &dyn RemoteSource,
-    ) -> Result<Bytes> {
-        let bytes = source.read(&file.path, offset, len)?;
-        self.hot.bytes_from_remote.add(bytes.len() as u64);
-        self.hot.remote_requests.inc();
-        if bytes.len() as u64 != len {
-            return Err(Error::Decode(format!(
-                "remote returned {} bytes for a {len}-byte range",
-                bytes.len()
-            )));
-        }
-        Ok(bytes)
     }
 
     /// Local store read, with the configured deadline when enforced.
@@ -961,47 +924,6 @@ impl CacheManager {
             Some(pool) => {
                 let store = Arc::clone(store);
                 pool.run_with_deadline(self.config.read_timeout, move || store.get(id, offset, len))
-            }
-        }
-    }
-
-    /// Reads one cached page range without a remote fallback. Returns
-    /// `NotFound` on a miss (used by integrations that manage their own
-    /// miss path). Each call is one page read, booked as a hit or — index
-    /// miss or store error alike — a miss, so the page-read law holds for
-    /// these callers too.
-    pub fn get_page(
-        &self,
-        file: &SourceFile,
-        page_index: u64,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes> {
-        let id = PageId::new(file.file_id(), page_index);
-        let _guard = self.stripe(id).lock();
-        self.hot.page_reads.inc();
-        let Some(info) = self.index.get(&id) else {
-            self.hot.misses.inc();
-            return Err(Error::NotFound(format!("page {id}")));
-        };
-        match self.store_get(info.dir, id, offset, len) {
-            Ok(bytes) => {
-                self.hot.hits.inc();
-                self.hot.bytes_from_cache.add(bytes.len() as u64);
-                // Recency via the event ring, like the read path: this hit
-                // must not serialize on the policy mutex.
-                if !self.policies[info.dir].record_access(id) {
-                    self.hot.policy_events_dropped.inc();
-                }
-                Ok(bytes)
-            }
-            Err(e) => {
-                self.hot.misses.inc();
-                self.metrics.record_error("get", e.kind());
-                if matches!(e, Error::Corrupted(_)) {
-                    self.evict_page(&id, "corrupt");
-                }
-                Err(e)
             }
         }
     }

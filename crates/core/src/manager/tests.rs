@@ -1015,6 +1015,147 @@ fn timeout_fallback_in_multi_page_read() {
     }
 }
 
+#[test]
+fn adjacent_corrupt_pages_are_repaired_by_one_coalesced_request() {
+    let plan = FaultPlan::none();
+    let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
+    let cache = CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
+        .with_store(store, 1 << 20)
+        .build()
+        .unwrap();
+    let data = pattern(400);
+    let remote = ScriptedRemote::new().with_file("/f", data.clone());
+    let f = file("/f", 400);
+    cache.read(&f, 0, 400, &remote).unwrap();
+    for page in [1, 2] {
+        plan.corrupt_page(PageId::new(f.file_id(), page));
+    }
+    remote.reads.lock().clear();
+
+    // Both degraded hits re-plan as misses of one repair round, whose
+    // owners coalesce like any other run of adjacent misses.
+    let got = cache.read(&f, 0, 400, &remote).unwrap();
+    assert_eq!(got.as_ref(), &data[..]);
+    assert_eq!(remote.sorted_ranges(), vec![(100, 200)]);
+    assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 2);
+    assert_eq!(cache.stats().misses, 4 + 2, "a repaired page is a miss");
+    let diff = edgecache_metrics::SnapshotDiff::from_start(&cache.metrics().snapshot());
+    edgecache_metrics::assert_conserved(&diff, &vectored::laws(true)).unwrap();
+
+    // The repair re-cached both pages.
+    cache.read(&f, 0, 400, &NeverRemote).unwrap();
+    assert_eq!(cache.stats().hits, 2 + 4);
+}
+
+#[test]
+fn corrupt_page_repair_is_single_flight() {
+    let plan = FaultPlan::none();
+    let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
+    let cache = Arc::new(
+        CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(1024)))
+            .with_store(store, 1 << 20)
+            .build()
+            .unwrap(),
+    );
+    let data = pattern(1024);
+    let warm = ScriptedRemote::new().with_file("/f", data.clone());
+    cache.read(&file("/f", 1024), 0, 1024, &warm).unwrap();
+    plan.corrupt_page(PageId::new(file("/f", 1024).file_id(), 0));
+
+    // Whichever reader repairs first owns the gated refetch; the other
+    // joins its latch — on its first classify or on its own repair.
+    let remote = Arc::new(GatedRemote::new(data.clone()));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let cache = Arc::clone(&cache);
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || {
+                cache
+                    .read(&file("/f", 1024), 0, 1024, remote.as_ref())
+                    .unwrap()
+            })
+        })
+        .collect();
+    let waits = cache.metrics().counter("fetch.inflight_waits");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while waits.get() < 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    remote.open_gate();
+    for reader in readers {
+        assert_eq!(reader.join().unwrap().as_ref(), &data[..]);
+    }
+    assert_eq!(waits.get(), 1, "the second reader joined the repair");
+    assert_eq!(remote.requests.load(Ordering::Relaxed), 1);
+    assert_eq!(cache.inflight_fetches(), 0);
+}
+
+/// A store that answers one ranged read of a chosen page a byte short.
+#[derive(Default)]
+struct ShortReadStore {
+    inner: MemoryPageStore,
+    short_once: PlMutex<Option<PageId>>,
+}
+
+impl PageStore for ShortReadStore {
+    fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
+        self.inner.put(id, data)
+    }
+
+    fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
+        let bytes = self.inner.get(id, offset, len)?;
+        let mut short = self.short_once.lock();
+        if *short == Some(id) && !bytes.is_empty() {
+            *short = None;
+            return Ok(bytes.slice(..bytes.len() - 1));
+        }
+        Ok(bytes)
+    }
+
+    fn delete(&self, id: PageId) -> Result<bool> {
+        self.inner.delete(id)
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.inner.contains(id)
+    }
+
+    fn bytes_used(&self) -> u64 {
+        self.inner.bytes_used()
+    }
+
+    fn recover(&self) -> Result<Vec<(PageId, u64)>> {
+        self.inner.recover()
+    }
+}
+
+#[test]
+fn short_store_read_is_repaired_not_served() {
+    let store = Arc::new(ShortReadStore::default());
+    let cache = CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
+        .with_store(Arc::clone(&store) as Arc<dyn PageStore>, 1 << 20)
+        .build()
+        .unwrap();
+    let data = pattern(300);
+    let remote = ScriptedRemote::new().with_file("/f", data.clone());
+    let f = file("/f", 300);
+    cache.read(&f, 0, 300, &remote).unwrap();
+    remote.reads.lock().clear();
+
+    for (offset, len) in [(120, 50), (50, 200)] {
+        *store.short_once.lock() = Some(PageId::new(f.file_id(), 1));
+        let got = cache.read(&f, offset, len, &remote).unwrap();
+        assert_eq!(
+            got.as_ref(),
+            &data[offset as usize..(offset + len) as usize]
+        );
+    }
+    // Each short page was evicted as corrupt and refetched whole.
+    assert_eq!(remote.sorted_ranges(), vec![(100, 100), (100, 100)]);
+    assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 2);
+    assert!(cache.contains(&f, 1));
+}
+
 mod vectored {
     use super::*;
     use edgecache_metrics::{assert_conserved, ConservationLaw, SnapshotDiff};
@@ -2156,13 +2297,19 @@ mod mem_tier {
 
         let cache = Arc::new(tiered_cache(PAGE, 1 << 20, 8 * PAGE));
         let data = pattern((PAGES as u64 * PAGE) as usize);
-        let remote = ScriptedRemote::new().with_file("/f", data.clone());
+        let remote = Arc::new(ScriptedRemote::new().with_file("/f", data.clone()));
         let f = file("/f", PAGES as u64 * PAGE);
-        cache.read(&f, 0, PAGES as u64 * PAGE, &remote).unwrap();
+        cache
+            .read(&f, 0, PAGES as u64 * PAGE, remote.as_ref())
+            .unwrap();
 
+        // A read that races a tier move of its page can find the bytes gone
+        // from the directory it looked in; it repairs the page from the
+        // remote like any lost page (a refresh that retires the moved copy).
         let mut handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let cache = Arc::clone(&cache);
+                let remote = Arc::clone(&remote);
                 let data = data.clone();
                 std::thread::spawn(move || {
                     // Deterministic per-thread stride: all pages covered,
@@ -2170,8 +2317,8 @@ mod mem_tier {
                     for i in 0..ITERS {
                         let page = (t * 5 + i * 3) % PAGES;
                         let off = page as u64 * PAGE;
-                        let got =
-                            cache.read(&file("/f", PAGES as u64 * PAGE), off, PAGE, &NeverRemote);
+                        let f = file("/f", PAGES as u64 * PAGE);
+                        let got = cache.read(&f, off, PAGE, remote.as_ref());
                         assert_eq!(
                             got.unwrap().as_ref(),
                             &data[off as usize..(off + PAGE) as usize]
@@ -2213,6 +2360,8 @@ mod mem_tier {
             "pins balanced"
         );
         assert_mem_balance(&cache);
+        let diff = edgecache_metrics::SnapshotDiff::from_start(&cache.metrics().snapshot());
+        edgecache_metrics::assert_conserved(&diff, &super::vectored::laws(true)).unwrap();
         cache.index().check_consistency().unwrap();
         cache.check_policy_coherence().unwrap();
         // Store bytes and indexed bytes agree per directory once the

@@ -1,3 +1,6 @@
+//! Tier movement: promotion into the DRAM tier on a second SSD hit,
+//! demotion under memory pressure, and the capacity loops that make room.
+
 use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
@@ -100,7 +103,7 @@ impl CacheManager {
             Ok(info) => info,
             Err(outcome) => return outcome,
         };
-        let data = match mem_store.verified_full(*id) {
+        let data = match mem_store.get_full(*id) {
             Ok(data) => data,
             Err(e) => {
                 // Checksum mismatch (or the frame vanished): a counted exit
@@ -146,17 +149,14 @@ impl CacheManager {
 
     /// Moves a just-served SSD-resident page up into the DRAM tier on its
     /// second SSD hit (the mirror of [`Self::demote_page`], and the tier's
-    /// only way in). `data` is the page's freshly read full payload; the
-    /// caller holds no stripe lock. Best-effort: any
+    /// only way in). `data` is the page's freshly read full payload, checked
+    /// against `info.size`; the caller holds no stripe lock. Best-effort: any
     /// conflict (raced refresh, no room after demotion) leaves the page
     /// where it is.
     pub(super) fn promote_to_mem(&self, info: &PageInfo, data: &Bytes, parent: SpanId) {
         let (Some(mem), Some(mem_store)) = (self.mem_dir, self.mem_store.as_ref()) else {
             return;
         };
-        if data.len() as u64 != info.size {
-            return; // short read: never promote a partial page
-        }
         let Some(room) = self.memory_capacity().checked_sub(info.size) else {
             return; // can never fit: the page stays on SSD
         };

@@ -8,16 +8,15 @@
 //! remote-backed eviction.
 //!
 //! Frame layout (after the Nexus page-cache spec): the payload plus a
-//! 64-bit XXH64 checksum computed at publish time, a pin count that shields
-//! the frame from demotion while integrations hold a reference into it, and
-//! a dirty flag reserved for a future write-back path (read-through frames
-//! are always clean). Serving a memory hit is a zero-copy
-//! [`Bytes::slice`] of the frame — no write lock, no data copy. Integrity
-//! is enforced at the tier boundary: [`MemTierStore::verified_full`]
-//! re-checks the checksum before any frame's bytes leave the tier whole.
+//! 64-bit XXH64 checksum computed at publish time, and a pin count that
+//! shields the frame from demotion while integrations hold a reference into
+//! it. Serving a memory hit is a zero-copy [`Bytes::slice`] of the frame —
+//! no write lock, no data copy. Integrity is enforced at the tier boundary:
+//! [`PageStore::get_full`] re-checks the checksum before any frame's bytes
+//! leave the tier whole.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -27,7 +26,7 @@ use parking_lot::RwLock;
 use crate::page::{page_checksum, PageId};
 use crate::store::PageStore;
 
-/// One resident page: payload, integrity trailer, and lifecycle flags.
+/// One resident page: payload, integrity trailer, and pin count.
 #[derive(Debug)]
 struct Frame {
     data: Bytes,
@@ -42,8 +41,6 @@ struct Frame {
     /// payload is immutable `Bytes`), and every check re-reads the current
     /// value under the frame map lock.
     pins: AtomicU32,
-    /// Reserved for the write-back path; read-through frames stay clean.
-    dirty: AtomicBool,
 }
 
 /// A DRAM page store with checksummed, pinnable frames.
@@ -141,34 +138,12 @@ impl MemTierStore {
         self.pinned_frames.load(Ordering::Relaxed)
     }
 
-    /// Whether the frame carries the (reserved) dirty flag.
-    pub fn is_dirty(&self, id: PageId) -> bool {
-        self.frames
-            .read()
+    fn frame(&self, id: PageId) -> Result<Arc<Frame>> {
+        let frames = self.frames.read();
+        let frame = frames
             .get(&id)
-            .map(|f| f.dirty.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
-    /// The whole frame, re-verified against its publish-time checksum — the
-    /// tier-exit read. Demotion goes through this, so bytes corrupted while
-    /// resident in DRAM are detected *before* they can land on SSD (where
-    /// the store's own trailer would faithfully attest to garbage). Unlike
-    /// `LocalPageStore`, plain `get` does not scan: hit serving is a
-    /// zero-copy slice, and integrity is enforced at the tier boundary.
-    pub fn verified_full(&self, id: PageId) -> Result<Bytes> {
-        let frame = {
-            let frames = self.frames.read();
-            Arc::clone(
-                frames
-                    .get(&id)
-                    .ok_or_else(|| Error::NotFound(format!("page {id}")))?,
-            )
-        };
-        if page_checksum(&frame.data) != frame.checksum {
-            return Err(Error::Corrupted(format!("memory frame {id}")));
-        }
-        Ok(frame.data.clone())
+            .ok_or_else(|| Error::NotFound(format!("page {id}")))?;
+        Ok(Arc::clone(frame))
     }
 
     /// Test/fault-injection hook: invalidates a frame's stored checksum so
@@ -182,7 +157,6 @@ impl MemTierStore {
                     data: frame.data.clone(),
                     checksum: !frame.checksum,
                     pins: AtomicU32::new(frame.pins.load(Ordering::Relaxed)),
-                    dirty: AtomicBool::new(frame.dirty.load(Ordering::Relaxed)),
                 });
                 frames.insert(id, bad);
                 true
@@ -198,7 +172,6 @@ impl PageStore for MemTierStore {
             data: Bytes::copy_from_slice(data),
             checksum: page_checksum(data),
             pins: AtomicU32::new(0),
-            dirty: AtomicBool::new(false),
         });
         let mut frames = self.frames.write();
         if let Some(old) = frames.insert(id, frame) {
@@ -216,20 +189,27 @@ impl PageStore for MemTierStore {
     }
 
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
-        let frame = {
-            let frames = self.frames.read();
-            Arc::clone(
-                frames
-                    .get(&id)
-                    .ok_or_else(|| Error::NotFound(format!("page {id}")))?,
-            )
-        };
+        let frame = self.frame(id)?;
         let total = frame.data.len() as u64;
         if offset >= total {
             return Ok(Bytes::new());
         }
         let end = offset.saturating_add(len).min(total);
         Ok(frame.data.slice(offset as usize..end as usize))
+    }
+
+    /// The whole frame, re-verified against its publish-time checksum — the
+    /// tier-exit read. Demotion goes through this, so bytes corrupted while
+    /// resident in DRAM are detected *before* they can land on SSD (where
+    /// the store's own trailer would faithfully attest to garbage). Unlike
+    /// `LocalPageStore`, a ranged `get` does not scan: hit serving is a
+    /// zero-copy slice, and integrity is enforced at the tier boundary.
+    fn get_full(&self, id: PageId) -> Result<Bytes> {
+        let frame = self.frame(id)?;
+        if page_checksum(&frame.data) != frame.checksum {
+            return Err(Error::Corrupted(format!("memory frame {id}")));
+        }
+        Ok(frame.data.clone())
     }
 
     fn delete(&self, id: PageId) -> Result<bool> {
@@ -328,14 +308,25 @@ mod tests {
     fn tier_exit_read_detects_corruption() {
         let s = MemTierStore::new();
         s.put(pid(1, 0), b"payload").unwrap();
-        assert_eq!(s.verified_full(pid(1, 0)).unwrap().as_ref(), b"payload");
+        assert_eq!(s.get_full(pid(1, 0)).unwrap().as_ref(), b"payload");
         assert!(s.corrupt_frame(pid(1, 0)));
-        assert!(matches!(
-            s.verified_full(pid(1, 0)),
-            Err(Error::Corrupted(_))
-        ));
+        assert!(matches!(s.get_full(pid(1, 0)), Err(Error::Corrupted(_))));
         // Ranged hit-path gets stay scan-free and keep serving.
         assert_eq!(s.get(pid(1, 0), 0, 3).unwrap().as_ref(), b"pay");
+    }
+
+    #[test]
+    fn get_full_through_the_trait_detects_a_corrupt_frame() {
+        // The trait promises a verified full read; the tier keeps that
+        // promise behind `dyn PageStore`, where demotion reads it.
+        let s = MemTierStore::new();
+        s.put(pid(1, 0), b"payload").unwrap();
+        assert!(s.corrupt_frame(pid(1, 0)));
+        let store: &dyn PageStore = &s;
+        assert!(matches!(
+            store.get_full(pid(1, 0)),
+            Err(Error::Corrupted(_))
+        ));
     }
 
     /// Swaps in a frame whose payload differs from the published one in one
@@ -350,7 +341,6 @@ mod tests {
             data: Bytes::from(data),
             checksum: old.checksum,
             pins: AtomicU32::new(0),
-            dirty: AtomicBool::new(false),
         });
         frames.insert(id, flipped);
     }
@@ -360,15 +350,15 @@ mod tests {
         let page: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
         let s = MemTierStore::new();
         s.put(pid(1, 0), &page).unwrap();
-        assert_eq!(s.verified_full(pid(1, 0)).unwrap().as_ref(), &page[..]);
+        assert_eq!(s.get_full(pid(1, 0)).unwrap().as_ref(), &page[..]);
         for (byte, mask) in bit_flip_sites(page.len()) {
             flip_frame_bit(&s, pid(1, 0), byte, mask);
             assert!(
-                matches!(s.verified_full(pid(1, 0)), Err(Error::Corrupted(_))),
+                matches!(s.get_full(pid(1, 0)), Err(Error::Corrupted(_))),
                 "flip of bit {mask:#04x} in byte {byte} went undetected"
             );
             flip_frame_bit(&s, pid(1, 0), byte, mask);
-            assert!(s.verified_full(pid(1, 0)).is_ok(), "flip restored");
+            assert!(s.get_full(pid(1, 0)).is_ok(), "flip restored");
         }
     }
 
@@ -399,12 +389,5 @@ mod tests {
         let s = MemTierStore::new();
         s.put(pid(1, 0), b"abc").unwrap();
         assert!(s.recover().unwrap().is_empty());
-    }
-
-    #[test]
-    fn frames_start_clean() {
-        let s = MemTierStore::new();
-        s.put(pid(1, 0), b"abc").unwrap();
-        assert!(!s.is_dirty(pid(1, 0)));
     }
 }

@@ -8,7 +8,8 @@ use crate::page::PageId;
 /// A backend that stores page payloads.
 ///
 /// Implementations: [`LocalPageStore`](crate::local::LocalPageStore) (SSD
-/// files, the production path), [`MemoryPageStore`](crate::memory::MemoryPageStore)
+/// files, the production path), [`MemTierStore`](crate::memtier::MemTierStore)
+/// (the DRAM tier), [`MemoryPageStore`](crate::memory::MemoryPageStore)
 /// (tests/metadata), and [`FaultyStore`](crate::faulty::FaultyStore)
 /// (fault injection).
 ///

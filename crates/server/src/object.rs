@@ -22,7 +22,9 @@
 //! Every `set` writes a *new* file version (a fresh `FileId`), publishes
 //! all pages, and only then swaps the key's metadata and deletes the old
 //! version — a reader that raced the swap served the complete old value,
-//! never a torn mix. A `get` that finds any page missing (evicted, or a
+//! never a torn mix. A `get` is one `CacheManager::read` of the value, so
+//! hits take the cache's lock-free path and promote into a DRAM tier like
+//! any other read. A `get` that finds any page missing (evicted, or a
 //! version swept mid-read) treats the whole object as a miss and drops the
 //! stale metadata, mirroring cache semantics: eviction may shed partial
 //! objects, the protocol never serves them.
@@ -31,10 +33,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use edgecache_common::clock::SharedClock;
-use edgecache_common::error::Error;
-use edgecache_core::manager::{CacheManager, SourceFile};
+use edgecache_common::error::{Error, Result};
+use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_pagestore::{CacheScope, FileId};
 use parking_lot::RwLock;
 
@@ -73,6 +75,16 @@ pub enum SetOutcome {
     NotStored,
     /// An internal error (I/O, store) — `SERVER_ERROR` with the message.
     Error(String),
+}
+
+/// The remote behind object pages: there is none. A value lives only in the
+/// cache, so a page the cache cannot serve fails the read.
+struct NoRemote;
+
+impl RemoteSource for NoRemote {
+    fn read(&self, path: &str, offset: u64, _len: u64) -> Result<Bytes> {
+        Err(Error::NotFound(format!("{path} at {offset}: not cached")))
+    }
 }
 
 /// Key table + page-cache adapter shared by every connection.
@@ -195,43 +207,21 @@ impl ObjectStore {
                 return None;
             }
         }
-        if meta.length == 0 {
-            return Some(ObjectValue {
+        // One cache read of the whole value, with nothing behind the cache:
+        // a missing, corrupt or short page fails the read, and the whole
+        // object is a miss — partial values are never served.
+        let file = self.source(key, meta.version, meta.length);
+        match self.cache.read(&file, 0, meta.length, &NoRemote) {
+            Ok(data) => Some(ObjectValue {
                 flags: meta.flags,
                 cas: meta.cas,
-                data: Bytes::new(),
-            });
-        }
-        let file = self.source(key, meta.version, meta.length);
-        let page = self.cache.page_size();
-        let pages = meta.length.div_ceil(page);
-        let mut parts = Vec::with_capacity(pages as usize);
-        for i in 0..pages {
-            let len = (meta.length - i * page).min(page);
-            match self.cache.get_page(&file, i, 0, len) {
-                Ok(bytes) if bytes.len() as u64 == len => parts.push(bytes),
-                // Any missing/short/corrupt page voids the whole object:
-                // partial values are never served.
-                _ => {
-                    self.drop_version(key, &meta);
-                    return None;
-                }
+                data,
+            }),
+            Err(_) => {
+                self.drop_version(key, &meta);
+                None
             }
         }
-        let data = if parts.len() == 1 {
-            parts.pop().expect("one part") // zero-copy single-page hit
-        } else {
-            let mut out = BytesMut::with_capacity(meta.length as usize);
-            for p in &parts {
-                out.extend_from_slice(p);
-            }
-            out.freeze()
-        };
-        Some(ObjectValue {
-            flags: meta.flags,
-            cas: meta.cas,
-            data,
-        })
     }
 
     /// Deletes a key. Returns whether it existed.
@@ -360,21 +350,55 @@ mod tests {
     fn object_reads_keep_the_page_read_law() {
         use edgecache_metrics::{assert_conserved, ConservationLaw, SnapshotDiff};
         let (s, _) = store_with(8, 32);
-        let before = s.cache().metrics().snapshot();
+        let booked = ["hits", "misses", "fallbacks.timeout"];
         s.set("big", 0, 0, &[1u8; 32]);
-        assert!(s.get("big").is_some());
-        // Evicts pages of "big": its next get finds one missing.
-        s.set("other", 0, 0, &[2u8; 16]);
-        assert!(s.get("big").is_none());
-        assert!(s.get("other").is_some());
+        s.set("small", 0, 0, &[3u8; 8]);
+        let before = s.cache().metrics().snapshot();
+        assert!(
+            s.get("big").is_none(),
+            "setting small evicted a page of big"
+        );
+        assert!(s.get("small").is_some());
         let diff = SnapshotDiff::between(&before, &s.cache().metrics().snapshot());
         assert!(diff.counter("misses") >= 1, "the evicted page is a miss");
-        let law = ConservationLaw::equal(
-            "page reads balance",
-            &["hits", "misses", "fallbacks.timeout"],
-            &["page_reads"],
-        );
+        // A failed read abandons the hits it classified: a bound.
+        let law = ConservationLaw::at_most("page reads bound bookings", &booked, &["page_reads"]);
         assert_conserved(&diff, &[law]).unwrap();
+
+        // Successful object reads book every page they read.
+        let before = s.cache().metrics().snapshot();
+        assert!(s.get("small").is_some());
+        s.set("other", 0, 0, &[2u8; 16]);
+        assert!(s.get("other").is_some());
+        let diff = SnapshotDiff::between(&before, &s.cache().metrics().snapshot());
+        let law = ConservationLaw::equal("page reads balance", &booked, &["page_reads"]);
+        assert_conserved(&diff, &[law]).unwrap();
+    }
+
+    #[test]
+    fn gets_promote_into_a_memory_tier() {
+        let clock = Arc::new(SimClock::new());
+        let config = CacheConfig::default()
+            .with_page_size(ByteSize::new(8))
+            .with_memory_tier(ByteSize::new(1024));
+        let cache = Arc::new(
+            CacheManager::builder(config)
+                .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
+                .with_clock(clock.clone())
+                .build()
+                .unwrap(),
+        );
+        let s = ObjectStore::new(cache, clock);
+        let value: Vec<u8> = (0..20u8).collect(); // 3 pages of 8
+        assert_eq!(s.set("k", 0, 0, &value), SetOutcome::Stored);
+        let counter = |name: &str| s.cache().metrics().counter(name).get();
+        // A set publishes to SSD; the first get is a one-off SSD hit, the
+        // second promotes every page, the third is served from memory.
+        for (promotions, mem_hits) in [(0, 0), (3, 0), (3, 3)] {
+            assert_eq!(s.get("k").unwrap().data.as_ref(), &value[..]);
+            assert_eq!(counter("mem.promotions"), promotions);
+            assert_eq!(counter("mem.hits"), mem_hits);
+        }
     }
 
     #[test]
