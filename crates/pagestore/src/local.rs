@@ -5,7 +5,6 @@
 //!   page_size=1048576/            top-level folder: persistent global info
 //!     bucket_00/ … bucket_3f/     hash fan-out bounding directory width
 //!       <file-id, 16 hex chars>/  one directory per cached file
-//!         .fileinfo               original path + version (shared file info)
 //!         0, 1, 2, …              page files, named by page index
 //! ```
 //!
@@ -24,20 +23,26 @@
 //! [`Error::Corrupted`](edgecache_common::error::Error) — the
 //! signal that drives early eviction (§8, "Corrupted files").
 //!
+//! Up to 512 page files stay open, so most hits are one `pread`; DESIGN.md §4
+//! "Open page files" states the contract that keeps this correct.
+//!
 //! Page data is rebuildable from the remote source by definition, so files
 //! are *not* fsynced; a crash can lose recently written pages but never
 //! serves a torn one (the checksum catches partial writes that survived a
 //! crash).
 
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
+use edgecache_common::lru::LruMap;
 use edgecache_metrics::Tracer;
+use parking_lot::Mutex;
 
 use crate::crash::{CrashPlan, CrashSite};
 use crate::page::{page_checksum, FileId, PageId};
@@ -48,6 +53,14 @@ use crate::store::PageStore;
 const PAGE_MAGIC: &[u8; 4] = b"ECP2";
 /// Trailer length: 8-byte checksum + 4-byte magic.
 const TRAILER_LEN: u64 = 12;
+/// Descriptor cache shape: 16 shards of 32 open page files.
+const FD_SHARDS: usize = 16;
+const FD_PER_SHARD: usize = 32;
+/// Largest payload a full read takes through its descriptor; a larger one is
+/// `fs::read(path)`, which does not zero its buffer first (DESIGN.md §4).
+const PREAD_FULL_MAX: u64 = 128 << 10;
+/// An open page file and its payload length.
+type Descriptor = (Arc<File>, u64);
 
 /// The trailer that follows `payload` in a page file.
 fn trailer(payload: &[u8]) -> [u8; TRAILER_LEN as usize] {
@@ -97,6 +110,7 @@ pub struct LocalPageStore {
     bytes_used: AtomicU64,
     tmp_seq: AtomicU64,
     tracer: Tracer,
+    fds: [Mutex<LruMap<PageId, Descriptor>>; FD_SHARDS],
 }
 
 impl LocalPageStore {
@@ -131,6 +145,7 @@ impl LocalPageStore {
             bytes_used: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
             tracer: Tracer::disabled(),
+            fds: std::array::from_fn(|_| Mutex::default()),
         };
         // Initialize the usage gauge from what is already on disk.
         let existing: u64 = store.recover()?.iter().map(|(_, s)| s).sum();
@@ -184,27 +199,6 @@ impl LocalPageStore {
         self.file_dir(id.file).join(id.index.to_string())
     }
 
-    /// Records the original path and version of a cached file (the "shared
-    /// file information … such as full paths, and file version information"
-    /// of §4.3). Purely informational; recovery does not require it.
-    pub fn set_file_info(&self, file: FileId, path: &str, version: u64) -> Result<()> {
-        let dir = self.file_dir(file);
-        fs::create_dir_all(&dir)?;
-        let mut f = fs::File::create(dir.join(".fileinfo"))?;
-        writeln!(f, "{path}")?;
-        writeln!(f, "{version}")?;
-        Ok(())
-    }
-
-    /// Reads back the file info recorded by [`Self::set_file_info`].
-    pub fn file_info(&self, file: FileId) -> Option<(String, u64)> {
-        let content = fs::read_to_string(self.file_dir(file).join(".fileinfo")).ok()?;
-        let mut lines = content.lines();
-        let path = lines.next()?.to_string();
-        let version = lines.next()?.parse().ok()?;
-        Some((path, version))
-    }
-
     /// Whether an armed crash point at `site` fires now (consumes it).
     fn crash_armed(&self, site: CrashSite) -> bool {
         self.config
@@ -227,13 +221,17 @@ impl LocalPageStore {
 
     /// Reads and verifies a whole page file, returning the payload.
     fn read_verified(&self, path: &Path, id: PageId) -> Result<Bytes> {
-        let raw = match fs::read(path) {
-            Ok(r) => r,
+        match fs::read(path) {
+            Ok(raw) => Self::verified(raw, id),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(Error::NotFound(format!("page {id}")))
+                Err(Error::NotFound(format!("page {id}")))
             }
-            Err(e) => return Err(e.into()),
-        };
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Checks a whole page file's trailer, returning the payload.
+    fn verified(mut raw: Vec<u8>, id: PageId) -> Result<Bytes> {
         if (raw.len() as u64) < TRAILER_LEN || &raw[raw.len() - 4..] != PAGE_MAGIC {
             return Err(Error::Corrupted(format!("page {id}: bad trailer")));
         }
@@ -246,9 +244,44 @@ impl LocalPageStore {
         if page_checksum(&raw[..payload_len]) != stored {
             return Err(Error::Corrupted(format!("page {id}: checksum mismatch")));
         }
-        let mut payload = raw;
-        payload.truncate(payload_len);
-        Ok(Bytes::from(payload))
+        raw.truncate(payload_len);
+        Ok(Bytes::from(raw))
+    }
+
+    fn fd_shard(&self, id: PageId) -> &Mutex<LruMap<PageId, Descriptor>> {
+        &self.fds[(id.stable_hash() % FD_SHARDS as u64) as usize]
+    }
+
+    /// A page's open file and payload length; a miss opens it under the lock.
+    fn descriptor(&self, id: PageId) -> Result<Descriptor> {
+        let mut shard = self.fd_shard(id).lock();
+        if let Some(hit) = shard.get(&id) {
+            return Ok(hit.clone());
+        }
+        let file = File::open(self.page_path(id)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => Error::NotFound(format!("page {id}")),
+            _ => e.into(),
+        })?;
+        let len = file.metadata()?.len();
+        if len < TRAILER_LEN {
+            return Err(Error::Corrupted(format!("page {id}: truncated file")));
+        }
+        let entry = (Arc::new(file), len - TRAILER_LEN);
+        Self::admit(&mut shard, id, entry.clone());
+        Ok(entry)
+    }
+
+    /// Caches a descriptor `id` lacks, closing the oldest if the shard is full.
+    fn admit(shard: &mut LruMap<PageId, Descriptor>, id: PageId, entry: Descriptor) {
+        if shard.len() >= FD_PER_SHARD {
+            shard.pop_oldest();
+        }
+        shard.insert(id, entry);
+    }
+
+    /// Closes a page's cached descriptor, after its path was unlinked.
+    fn forget(&self, id: PageId) {
+        self.fd_shard(id).lock().remove(&id);
     }
 }
 
@@ -265,21 +298,30 @@ impl PageStore for LocalPageStore {
         let old_size = fs::metadata(&final_path)
             .ok()
             .map(|m| m.len().saturating_sub(TRAILER_LEN));
-        let write = (|| -> Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
+        let write = (|| -> Result<File> {
+            let mut f = File::options()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp_path)?;
             f.write_all(data)?;
             f.write_all(&trailer(data))?;
-            Ok(())
+            Ok(f)
         })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(e);
-        }
+        let file = write.inspect_err(|_| _ = fs::remove_file(&tmp_path))?;
         if self.crash_armed(CrashSite::PutTmpWritten) {
             // Process dies with the tmp file orphaned; recovery discards it.
             return Err(CrashPlan::crash_error(CrashSite::PutTmpWritten));
         }
-        fs::rename(&tmp_path, &final_path)?;
+        let renamed = fs::rename(&tmp_path, &final_path);
+        // After the rename; a small page's writer takes its place (DESIGN.md §4).
+        let mut shard = self.fd_shard(id).lock();
+        shard.remove(&id);
+        renamed?;
+        if data.len() as u64 <= PREAD_FULL_MAX {
+            Self::admit(&mut shard, id, (Arc::new(file), data.len() as u64));
+        }
         if self.crash_armed(CrashSite::PutTornTail) {
             // The rename published the name, but the unsynced data blocks
             // never hit the device: full length, torn content.
@@ -295,22 +337,22 @@ impl PageStore for LocalPageStore {
     }
 
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
-        let path = self.page_path(id);
-        let meta = match fs::metadata(&path) {
-            Ok(m) => m,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(Error::NotFound(format!("page {id}")))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if meta.len() < TRAILER_LEN {
-            return Err(Error::Corrupted(format!("page {id}: truncated file")));
-        }
-        let payload_len = meta.len() - TRAILER_LEN;
+        let (file, payload_len) = self.descriptor(id)?;
         if offset == 0 && len >= payload_len {
             // Full read: verify the checksum trailer.
             let mut span = self.tracer.span("checksum_verify");
-            let got = self.read_verified(&path, id);
+            let got = if payload_len <= PREAD_FULL_MAX {
+                // A short read fails the trailer check, as a shrunk file would.
+                let mut raw = vec![0; (payload_len + TRAILER_LEN) as usize];
+                file.read_at(&mut raw, 0)
+                    .map_err(Error::from)
+                    .and_then(|n| {
+                        raw.truncate(n);
+                        Self::verified(raw, id)
+                    })
+            } else {
+                self.read_verified(&self.page_path(id), id)
+            };
             if span.is_recording() {
                 span.annotate("page", id);
                 match &got {
@@ -324,44 +366,42 @@ impl PageStore for LocalPageStore {
         if offset >= payload_len {
             return Ok(Bytes::new());
         }
-        let take = len.min(payload_len - offset);
-        let mut f = fs::File::open(&path)?;
-        f.seek(SeekFrom::Start(offset))?;
-        // Appending into reserved capacity skips the zero fill that
-        // `vec![0; n]` + `read_exact` pays on every byte.
-        let mut buf = Vec::with_capacity(take as usize);
-        f.take(take).read_to_end(&mut buf)?;
-        if (buf.len() as u64) < take {
-            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
-        }
+        // One positional read into a zeroed allocation, which the returned
+        // `Bytes` takes over; a short read is an error.
+        let mut buf = vec![0; len.min(payload_len - offset) as usize];
+        file.read_exact_at(&mut buf, offset)?;
         Ok(Bytes::from(buf))
     }
 
     fn delete(&self, id: PageId) -> Result<bool> {
         let path = self.page_path(id);
-        let size = match fs::metadata(&path) {
-            Ok(m) => m.len().saturating_sub(TRAILER_LEN),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        if self.crash_armed(CrashSite::DeleteTornTail) {
-            // Interrupted mid-delete/compaction: the page is neither intact
-            // nor gone — torn tail, unlink never happened.
-            Self::tear_tail(&path)?;
-            return Err(CrashPlan::crash_error(CrashSite::DeleteTornTail));
-        }
-        match fs::remove_file(&path) {
-            Ok(()) => {
-                self.bytes_used.fetch_sub(size, Ordering::SeqCst);
-                // Opportunistically clean the per-file and bucket dirs; a
-                // failure just means they are not empty.
-                let _ = fs::remove_file(self.file_dir(id.file).join(".fileinfo"));
-                let _ = fs::remove_dir(self.file_dir(id.file));
-                Ok(true)
+        let deleted = (|| {
+            let size = match fs::metadata(&path) {
+                Ok(m) => m.len().saturating_sub(TRAILER_LEN),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+                Err(e) => return Err(e.into()),
+            };
+            if self.crash_armed(CrashSite::DeleteTornTail) {
+                // Interrupted mid-delete/compaction: the page is neither intact
+                // nor gone — torn tail, unlink never happened.
+                Self::tear_tail(&path)?;
+                return Err(CrashPlan::crash_error(CrashSite::DeleteTornTail));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
+            match fs::remove_file(&path) {
+                Ok(()) => {
+                    self.bytes_used.fetch_sub(size, Ordering::SeqCst);
+                    // Opportunistically clean the per-file dir; a failure
+                    // just means it is not empty.
+                    let _ = fs::remove_dir(self.file_dir(id.file));
+                    Ok(true)
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+                Err(e) => Err(e.into()),
+            }
+        })();
+        // On every outcome, `Ok(false)` included.
+        self.forget(id);
+        deleted
     }
 
     fn contains(&self, id: PageId) -> bool {
@@ -403,12 +443,12 @@ impl PageStore for LocalPageStore {
                     };
                     let id = PageId::new(file_id, index);
                     let len = fs::metadata(&page)?.len();
-                    if len < TRAILER_LEN {
+                    if len < TRAILER_LEN
+                        || (self.config.verify_on_recovery
+                            && self.read_verified(&page, id).is_err())
+                    {
                         let _ = fs::remove_file(&page);
-                        continue;
-                    }
-                    if self.config.verify_on_recovery && self.read_verified(&page, id).is_err() {
-                        let _ = fs::remove_file(&page);
+                        self.forget(id);
                         continue;
                     }
                     out.push((id, len - TRAILER_LEN));
@@ -688,20 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn file_info_round_trip() {
-        let (store, dir) = temp_store();
-        store
-            .set_file_info(FileId(42), "/warehouse/sales/part-0.colf", 1700000000)
-            .unwrap();
-        assert_eq!(
-            store.file_info(FileId(42)),
-            Some(("/warehouse/sales/part-0.colf".to_string(), 1700000000))
-        );
-        assert_eq!(store.file_info(FileId(43)), None);
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn empty_page_is_allowed() {
         let (store, dir) = temp_store();
         store.put(pid(8, 0), &[]).unwrap();
@@ -752,6 +778,166 @@ mod tests {
             }
         )
         .is_err());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// This process's open descriptors whose target, a `(deleted)` one
+    /// included, is `path` or lies under it.
+    fn open_fds_under(path: &Path) -> usize {
+        let path = fs::canonicalize(path).unwrap();
+        fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|fd| fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| {
+                let target = target.to_string_lossy();
+                Path::new(target.trim_end_matches(" (deleted)")).starts_with(&path)
+            })
+            .count()
+    }
+
+    #[test]
+    fn overwrite_after_a_read_serves_the_new_version() {
+        let (store, dir) = temp_store();
+        // A page whose writer `put` caches, and one it does not.
+        for (i, big) in [0, PREAD_FULL_MAX as usize].into_iter().enumerate() {
+            let id = pid(1, i as u64);
+            store.put(id, &vec![1u8; big + 500]).unwrap();
+            assert_eq!(store.get(id, 10, 20).unwrap().as_ref(), &[1u8; 20][..]);
+            store.put(id, &vec![2u8; big + 200]).unwrap();
+            let tail = store.get(id, big as u64 + 10, 400).unwrap();
+            assert_eq!(tail.as_ref(), &[2u8; 190][..]);
+            assert_eq!(
+                store.get_full(id).unwrap().as_ref(),
+                &vec![2u8; big + 200][..]
+            );
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn delete_after_a_read_closes_the_page_file() {
+        let (store, dir) = temp_store();
+        store.put(pid(1, 0), &[3u8; 100]).unwrap();
+        let path = store.page_path(pid(1, 0));
+        assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), &[3u8; 100][..]);
+        assert_eq!(open_fds_under(&path), 1);
+        assert!(store.delete(pid(1, 0)).unwrap());
+        assert!(matches!(store.get_full(pid(1, 0)), Err(Error::NotFound(_))));
+        assert_eq!(
+            open_fds_under(&dir),
+            0,
+            "the deleted page's inode is still open"
+        );
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_hit_walks_no_path_and_every_delete_outcome_drops_it() {
+        let (store, dir) = temp_store();
+        let data: Vec<u8> = (0..=255u8).collect();
+        store.put(pid(3, 0), &data).unwrap();
+        assert_eq!(store.get(pid(3, 0), 1, 8).unwrap().as_ref(), &data[1..9]);
+        fs::rename(store.bucket_dir(FileId(3)), dir.join("moved")).unwrap();
+        assert_eq!(
+            store.get(pid(3, 0), 40, 60).unwrap().as_ref(),
+            &data[40..100]
+        );
+        assert!(!store.delete(pid(3, 0)).unwrap());
+        assert!(matches!(
+            store.get(pid(3, 0), 40, 60),
+            Err(Error::NotFound(_))
+        ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Version `v` of the hammered page: `64 + v` bytes, all `v as u8`.
+    fn version(v: usize) -> Vec<u8> {
+        vec![v as u8; 64 + v]
+    }
+
+    /// Four readers and one writer on one page: every read is one whole
+    /// version, neither full nor ranged reads go back to an older version
+    /// (a full read of a page over 128 KiB goes by path, so between a put's
+    /// rename and its drop it may run ahead of a ranged one), and the
+    /// writer's ranged read of every eighth version it has just put returns
+    /// that version. Between reads of the page the readers read twice a
+    /// shard's worth of other pages in its shard, which keeps evicting its
+    /// descriptor: its reads then miss, and open it while the writer renames.
+    #[test]
+    fn descriptor_hammer_reads_whole_versions() {
+        const VERSIONS: usize = 1000;
+        let (store, dir) = temp_store();
+        let id = pid(5, 0);
+        store.put(id, &version(0)).unwrap();
+        let shard = |p: PageId| p.stable_hash() % FD_SHARDS as u64;
+        let others: Vec<PageId> = (0..)
+            .map(|i| pid(6, i))
+            .filter(|&p| shard(p) == shard(id))
+            .take(2 * FD_PER_SHARD)
+            .collect();
+        for &p in &others {
+            store.put(p, b"other").unwrap();
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // The version `bytes` is read `skipped` bytes into.
+        let whole = |bytes: &[u8], skipped: usize| {
+            let v = bytes.len() + skipped - 64;
+            assert!(v <= VERSIONS, "{} bytes is no version", bytes.len());
+            assert!(bytes.iter().all(|&b| b == v as u8), "version {v} is mixed");
+            v
+        };
+        std::thread::scope(|s| {
+            for skip in 1..=4 {
+                let (store, done, others) = (&store, &done, &others);
+                s.spawn(move || {
+                    let mut last = [0; 2];
+                    while !done.load(Ordering::Acquire) || last == [0; 2] {
+                        let full = whole(&store.get_full(id).unwrap(), 0);
+                        let ranged = store.get(id, skip, u64::MAX / 2).unwrap();
+                        let ranged = whole(&ranged, skip as usize);
+                        for (last, v) in last.iter_mut().zip([full, ranged]) {
+                            assert!(v >= *last, "version {v} read after {last}");
+                            *last = v;
+                        }
+                        for &p in others {
+                            assert_eq!(store.get(p, 1, 3).unwrap().as_ref(), b"the");
+                        }
+                    }
+                });
+            }
+            let writer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for v in 1..=VERSIONS {
+                    store.put(id, &version(v)).unwrap();
+                    if v % 8 == 0 {
+                        assert_eq!(whole(&store.get(id, 1, u64::MAX / 2).unwrap(), 1), v);
+                    }
+                }
+            }));
+            done.store(true, Ordering::Release);
+            if let Err(panic) = writer {
+                std::panic::resume_unwind(panic);
+            }
+        });
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn open_page_files_stay_within_the_descriptor_budget() {
+        let (store, dir) = temp_store();
+        let budget = FD_SHARDS * FD_PER_SHARD;
+        let ids: Vec<PageId> = (0..3 * budget as u64).map(|i| pid(i % 97, i)).collect();
+        for &id in &ids {
+            store.put(id, &[id.index as u8; 16]).unwrap();
+        }
+        let mut peak = 0;
+        for &id in &ids {
+            assert_eq!(
+                store.get_full(id).unwrap().as_ref(),
+                &[id.index as u8; 16][..]
+            );
+            peak = peak.max(open_fds_under(store.root()));
+        }
+        assert_eq!(peak, budget);
         let _ = fs::remove_dir_all(dir);
     }
 }
