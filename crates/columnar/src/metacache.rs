@@ -355,16 +355,20 @@ mod tests {
     fn failed_singleflight_parse_releases_waiters() {
         let cache = Arc::new(MetadataCache::new());
         let c = Arc::clone(&cache);
+        let (parsing_tx, parsing) = std::sync::mpsc::channel();
         let loser = std::thread::spawn(move || {
             c.get_or_parse("k@1", || {
+                parsing_tx.send(()).unwrap();
+                // Hold the claim so the call below usually queues behind it.
                 std::thread::sleep(Duration::from_millis(20));
                 Err(edgecache_common::Error::Decode("flaky".into()))
             })
         });
-        std::thread::sleep(Duration::from_millis(5));
+        // The loser holds the single-flight claim from here on.
+        parsing.recv().unwrap();
         // This call either waits out the failing parse and then parses
-        // itself, or (if it raced in first) parses directly. Either way it
-        // must not deadlock and must succeed.
+        // itself, or (if the failure already released the claim) parses
+        // directly. Either way it must not deadlock and must succeed.
         let ok = cache.get_or_parse("k@1", || Ok(meta(9))).unwrap();
         assert_eq!(ok.footer_len, 9);
         assert!(loser.join().unwrap().is_err());

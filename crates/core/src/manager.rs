@@ -20,11 +20,15 @@
 //!   early eviction (before the configured capacity is reached) and a retry.
 //!
 //! Modules: `read` holds the pipeline, `tiering` the DRAM/SSD tier moves
-//! and capacity loops, `io_pool` the deadline and fetch pools.
+//! and capacity loops, `io_pool` the deadline and fetch pools, and
+//! `write_behind` the writer that lands read-through misses into a
+//! file-backed store after the read has returned.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -48,9 +52,11 @@ use crate::quota::{QuotaManager, QuotaViolation};
 mod io_pool;
 mod read;
 mod tiering;
+mod write_behind;
 
 use io_pool::IoPool;
 use read::InflightFetch;
+use write_behind::WriteBehind;
 
 /// Number of page-lock stripes (power of two).
 const LOCK_STRIPES: usize = 1024;
@@ -369,7 +375,13 @@ impl CacheManagerBuilder {
             None
         };
         let hot = HotMetrics::new(&metrics);
-        let manager = CacheManager {
+        // Read-through publishes go behind the read only where a put is
+        // file-system I/O; a memory store is filled inline.
+        let write_behind = stores
+            .iter()
+            .any(|s| s.put_is_file_io())
+            .then(|| WriteBehind::new(self.config.page_size.as_u64()));
+        let state = CacheState {
             allocator: Allocator::new(self.capacities),
             stores,
             mem_store,
@@ -391,11 +403,20 @@ impl CacheManagerBuilder {
             rng_state: AtomicU64::new(0x853c_49e6_748f_ea9b),
             tracer: self.tracer,
             config: self.config,
+            write_behind,
         };
         if self.recover {
-            manager.recover()?;
+            state.recover()?;
         }
-        Ok(manager)
+        let state = Arc::new(state);
+        let writer = state.write_behind.is_some().then(|| {
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("edgecache-write-behind".into())
+                .spawn(move || write_behind::run_writer(&state))
+                .expect("spawn write-behind writer")
+        });
+        Ok(CacheManager { state, writer })
     }
 }
 
@@ -427,7 +448,90 @@ impl ScopeEventSink for LifecycleSink {
 }
 
 /// The local cache: the embeddable, page-oriented, SSD-backed cache of §4.
+///
+/// A handle over the [`CacheState`] it shares with its write-behind writer
+/// thread (present when a store's `put` is file I/O); every cache operation
+/// is a method of that state, reached through `Deref`. Dropping the handle
+/// lands every queued publish and joins the writer.
 pub struct CacheManager {
+    state: Arc<CacheState>,
+    writer: Option<JoinHandle<()>>,
+}
+
+impl Deref for CacheManager {
+    type Target = CacheState;
+
+    fn deref(&self) -> &CacheState {
+        &self.state
+    }
+}
+
+impl Drop for CacheManager {
+    fn drop(&mut self) {
+        if let (Some(writer), Some(queue)) = (self.writer.take(), &self.state.write_behind) {
+            queue.close();
+            // The writer catches a landing's panic itself; a join error
+            // here has nothing left to release.
+            let _ = writer.join();
+        }
+    }
+}
+
+impl CacheManager {
+    /// Starts building a manager with the given configuration.
+    pub fn builder(config: CacheConfig) -> CacheManagerBuilder {
+        CacheManagerBuilder {
+            config,
+            stores: Vec::new(),
+            capacities: Vec::new(),
+            admission: Arc::new(AdmitAll),
+            quota: QuotaManager::new(),
+            clock: system_clock(),
+            metrics: None,
+            recover: false,
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// Starts the §4.1 periodic background job that evicts expired data:
+    /// a thread calling [`CacheState::evict_expired`] every `interval`. The
+    /// job stops when the returned handle is dropped. No-op thread if no
+    /// TTL is configured.
+    pub fn start_ttl_janitor(self: &Arc<Self>, interval: Duration) -> TtlJanitor {
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let cache = Arc::clone(self);
+        let signal = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("edgecache-ttl-janitor".into())
+            .spawn(move || {
+                let (flag, wake) = &*signal;
+                let mut stopped = flag.lock();
+                while !*stopped {
+                    // A timed condvar wait instead of a plain sleep: drop
+                    // can interrupt it immediately, so the janitor thread is
+                    // always joinable without waiting out an interval.
+                    if !wake.wait_for(&mut stopped, interval).timed_out() {
+                        continue; // Woken: re-check the flag.
+                    }
+                    if *stopped {
+                        break;
+                    }
+                    drop(stopped);
+                    cache.evict_expired();
+                    stopped = flag.lock();
+                }
+            })
+            .expect("spawn ttl janitor");
+        TtlJanitor {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+/// What a [`CacheManager`] handle shares with its write-behind writer: the
+/// index, stores, policies and counters, and the methods that run the cache.
+pub struct CacheState {
     config: CacheConfig,
     stores: Vec<Arc<dyn PageStore>>,
     /// The DRAM tier, when mounted: also present in `stores` as the last
@@ -463,24 +567,12 @@ pub struct CacheManager {
     fetch_pool: Option<IoPool>,
     rng_state: AtomicU64,
     tracer: Tracer,
+    /// The queue of read-through publishes waiting to land, when a store
+    /// writes files (see [`CacheManager`]).
+    write_behind: Option<WriteBehind>,
 }
 
-impl CacheManager {
-    /// Starts building a manager with the given configuration.
-    pub fn builder(config: CacheConfig) -> CacheManagerBuilder {
-        CacheManagerBuilder {
-            config,
-            stores: Vec::new(),
-            capacities: Vec::new(),
-            admission: Arc::new(AdmitAll),
-            quota: QuotaManager::new(),
-            clock: system_clock(),
-            metrics: None,
-            recover: false,
-            tracer: Tracer::disabled(),
-        }
-    }
-
+impl CacheState {
     /// The manager's metric registry.
     pub fn metrics(&self) -> &MetricRegistry {
         &self.metrics
@@ -511,10 +603,10 @@ impl CacheManager {
         &self.config
     }
 
-    /// Number of per-page single-flight latches currently registered.
-    /// An idle cache must report 0 — a leaked latch would strand every
-    /// future reader of that page (the torture harness asserts this after
-    /// every operation).
+    /// Number of per-page single-flight latches currently registered, a
+    /// page queued for write-behind included. An idle cache must report 0
+    /// once quiesced — a leaked latch would strand every future reader of
+    /// that page (the torture harness asserts this after every operation).
     pub fn inflight_fetches(&self) -> usize {
         self.inflight.iter().map(|s| s.lock().len()).sum()
     }
@@ -540,14 +632,21 @@ impl CacheManager {
             .collect()
     }
 
-    /// Headline statistics.
+    /// Headline statistics. A page queued for write-behind counts as
+    /// cached: the queue lock orders this read against its hand-over to
+    /// the index, so it is counted exactly once.
     pub fn stats(&self) -> CacheStats {
         let hits = self.hot.hits.get();
         let misses = self.hot.misses.get();
         let total = hits + misses;
+        let indexed = || (self.index.len(), self.index.total_bytes());
+        let (pages, bytes) = match &self.write_behind {
+            Some(queue) => queue.counted(indexed),
+            None => indexed(),
+        };
         CacheStats {
-            pages: self.index.len(),
-            bytes: self.index.total_bytes(),
+            pages,
+            bytes,
             hits,
             misses,
             hit_rate: if total == 0 {
@@ -622,10 +721,29 @@ impl CacheManager {
         self.put_page_locked(file, id, data, SpanId::NONE)
     }
 
-    /// Whether a page is cached.
+    /// Whether a page is cached, a page queued for write-behind included.
     pub fn contains(&self, file: &SourceFile, page_index: u64) -> bool {
-        self.index
-            .contains(&PageId::new(file.file_id(), page_index))
+        let id = PageId::new(file.file_id(), page_index);
+        // Under the stripe lock a landing is all or nothing: the page is in
+        // the index, or still queued — its in-flight entry published (an
+        // inline publish removes the entry before publishing).
+        let _guard = self.stripe(id).lock();
+        self.index.contains(&id)
+            || self
+                .inflight_shard(id)
+                .lock()
+                .get(&id)
+                .is_some_and(|l| l.page().is_some())
+    }
+
+    /// Waits until every read-through publish queued before the call has
+    /// landed (or failed), so `index()`, `dir_usage()`, the ledger and the
+    /// counters show it. Publishes queued after the call do not hold it
+    /// up. Returns at once on a manager that publishes inline.
+    pub fn quiesce(&self) {
+        if let Some(queue) = &self.write_behind {
+            queue.quiesce();
+        }
     }
 
     /// Inner put; the caller holds the page's stripe lock. Eviction work
@@ -684,7 +802,7 @@ impl CacheManager {
         self.store_put(dir, id, data)?;
 
         let info = PageInfo::new(id, size, file.scope.clone(), dir, self.now_ms());
-        if let Some(old) = self.index.insert(info) {
+        if let Some(old) = self.index_insert(info) {
             // Refresh of an existing page: retire the old copy's policy
             // entry, and delete its stored bytes when the allocator placed
             // the new copy in a different directory (capacity fallback on a
@@ -706,6 +824,22 @@ impl CacheManager {
         self.hot.puts.inc();
         self.hot.bytes_written.add(size);
         Ok(())
+    }
+
+    /// Inserts a put page into the index. A page still queued for
+    /// write-behind is handed over in the same step, under the queue lock
+    /// `stats` reads with: it leaves the queue's count and its in-flight
+    /// entry goes, so its landing (if this is not it) is skipped. Caller
+    /// holds the page's stripe lock.
+    fn index_insert(&self, info: PageInfo) -> Option<PageInfo> {
+        if let Some(queue) = &self.write_behind {
+            let mut inflight = self.inflight_shard(info.id).lock();
+            if let Some(page) = inflight.get(&info.id).and_then(|latch| latch.page()) {
+                inflight.remove(&info.id);
+                return queue.hand_over(page.len() as u64, || self.index.insert(info));
+            }
+        }
+        self.index.insert(info)
     }
 
     /// Applies the §5.2 strategy for a quota violation. Victims come from
@@ -834,8 +968,11 @@ impl CacheManager {
     }
 
     /// Deletes every cached page of a file (e.g. on HDFS block delete,
-    /// §6.2.3). Returns the number of pages removed.
+    /// §6.2.3). Returns the number of pages removed. Like every delete
+    /// path, it first waits for queued publishes ([`Self::quiesce`]), so a
+    /// read that returned before it cannot bring a page back after it.
     pub fn delete_file(&self, file: FileId) -> usize {
+        self.quiesce();
         self.evict_all(self.index.pages_of_file(file), "delete")
     }
 
@@ -843,6 +980,7 @@ impl CacheManager {
     /// ("delete all pages belonging to a certain outdated partition").
     /// Returns the number of pages removed.
     pub fn delete_scope(&self, scope: &CacheScope) -> usize {
+        self.quiesce();
         self.evict_all(self.index.pages_of_scope(scope), "delete")
     }
 
@@ -850,15 +988,21 @@ impl CacheManager {
     /// background job evicts expired data"). Returns the number evicted.
     pub fn evict_expired(&self) -> usize {
         let Some(ttl) = self.config.ttl else { return 0 };
+        self.quiesce();
         let cutoff = self.now_ms().saturating_sub(ttl.as_millis() as u64);
         self.evict_all(self.index.pages_created_before(cutoff), "ttl")
     }
 
     /// Evicts every listed page still cached, in list order; returns how
-    /// many were.
+    /// many were. Each under its stripe lock: a store's writers of one page
+    /// must be serialized, and a publish of the page (inline or landing)
+    /// may run concurrently.
     fn evict_all(&self, ids: Vec<PageId>, cause: &str) -> usize {
         ids.iter()
-            .filter(|id| self.evict_page(id, cause).is_some())
+            .filter(|&&id| {
+                let _guard = self.stripe(id).lock();
+                self.evict_page(&id, cause).is_some()
+            })
             .count()
     }
 
@@ -887,41 +1031,6 @@ impl CacheManager {
     /// was lost, e.g. a DataNode restart, §6.2.3). Returns pages removed.
     pub fn clear(&self) -> usize {
         self.delete_scope(&CacheScope::Global)
-    }
-
-    /// Starts the §4.1 periodic background job that evicts expired data:
-    /// a thread calling [`Self::evict_expired`] every `interval`. The job
-    /// stops when the returned handle is dropped. No-op thread if no TTL is
-    /// configured.
-    pub fn start_ttl_janitor(self: &Arc<Self>, interval: Duration) -> TtlJanitor {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let cache = Arc::clone(self);
-        let signal = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("edgecache-ttl-janitor".into())
-            .spawn(move || {
-                let (flag, wake) = &*signal;
-                let mut stopped = flag.lock();
-                while !*stopped {
-                    // A timed condvar wait instead of a plain sleep: drop
-                    // can interrupt it immediately, so the janitor thread is
-                    // always joinable without waiting out an interval.
-                    if !wake.wait_for(&mut stopped, interval).timed_out() {
-                        continue; // Woken: re-check the flag.
-                    }
-                    if *stopped {
-                        break;
-                    }
-                    drop(stopped);
-                    cache.evict_expired();
-                    stopped = flag.lock();
-                }
-            })
-            .expect("spawn ttl janitor");
-        TtlJanitor {
-            stop,
-            thread: Some(thread),
-        }
     }
 }
 

@@ -10,7 +10,8 @@ use edgecache_metrics::trace::SpanId;
 use edgecache_pagestore::PageId;
 use parking_lot::{Condvar, Mutex};
 
-use super::{CacheManager, RemoteSource, SourceFile};
+use super::write_behind::Deferred;
+use super::{CacheState, RemoteSource, SourceFile};
 
 /// Latch for a page fetch in progress. The owning reader publishes the full
 /// page (or an error — [`Error`] is not `Clone`, so failures travel as text)
@@ -24,9 +25,17 @@ pub(super) struct InflightFetch {
 
 impl InflightFetch {
     /// Publishes the outcome and wakes every waiter.
-    fn publish(&self, outcome: std::result::Result<Bytes, String>) {
+    pub(super) fn publish(&self, outcome: std::result::Result<Bytes, String>) {
         *self.state.lock() = Some(outcome);
         self.done.notify_all();
+    }
+
+    /// The published page, if the owner has published one.
+    pub(super) fn page(&self) -> Option<Bytes> {
+        match &*self.state.lock() {
+            Some(Ok(bytes)) => Some(bytes.clone()),
+            _ => None,
+        }
     }
 
     /// Blocks until the owner publishes, then returns the full page.
@@ -58,6 +67,9 @@ enum PageClass {
     Owner { latch: Arc<InflightFetch> },
     /// Missing, but another reader is already fetching it.
     Waiter { latch: Arc<InflightFetch> },
+    /// Published by its owner and queued for write-behind: a hit served
+    /// from the bytes its in-flight entry holds.
+    Pending { page: Bytes },
     /// Missing and rejected by admission, or a hit whose store read hung:
     /// remote-read the exact range only.
     Bypass,
@@ -95,7 +107,7 @@ struct ServedPages {
 /// Releases owned in-flight latches when a read unwinds before publishing
 /// (panic or early error), so waiters are not stranded.
 struct LatchCleanup<'a> {
-    cache: &'a CacheManager,
+    cache: &'a CacheState,
     file: &'a SourceFile,
     pending: Vec<(usize, PageId, Arc<InflightFetch>)>,
 }
@@ -114,7 +126,7 @@ impl Drop for LatchCleanup<'_> {
     }
 }
 
-impl CacheManager {
+impl CacheState {
     /// Reads `len` bytes at `offset` from `file`, serving cached pages
     /// locally and fetching missing pages read-through from `source`. This
     /// is the one-fragment case of [`Self::read_multi`]; both run one
@@ -128,10 +140,12 @@ impl CacheManager {
     ///    pages, one ranged [`RemoteSource::read_ranges`] request per run,
     ///    executed concurrently up to
     ///    [`max_concurrent_fetches`](CacheConfig::max_concurrent_fetches).
-    /// 3. **Publish** — fetched pages are cached (re-taking the stripe lock
-    ///    just for the insert) and released through per-page single-flight
-    ///    latches, so N concurrent readers of one cold page produce exactly
-    ///    one remote request.
+    /// 3. **Publish** — fetched pages are released through per-page
+    ///    single-flight latches, so N concurrent readers of one cold page
+    ///    produce exactly one remote request, and cached: inline (re-taking
+    ///    the stripe lock just for the insert), or for a file-backed store
+    ///    behind the read on the write-behind writer, while its bounded
+    ///    queue has room.
     /// 4. **Assemble** — a range inside one page or one coalesced run is a
     ///    zero-copy slice; only a range spanning several sources is
     ///    stitched (counted in `bytes_copied`).
@@ -210,6 +224,10 @@ impl CacheManager {
         self.hot
             .bytes_requested
             .add(clamped.iter().map(|&(start, end)| end - start).sum());
+        // Pages published ahead of their landing reach the writer when this
+        // read returns, whatever way it returns — after its spans, declared
+        // below and so dropped first, are recorded.
+        let mut deferred = Deferred::new(self);
         let mut root = self.tracer.span(root_name);
         root.annotate("path", &file.path);
         if let [(offset, end)] = clamped[..] {
@@ -277,7 +295,8 @@ impl CacheManager {
         // anchor: page_reads == hits + misses + fallbacks.timeout.
         self.hot.page_reads.add(plans.len() as u64);
 
-        let served = self.fetch_publish_serve(file, &mut plans, source, root.id())?;
+        let served =
+            self.fetch_publish_serve(file, &mut plans, source, &mut deferred, root.id())?;
 
         // Stage 6: assemble one buffer per fragment. Each plan's chunk
         // covers the page's *union* sub-range, so a fragment slices its own
@@ -337,6 +356,7 @@ impl CacheManager {
         file: &SourceFile,
         plans: &mut [PagePlan],
         source: &dyn RemoteSource,
+        deferred: &mut Deferred<'_>,
         parent: SpanId,
     ) -> Result<ServedPages> {
         // Owned latches must be released even if this read errors or
@@ -391,9 +411,11 @@ impl CacheManager {
             first_error = Some(std::mem::replace(slot, Err(Error::Other(msg))).unwrap_err());
         }
 
-        // Stage 3: publish owned pages — cache them and release the latches
-        // before any waiting below, so two readers that own pages of each
-        // other's requests cannot deadlock.
+        // Stage 3: publish owned pages — release the latches before any
+        // waiting below, so two readers that own pages of each other's
+        // requests cannot deadlock. A page bound for a file-backed store is
+        // published first and cached behind the read (write-behind) while
+        // the queue has room; otherwise it is cached here, then published.
         let publish_span = self.tracer.child(parent, "publish");
         let mut chunks: Vec<Option<Bytes>> = plans.iter().map(|_| None).collect();
         // Publish in ascending page order (pending was built ascending, so
@@ -412,7 +434,13 @@ impl CacheManager {
                 }
                 Err(e) => Err(e.to_string()),
             };
-            self.finish_fetch(file, id, &latch, &outcome, publish_span.id());
+            let queued = match &outcome {
+                Ok(page) => deferred.publish(file, id, &latch, page),
+                Err(_) => false,
+            };
+            if !queued {
+                self.finish_fetch(file, id, &latch, &outcome, publish_span.id());
+            }
             if let Ok(page) = outcome {
                 let a = (plan.within_off as usize).min(page.len());
                 let b = ((plan.within_off + plan.within_len) as usize).min(page.len());
@@ -463,7 +491,7 @@ impl CacheManager {
                 })
                 .collect();
             let repaired =
-                self.fetch_publish_serve(file, &mut replans, source, repair_span.id())?;
+                self.fetch_publish_serve(file, &mut replans, source, deferred, repair_span.id())?;
             for (&(pos, _), chunk) in repairs.iter().zip(repaired.chunks) {
                 chunks[pos] = Some(chunk);
             }
@@ -494,6 +522,12 @@ impl CacheManager {
                     if let Ok(bytes) = &fetched[slot] {
                         chunks[pos] = Some(bytes.clone());
                     }
+                }
+                PageClass::Pending { page } => {
+                    let a = (plan.within_off as usize).min(page.len());
+                    let b = ((plan.within_off + plan.within_len) as usize).min(page.len());
+                    self.hot.bytes_from_cache.add((b - a) as u64);
+                    chunks[pos] = Some(page.slice(a..b));
                 }
                 _ => {}
             }
@@ -557,8 +591,15 @@ impl CacheManager {
     /// A repair classifies its pages here directly: it never probes the
     /// index for a hit, so one repair round is the most a read runs.
     fn classify_miss(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
-        self.hot.misses.inc();
         let mut inflight = self.inflight_shard(id).lock();
+        if let Some(page) = inflight.get(&id).and_then(|latch| latch.page()) {
+            // Published and still queued for write-behind (an inline
+            // publish removes the entry first): cached, not yet landed.
+            self.hot.hits.inc();
+            self.metrics.counter("hits.pending").inc();
+            return PageClass::Pending { page };
+        }
+        self.hot.misses.inc();
         if let Some(latch) = inflight.get(&id) {
             // Join the in-flight fetch regardless of admission:
             // the owner is caching this page anyway.
@@ -625,7 +666,7 @@ impl CacheManager {
                     plan.slot = Some(fetches.len());
                     fetches.push((plan.page_start + plan.within_off, plan.within_len));
                 }
-                PageClass::Hit { .. } | PageClass::Waiter { .. } => {
+                PageClass::Hit { .. } | PageClass::Waiter { .. } | PageClass::Pending { .. } => {
                     self.close_run(&fetches, run_pages);
                     run_pages = 0;
                 }
@@ -781,10 +822,10 @@ impl CacheManager {
         out
     }
 
-    /// Stage 3 for one owned page: caches the fetched page (re-taking its
-    /// stripe lock just for the insert), removes the in-flight entry while
-    /// that lock is still held (see [`Self::classify_page`] for why), then
-    /// releases the latch.
+    /// Stage 3 for one owned page published inline: caches the fetched
+    /// page (re-taking its stripe lock just for the insert), removes the
+    /// in-flight entry while that lock is still held (see
+    /// [`Self::classify_page`] for why), then releases the latch.
     fn finish_fetch(
         &self,
         file: &SourceFile,
@@ -795,26 +836,33 @@ impl CacheManager {
     ) {
         {
             let _guard = self.stripe(id).lock();
-            let mut cached = false;
-            if let Ok(page) = outcome {
-                match self.put_page_locked(file, id, page, parent) {
-                    Ok(()) => cached = true,
-                    Err(e) => {
-                        // Caching failed (quota, space, store error): the
-                        // read and its waiters are still served from the
-                        // fetched bytes.
-                        self.metrics.record_error("put", e.kind());
-                    }
-                }
-            }
-            if !cached {
-                // Admission granted this owner a slot at classify time but
-                // no page landed; return the slot if the scope stayed empty.
-                self.release_admission_if_vacant(&file.scope);
-            }
+            self.cache_fetched(file, id, outcome.as_ref().ok(), parent);
             self.inflight_shard(id).lock().remove(&id);
         }
         latch.publish(outcome.clone());
+    }
+
+    /// Caches an owner's fetched page (`None`: the fetch failed), inline or
+    /// on the write-behind writer. Caller holds the page's stripe lock.
+    pub(super) fn cache_fetched(
+        &self,
+        file: &SourceFile,
+        id: PageId,
+        page: Option<&Bytes>,
+        parent: SpanId,
+    ) {
+        let cached = page.is_some_and(|page| {
+            self.put_page_locked(file, id, page, parent)
+                // Caching failed (quota, space, store error): the read and
+                // its waiters are still served from the fetched bytes.
+                .map_err(|e| self.metrics.record_error("put", e.kind()))
+                .is_ok()
+        });
+        if !cached {
+            // Admission granted this owner a slot at classify time but no
+            // page landed; return the slot if the scope stayed empty.
+            self.release_admission_if_vacant(&file.scope);
+        }
     }
 
     /// Serves a page classified as a hit, without the stripe lock. A hit

@@ -2371,3 +2371,399 @@ mod mem_tier {
         }
     }
 }
+
+/// The write-behind contract: a read-through miss into a file-backed store
+/// returns before its page lands. Each test breaks if the rule in its name
+/// is dropped.
+mod write_behind {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::mpsc;
+
+    const PAGE: u64 = 100;
+
+    #[derive(Default)]
+    struct Gate {
+        /// Pages whose put waits until released.
+        held: HashSet<PageId>,
+        /// Puts waiting at the gate right now.
+        blocked: HashSet<PageId>,
+        /// Pages whose put fails.
+        failing: HashSet<PageId>,
+    }
+
+    /// A store the manager treats as file-backed (so its publishes go
+    /// behind the read), whose puts of held pages block until released: a
+    /// publish stays queued for exactly as long as a test needs.
+    #[derive(Default)]
+    struct GatedStore {
+        inner: MemoryPageStore,
+        gate: PlMutex<Gate>,
+        changed: Condvar,
+    }
+
+    impl GatedStore {
+        fn hold(&self, id: PageId) {
+            self.gate.lock().held.insert(id);
+        }
+
+        fn fail(&self, id: PageId) {
+            self.gate.lock().failing.insert(id);
+        }
+
+        fn release_all(&self) {
+            self.gate.lock().held.clear();
+            self.changed.notify_all();
+        }
+
+        /// Blocks until a put of `id` waits at the gate.
+        fn wait_blocked(&self, id: PageId) {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let mut gate = self.gate.lock();
+            while !gate.blocked.contains(&id) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no put of {id} reached the gate"
+                );
+                self.changed.wait_for(&mut gate, Duration::from_millis(100));
+            }
+        }
+    }
+
+    /// Opens the gate when dropped: declared after the manager, it lets a
+    /// failing test unwind instead of hanging in the manager's drop, which
+    /// lands what is queued.
+    struct OpenOnDrop(Arc<GatedStore>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.release_all();
+        }
+    }
+
+    impl PageStore for GatedStore {
+        fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
+            let mut gate = self.gate.lock();
+            if gate.failing.contains(&id) {
+                return Err(Error::Io(std::io::Error::other("injected put failure")));
+            }
+            if gate.held.contains(&id) {
+                gate.blocked.insert(id);
+                self.changed.notify_all();
+                while gate.held.contains(&id) {
+                    self.changed.wait(&mut gate);
+                }
+                gate.blocked.remove(&id);
+            }
+            drop(gate);
+            self.inner.put(id, data)
+        }
+
+        fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
+            self.inner.get(id, offset, len)
+        }
+
+        fn delete(&self, id: PageId) -> Result<bool> {
+            self.inner.delete(id)
+        }
+
+        fn contains(&self, id: PageId) -> bool {
+            self.inner.contains(id)
+        }
+
+        fn bytes_used(&self) -> u64 {
+            self.inner.bytes_used()
+        }
+
+        fn recover(&self) -> Result<Vec<(PageId, u64)>> {
+            self.inner.recover()
+        }
+
+        fn put_is_file_io(&self) -> bool {
+            true
+        }
+    }
+
+    fn gated_cache(
+        admission: Option<Arc<FilterRuleAdmission>>,
+    ) -> (Arc<CacheManager>, Arc<GatedStore>, OpenOnDrop) {
+        let store = Arc::new(GatedStore::default());
+        let mut builder =
+            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(PAGE)))
+                .with_store(Arc::clone(&store) as Arc<dyn PageStore>, 1 << 20);
+        if let Some(admission) = admission {
+            builder = builder.with_admission(admission);
+        }
+        let open = OpenOnDrop(Arc::clone(&store));
+        (Arc::new(builder.build().unwrap()), store, open)
+    }
+
+    /// Parks the writer in the held put of another file's page, so every
+    /// publish queued after it stays queued until `release_all`. The
+    /// blocker holds one of the queue's two pages while it lands.
+    fn park_writer(cache: &CacheManager, store: &GatedStore) {
+        let blocker = file("/blocker", PAGE);
+        let remote = ScriptedRemote::new().with_file("/blocker", pattern(PAGE as usize));
+        let id = PageId::new(blocker.file_id(), 0);
+        store.hold(id);
+        cache.read(&blocker, 0, PAGE, &remote).unwrap();
+        store.wait_blocked(id);
+    }
+
+    #[test]
+    fn a_queued_page_is_a_pending_hit() {
+        let (cache, store, _open) = gated_cache(None);
+        park_writer(&cache, &store);
+        let data = pattern(PAGE as usize);
+        let remote = ScriptedRemote::new().with_file("/f", data.clone());
+        let f = file("/f", PAGE);
+        let id = PageId::new(f.file_id(), 0);
+
+        assert_eq!(
+            cache.read(&f, 0, PAGE, &remote).unwrap().as_ref(),
+            &data[..]
+        );
+        assert!(!cache.index().contains(&id), "the page has not landed");
+        assert!(cache.contains(&f, 0), "a queued page counts as cached");
+        assert_eq!(cache.stats().pages, 2, "the blocker and the page");
+
+        let got = cache.read(&f, 10, 50, &remote).unwrap();
+        assert_eq!(got.as_ref(), &data[10..60]);
+        assert_eq!(remote.read_count(), 1, "served from the in-flight entry");
+        assert_eq!(cache.metrics().counter("hits.pending").get(), 1);
+        assert_eq!(cache.stats().hits, 1);
+
+        store.release_all();
+        cache.quiesce();
+        assert!(cache.index().contains(&id));
+        assert_eq!(cache.inflight_fetches(), 0);
+        assert_eq!(cache.stats().pages, 2);
+    }
+
+    #[test]
+    fn a_delete_after_the_read_waits_for_its_publish() {
+        let (cache, store, _open) = gated_cache(None);
+        park_writer(&cache, &store);
+        let remote = ScriptedRemote::new().with_file("/f", pattern(PAGE as usize));
+        let f = file("/f", PAGE);
+        cache.read(&f, 0, PAGE, &remote).unwrap();
+
+        let (started_tx, started) = mpsc::channel();
+        let (deleted_tx, deleted) = mpsc::channel();
+        let deleter = {
+            let cache = Arc::clone(&cache);
+            let id = f.file_id();
+            std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                deleted_tx.send(cache.delete_file(id)).unwrap();
+            })
+        };
+        started.recv().unwrap();
+        // The delete must wait for the read's queued publish, which waits
+        // on the gate: it cannot finish before the gate opens.
+        assert!(
+            deleted.recv_timeout(Duration::from_millis(200)).is_err(),
+            "delete_file returned while the read's publish was queued"
+        );
+        store.release_all();
+        assert_eq!(deleted.recv().unwrap(), 1, "the landed page was deleted");
+        deleter.join().unwrap();
+        assert!(!cache.contains(&f, 0));
+        assert!(!store.contains(PageId::new(f.file_id(), 0)));
+    }
+
+    #[test]
+    fn a_put_page_during_the_queue_wins() {
+        let (cache, store, _open) = gated_cache(None);
+        park_writer(&cache, &store);
+        let old = pattern(PAGE as usize);
+        let new: Vec<u8> = old.iter().map(|b| b ^ 0xff).collect();
+        let remote = ScriptedRemote::new().with_file("/f", old);
+        let f = file("/f", PAGE);
+        cache.read(&f, 0, PAGE, &remote).unwrap();
+
+        cache.put_page(&f, 0, &new).unwrap();
+        assert_eq!(cache.stats().pages, 2, "the put took the queued page over");
+        store.release_all();
+        cache.quiesce();
+
+        assert_eq!(cache.read(&f, 0, PAGE, &remote).unwrap().as_ref(), &new[..]);
+        let stored = store.get_full(PageId::new(f.file_id(), 0)).unwrap();
+        assert_eq!(stored.as_ref(), &new[..], "the older landing was skipped");
+        assert_eq!(cache.stats().pages, 2);
+        assert_eq!(cache.inflight_fetches(), 0);
+    }
+
+    #[test]
+    fn a_full_queue_publishes_inline() {
+        let (cache, store, _open) = gated_cache(None);
+        let data = pattern(3 * PAGE as usize);
+        let remote = ScriptedRemote::new().with_file("/f", data.clone());
+        let f = file("/f", 3 * PAGE);
+        let ids: Vec<PageId> = (0..3).map(|i| PageId::new(f.file_id(), i)).collect();
+        store.hold(ids[0]);
+        store.hold(ids[1]);
+
+        assert_eq!(
+            cache.read(&f, 0, 3 * PAGE, &remote).unwrap().as_ref(),
+            &data[..]
+        );
+        store.wait_blocked(ids[0]);
+        assert!(
+            cache.index().contains(&ids[2]),
+            "third page published inline"
+        );
+        assert!(!cache.index().contains(&ids[1]), "second page still queued");
+        assert_eq!(cache.stats().pages, 3);
+
+        store.release_all();
+        cache.quiesce();
+        assert_eq!(cache.index().len(), 3);
+        assert_eq!(cache.stats().pages, 3);
+    }
+
+    #[test]
+    fn a_failed_deferred_put_is_booked_and_returns_the_slot() {
+        let (cache, store, _open) = gated_cache(Some(partition_cap("t", 1)));
+        let data = pattern(PAGE as usize);
+        let r1 = ScriptedRemote::new().with_file("/f1", data.clone());
+        let f1 = part_file("/f1", PAGE, "p1");
+        store.fail(PageId::new(f1.file_id(), 0));
+
+        assert_eq!(cache.read(&f1, 0, PAGE, &r1).unwrap().as_ref(), &data[..]);
+        cache.quiesce();
+        assert_eq!(cache.metrics().counter("errors.put.io").get(), 1);
+        assert!(!cache.contains(&f1, 0));
+        assert_eq!(cache.inflight_fetches(), 0);
+        assert_eq!(cache.stats().pages, 0);
+
+        let r2 = ScriptedRemote::new().with_file("/f2", pattern(PAGE as usize));
+        let f2 = part_file("/f2", PAGE, "p2");
+        cache.read(&f2, 0, PAGE, &r2).unwrap();
+        cache.quiesce();
+        assert!(
+            cache.index().contains(&PageId::new(f2.file_id(), 0)),
+            "failed deferred put leaked the admission slot"
+        );
+    }
+
+    #[test]
+    fn dropping_the_manager_lands_its_queue_and_joins_the_writer() {
+        let (cache, store, open) = gated_cache(None);
+        let remote = ScriptedRemote::new().with_file("/f", pattern(2 * PAGE as usize));
+        let f = file("/f", 2 * PAGE);
+        let ids = [PageId::new(f.file_id(), 0), PageId::new(f.file_id(), 1)];
+        store.hold(ids[0]);
+        cache.read(&f, 0, 2 * PAGE, &remote).unwrap();
+        store.wait_blocked(ids[0]);
+
+        let (dropped_tx, dropped) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(cache);
+            dropped_tx.send(()).unwrap();
+        });
+        assert!(
+            dropped.recv_timeout(Duration::from_millis(200)).is_err(),
+            "drop returned with a publish still queued"
+        );
+        store.release_all();
+        dropped.recv().unwrap();
+        dropper.join().unwrap();
+        assert!(ids.iter().all(|&id| store.contains(id)), "queue drained");
+        drop(open);
+        assert_eq!(Arc::strong_count(&store), 1, "the writer was joined");
+    }
+
+    #[test]
+    fn hammer_hands_over_exactly_once() {
+        // Few pages, so the cache is often full while a landing hands a
+        // page over: counted twice then, it would exceed the file.
+        const PAGES: u64 = 4;
+        const READERS: usize = 4;
+        const ITERS: u64 = 2_000;
+        let dir = std::env::temp_dir().join(format!("edgecache-wb-hammer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = edgecache_pagestore::LocalPageStore::open(
+            &dir,
+            edgecache_pagestore::LocalStoreConfig {
+                page_size: PAGE,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let cache = Arc::new(
+            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(PAGE)))
+                .with_store(Arc::new(store), 1 << 20)
+                .build()
+                .unwrap(),
+        );
+        assert!(cache.write_behind.is_some(), "a local store defers");
+        let data = pattern((PAGES * PAGE) as usize);
+        let remote = Arc::new(ScriptedRemote::new().with_file("/h", data.clone()));
+        let f = file("/h", PAGES * PAGE);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+        let mut readers = Vec::new();
+        for r in 0..READERS as u64 {
+            let (cache, remote, f, data) = (
+                Arc::clone(&cache),
+                Arc::clone(&remote),
+                f.clone(),
+                data.clone(),
+            );
+            readers.push(std::thread::spawn(move || {
+                for i in 0..ITERS {
+                    // Overlapping spans of one to three pages.
+                    let first = (r + i * 3) % PAGES;
+                    let len = (PAGE * (1 + (i + r) % 3)).min(PAGES * PAGE - first * PAGE);
+                    let offset = first * PAGE + (i % 3);
+                    let len = len - (i % 3);
+                    let got = cache.read(&f, offset, len, remote.as_ref()).unwrap();
+                    assert_eq!(
+                        got.as_ref(),
+                        &data[offset as usize..(offset + len) as usize]
+                    );
+                }
+            }));
+        }
+        let deleter = {
+            let (cache, stop, id) = (Arc::clone(&cache), Arc::clone(&stop), f.file_id());
+            std::thread::spawn(move || {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    cache.delete_file(id);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let sampler = {
+            let (cache, stop) = (Arc::clone(&cache), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let queue = cache.write_behind.as_ref().unwrap();
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    // The stats formula, under the lock every hand-over
+                    // takes: a page counted twice would exceed the file.
+                    let (counted, _) = queue.counted(|| (cache.index().len(), 0));
+                    assert!(counted <= PAGES as usize, "{counted} pages counted");
+                    assert!(cache.stats().pages <= PAGES as usize);
+                }
+            })
+        };
+        for h in readers {
+            h.join().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        deleter.join().unwrap();
+        sampler.join().unwrap();
+
+        cache.quiesce();
+        assert_eq!(cache.inflight_fetches(), 0);
+        cache.index().check_consistency().unwrap();
+        cache.check_policy_coherence().unwrap();
+        assert_eq!(cache.stats().pages, cache.index().len());
+        for (store_bytes, indexed_bytes, _) in cache.dir_usage() {
+            assert_eq!(store_bytes, indexed_bytes, "store/index drift");
+        }
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -8,9 +8,9 @@ use edgecache_common::error::{Error, Result};
 use edgecache_metrics::trace::SpanId;
 use edgecache_pagestore::{PageId, PageInfo, PageStore};
 
-use super::CacheManager;
+use super::CacheState;
 
-impl CacheManager {
+impl CacheState {
     /// Adjusts the DRAM tier's byte capacity at runtime (no-op without a
     /// mounted tier). Shrinking demotes resident frames to SSD until the
     /// tier fits; a frame whose demotion fails (every SSD directory refuses

@@ -3,18 +3,21 @@
 //!
 //! The network server wraps a `CacheManager` and may be started and stopped
 //! many times in one process (tests, config reloads, embedders). The fetch
-//! pool, the read-timeout I/O pool, and the TTL janitor each own OS
-//! threads; if any of them is detached instead of joined, every start/stop
-//! cycle leaks threads until the process hits a limit. Counting
-//! `/proc/self/task` entries across a start/stop loop pins the fix.
+//! pool, the read-timeout I/O pool, the TTL janitor and (over a file-backed
+//! store) the write-behind writer each own OS threads; if any of them is
+//! detached instead of joined, every start/stop cycle leaks threads until
+//! the process hits a limit. Counting `/proc/self/task` entries across a
+//! start/stop loop pins the fix.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use edgecache_common::ByteSize;
 use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
-use edgecache_pagestore::{CacheScope, MemoryPageStore};
+use edgecache_pagestore::{
+    CacheScope, LocalPageStore, LocalStoreConfig, MemoryPageStore, PageStore,
+};
 
 struct ZeroRemote;
 
@@ -35,7 +38,26 @@ fn thread_count() -> Option<usize> {
     Some(std::fs::read_dir("/proc/self/task").ok()?.count())
 }
 
-fn build_cache() -> Arc<CacheManager> {
+/// Waits until at most `base` threads are alive. A joined thread can stay
+/// listed in `/proc/self/task` for a moment after `join` returns (the kernel
+/// reaps it after waking the joiner), so only a count still high at the
+/// deadline is a leak.
+fn settles_to(base: usize) -> std::result::Result<(), usize> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match thread_count() {
+            Some(now) if now > base => {
+                if Instant::now() >= deadline {
+                    return Err(now);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            _ => return Ok(()),
+        }
+    }
+}
+
+fn build_cache(store: Arc<dyn PageStore>) -> Arc<CacheManager> {
     Arc::new(
         CacheManager::builder(
             CacheConfig::default()
@@ -46,7 +68,7 @@ fn build_cache() -> Arc<CacheManager> {
                 .with_max_concurrent_fetches(4)
                 .with_read_timeout(Duration::from_secs(5)),
         )
-        .with_store(Arc::new(MemoryPageStore::new()), 1 << 20)
+        .with_store(store, 1 << 20)
         .build()
         .expect("build cache"),
     )
@@ -54,10 +76,25 @@ fn build_cache() -> Arc<CacheManager> {
 
 #[test]
 fn repeated_start_stop_leaks_no_threads() {
+    let dir = std::env::temp_dir().join(format!("edgecache-leak-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Even rounds use a memory store (pools and janitor only), odd rounds a
+    // local store, whose manager also runs a write-behind writer.
+    let store = |round: usize| -> Arc<dyn PageStore> {
+        if round.is_multiple_of(2) {
+            Arc::new(MemoryPageStore::new())
+        } else {
+            let config = LocalStoreConfig {
+                page_size: 1024,
+                ..Default::default()
+            };
+            Arc::new(LocalPageStore::open(dir.join(format!("r{round}")), config).expect("open"))
+        }
+    };
     // Warm-up cycle: lets the runtime allocate whatever one-time threads it
     // wants before the baseline is taken.
     {
-        let cache = build_cache();
+        let cache = build_cache(store(0));
         let janitor = cache.start_ttl_janitor(Duration::from_secs(3600));
         let file = SourceFile::new("/warm", 1, 4096, CacheScope::Global);
         cache.read(&file, 0, 4096, &ZeroRemote).expect("read");
@@ -66,7 +103,7 @@ fn repeated_start_stop_leaks_no_threads() {
 
     let baseline = thread_count();
     for round in 0..16 {
-        let cache = build_cache();
+        let cache = build_cache(store(round));
         // A janitor with an hour-long interval: the join in Drop must not
         // wait out the interval (the condvar wakes it immediately).
         let janitor = cache.start_ttl_janitor(Duration::from_secs(3600));
@@ -75,12 +112,14 @@ fn repeated_start_stop_leaks_no_threads() {
         cache.read(&file, 0, 8192, &ZeroRemote).expect("read");
         drop(janitor);
         drop(cache);
-        if let (Some(base), Some(now)) = (baseline, thread_count()) {
-            assert!(
-                now <= base,
-                "round {round}: {now} threads alive, baseline {base} — \
-                 a pool or janitor thread was detached instead of joined"
-            );
+        if let Some(base) = baseline {
+            if let Err(now) = settles_to(base) {
+                panic!(
+                    "round {round}: {now} threads alive after 10 s, baseline {base} — \
+                     a pool, janitor or writer thread was detached instead of joined"
+                );
+            }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -148,6 +148,10 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
     fn recover(&self) -> Result<Vec<(PageId, u64)>> {
         self.inner.recover()
     }
+
+    fn put_is_file_io(&self) -> bool {
+        self.inner.put_is_file_io()
+    }
 }
 
 #[cfg(test)]

@@ -412,6 +412,10 @@ impl PageStore for LocalPageStore {
         self.bytes_used.load(Ordering::SeqCst)
     }
 
+    fn put_is_file_io(&self) -> bool {
+        true
+    }
+
     fn recover(&self) -> Result<Vec<(PageId, u64)>> {
         let mut out = Vec::new();
         for bucket in fs::read_dir(&self.base)? {

@@ -48,4 +48,12 @@ pub trait PageStore: Send + Sync {
     /// found — used for cold-start cache recovery (§4.3's "persistent global
     /// information that can be used in cache recovery").
     fn recover(&self) -> Result<Vec<(PageId, u64)>>;
+
+    /// Whether `put` is file-system I/O (create, write, rename) rather than
+    /// an in-memory copy. The cache manager publishes a read-through miss
+    /// into such a store behind the read, on a writer thread of its own; a
+    /// memory store is cheaper to fill inline than to hand over.
+    fn put_is_file_io(&self) -> bool {
+        false
+    }
 }

@@ -69,6 +69,9 @@ pub fn cache_epoch_laws(clean: bool) -> Vec<ConservationLaw> {
             &["bytes_requested"],
         ),
         ConservationLaw::at_most("hits are classified reads", &["hits"], &["page_reads"]),
+        // A read of a page queued for write-behind is a hit served from
+        // its in-flight entry.
+        ConservationLaw::at_most("pending hits are hits", &["hits.pending"], &["hits"]),
         // Three-tier flow laws (all trivially 0 = 0 without a DRAM tier).
         // DRAM does not survive a restart, so within one epoch every
         // memory-resident frame entered via a promotion (publishes land on
@@ -212,6 +215,8 @@ pub fn check_accounting(
         detail,
     };
 
+    // The runner quiesces after every op, so queued write-behind entries
+    // have landed or failed by now: none may remain.
     if cache.inflight_fetches() != 0 {
         out.push(mk(
             "latch-leak",
@@ -373,6 +378,10 @@ mod tests {
         m.counter("fallbacks.timeout").inc();
         let diff = SnapshotDiff::from_start(&m.snapshot());
         assert!(assert_conserved(&diff, &cache_epoch_laws(true)).is_ok());
+        // Pending hits are a kind of hit, never more of them.
+        m.counter("hits.pending").add(5);
+        let diff = SnapshotDiff::from_start(&m.snapshot());
+        assert!(assert_conserved(&diff, &cache_epoch_laws(false)).is_err());
     }
 
     #[test]

@@ -470,6 +470,10 @@ fn run_direct(sc: &Scenario) -> RunReport {
             }
             Op::WorkerOffline { .. } | Op::WorkerOnline { .. } => "noop".to_string(),
         };
+        // Land the op's write-behind publishes before anything looks: a
+        // crash point inside one is then this op's crash, and the per-op
+        // oracles see what a single-threaded caller would.
+        stack.cache.quiesce();
         trace.push(format!(
             "op{i:03} {op:?} -> {digest} clock={}ms",
             sim.now_millis()

@@ -120,6 +120,7 @@ fn three_tier_read_demote_promote_restart() {
         // stays empty until a page's second SSD hit.
         let got = cache.read(&f, 0, PAGES * PAGE, &remote).unwrap();
         assert_eq!(got.as_ref(), &remote.data[..]);
+        cache.quiesce();
         let cold_reads = remote.reads();
         assert!(cold_reads >= 1);
         assert_books_balance(&cache);
