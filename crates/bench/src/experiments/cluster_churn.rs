@@ -435,7 +435,6 @@ pub fn run(quick: bool) -> ExperimentReport {
         report.artifact = Some(Artifact {
             file: "BENCH_cluster.json",
             json,
-            wall_clock: &[],
         });
     }
     report

@@ -9,7 +9,6 @@ pub mod fig13_read_rates;
 pub mod fig14_blocked_procs;
 pub mod fig2_zipf;
 pub mod fig9_tpcds;
-pub mod hotpath;
 pub mod lazy_movement_ablation;
 pub mod meta_latency;
 pub mod metadata_ablation;
@@ -19,7 +18,6 @@ pub mod readpath_scaling;
 pub mod replicas_ablation;
 pub mod resultcache;
 pub mod scanpath;
-pub mod server;
 pub mod table1_hdfs_traffic;
 
 use crate::report::ExperimentReport;
@@ -46,9 +44,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     ("quota_ablation", quota_ablation::run),
     ("readpath_scaling", readpath_scaling::run),
     ("scanpath", scanpath::run),
-    ("hotpath", hotpath::run),
     ("resultcache", resultcache::run),
-    ("server", server::run),
 ];
 
 /// The experiments a subcommand runs: `all` is the whole table, an
@@ -118,11 +114,10 @@ mod tests {
     }
 
     /// The committed `file`, and an artifact whose fresh result is exactly it.
-    fn committed(file: &'static str, wall_clock: &'static [&'static str]) -> (String, Artifact) {
+    fn committed(file: &'static str) -> (String, Artifact) {
         let fresh = Artifact {
             file,
             json: serde_json::Value::Null,
-            wall_clock,
         };
         let text = std::fs::read_to_string(fresh.path()).expect("committed artifact");
         let json = serde_json::parse_value(&text).expect("committed artifact parses");
@@ -131,31 +126,36 @@ mod tests {
 
     #[test]
     fn committed_artifacts_check_clean_against_themselves() {
-        for (file, wall_clock) in [
-            ("BENCH_cluster.json", &[][..]),
-            ("BENCH_resultcache.json", &[]),
-            ("BENCH_scanpath.json", &[]),
-            ("BENCH_hotpath.json", hotpath::WALL_CLOCK),
-            ("BENCH_server.json", server::WALL_CLOCK),
-            ("BENCH_readpath.json", readpath_scaling::WALL_CLOCK),
+        for file in [
+            "BENCH_cluster.json",
+            "BENCH_resultcache.json",
+            "BENCH_scanpath.json",
+            "BENCH_readpath.json",
         ] {
-            let (text, fresh) = committed(file, wall_clock);
+            let (text, fresh) = committed(file);
             assert_eq!(fresh.check(&text), Ok(()), "{file}");
         }
     }
 
     #[test]
     fn an_edited_accounting_number_fails_naming_key_and_values() {
-        let (text, fresh) = committed("BENCH_server.json", server::WALL_CLOCK);
-        let edited = text.replacen("\"requests\": 2500,", "\"requests\": 2501,", 1);
+        let (text, fresh) = committed("BENCH_readpath.json");
+        // The 1-thread 100%-miss cell's sequential request count.
+        let edited = text.replacen(
+            "\"sequential_requests\": 200,",
+            "\"sequential_requests\": 201,",
+            1,
+        );
         assert_ne!(edited, text);
         let err = fresh.check(&edited).unwrap_err();
         assert!(
-            err.contains("committed `\"requests\": 2501,`, fresh `\"requests\": 2500,`"),
+            err.contains(
+                "committed `\"sequential_requests\": 201,`, fresh `\"sequential_requests\": 200,`"
+            ),
             "{err}"
         );
 
-        let (text, fresh) = committed("BENCH_resultcache.json", &[]);
+        let (text, fresh) = committed("BENCH_resultcache.json");
         // The warm phase's hit count.
         let edited = text.replacen("\"hits\": 192,", "\"hits\": 191,", 1);
         assert_ne!(edited, text);
@@ -164,27 +164,5 @@ mod tests {
             err.contains("committed `\"hits\": 191,`, fresh `\"hits\": 192,`"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn an_edited_wall_clock_field_passes() {
-        let (text, fresh) = committed("BENCH_server.json", server::WALL_CLOCK);
-        let v = fresh
-            .json
-            .get("cells")
-            .and_then(|c| c.as_array())
-            .expect("cells")[0]
-            .get("req_per_sec")
-            .and_then(|v| v.as_f64())
-            .expect("req_per_sec");
-        let edited = text
-            .replacen(
-                &format!("\"req_per_sec\": {v:?}"),
-                "\"req_per_sec\": 1.5",
-                1,
-            )
-            .replacen("\"host_cpus\": 1,", "\"host_cpus\": 64,", 1);
-        assert_ne!(edited, text);
-        assert_eq!(fresh.check(&edited), Ok(()));
     }
 }

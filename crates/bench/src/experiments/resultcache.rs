@@ -574,7 +574,6 @@ pub fn run(quick: bool) -> ExperimentReport {
         report.artifact = Some(Artifact {
             file: "BENCH_resultcache.json",
             json,
-            wall_clock: &[],
         });
     }
     report

@@ -253,7 +253,6 @@ pub fn run(quick: bool) -> ExperimentReport {
         report.artifact = Some(Artifact {
             file: "BENCH_scanpath.json",
             json,
-            wall_clock: &[],
         });
     }
     report

@@ -166,12 +166,9 @@ impl fmt::Display for ExperimentReport {
 pub struct Artifact {
     /// File name at the workspace root, e.g. `BENCH_cluster.json`.
     pub file: &'static str,
-    /// The results.
+    /// The results: deterministic numbers only, so a fresh run reproduces
+    /// them byte for byte on any host.
     pub json: Value,
-    /// Keys whose values depend on the host or the wall clock. The check
-    /// drops them, at every depth, from both sides; every other byte must
-    /// match.
-    pub wall_clock: &'static [&'static str],
 }
 
 impl Artifact {
@@ -194,21 +191,17 @@ impl Artifact {
     }
 
     /// Compares this fresh result with `committed`, the text of the
-    /// committed file. The file must be exactly what the writer produces,
-    /// and equal to the fresh result once the `wall_clock` keys are gone.
+    /// committed file: it must be exactly what the writer produces, and
+    /// byte for byte the fresh result.
     pub fn check(&self, committed: &str) -> Result<(), String> {
         let parsed = serde_json::parse_value(committed)
             .map_err(|e| format!("{}: committed file is unparseable: {e}", self.file))?;
         if let Some(d) = first_diff(committed, &render(&parsed)) {
             return Err(format!("{}: not what a full run writes, {d}", self.file));
         }
-        let want = render(&strip(parsed, self.wall_clock));
-        match first_diff(&want, &render(&strip(self.json.clone(), self.wall_clock))) {
+        match first_diff(committed, &self.text()) {
             None => Ok(()),
-            Some(d) => Err(format!(
-                "{} differs from the fresh run (wall-clock keys dropped), {d}",
-                self.file
-            )),
+            Some(d) => Err(format!("{} differs from the fresh run, {d}", self.file)),
         }
     }
 }
@@ -216,21 +209,6 @@ impl Artifact {
 /// Pretty JSON plus a trailing newline: the one artifact format.
 fn render(v: &Value) -> String {
     serde_json::to_string_pretty(v).expect("a Value always serializes") + "\n"
-}
-
-/// Drops every member named in `keys`, at any depth.
-fn strip(v: Value, keys: &[&str]) -> Value {
-    match v {
-        Value::Object(members) => Value::Object(
-            members
-                .into_iter()
-                .filter(|(k, _)| !keys.contains(&k.as_str()))
-                .map(|(k, v)| (k, strip(v, keys)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.into_iter().map(|v| strip(v, keys)).collect()),
-        v => v,
-    }
 }
 
 /// The first line where `committed` and `fresh` differ, with both sides.
@@ -266,13 +244,6 @@ pub(crate) fn num_f(v: f64) -> Value {
     Value::Number(Number::Float(v))
 }
 
-/// CPUs this process may run on (recorded by the wall-clock experiments).
-pub(crate) fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,45 +261,11 @@ mod tests {
         Artifact {
             file: "BENCH_test.json",
             json,
-            wall_clock: &["t"],
         }
     }
 
     #[test]
-    fn a_wall_clock_key_is_dropped_at_every_depth() {
-        let doc = |t: u64| {
-            obj(vec![
-                ("a", num_u(1)),
-                ("t", num_u(t)),
-                (
-                    "x",
-                    obj(vec![
-                        ("t", num_u(t)),
-                        (
-                            "y",
-                            Value::Array(vec![obj(vec![("t", num_u(t)), ("z", num_u(5))])]),
-                        ),
-                    ]),
-                ),
-            ])
-        };
-        let stripped = strip(doc(2), &["t"]);
-        assert_eq!(
-            render(&stripped),
-            render(&obj(vec![
-                ("a", num_u(1)),
-                (
-                    "x",
-                    obj(vec![("y", Value::Array(vec![obj(vec![("z", num_u(5))])]))])
-                ),
-            ]))
-        );
-        // So a committed file whose `t`s all differ still checks clean.
-        assert_eq!(artifact(doc(2)).check(&render(&doc(9))), Ok(()));
-    }
-
-    #[test]
-    fn the_check_is_byte_exact_outside_wall_clock_keys() {
+    fn the_check_is_byte_exact() {
         let fresh = artifact(obj(vec![("a", num_u(1)), ("b", num_f(0.5))]));
         assert_eq!(fresh.check(&fresh.text()), Ok(()));
         let err = fresh.check(&fresh.text().replace('1', "2")).unwrap_err();

@@ -24,7 +24,7 @@ fn an_unknown_name_or_flag_exits_2_and_lists_the_names() {
         &[][..],
         &["no_such_experiment"],
         &["fig2_zipf", "--qiuck"],
-        &["server", "--quick", "BENCH_server.json"],
+        &["readpath_scaling", "--quick", "BENCH_readpath.json"],
         &["trace_dump", "--quick"],
     ] {
         let stderr = assert_usage_error(args);

@@ -197,8 +197,9 @@ struct HotMetrics {
     hits: Arc<Counter>,
     /// Hits classified under the stripe lock (the double-check after an
     /// optimistic probe missed). A pure-hit steady state must keep this at
-    /// zero — the hotpath benchmark asserts exactly that to prove hits
-    /// acquire no lock beyond the shard read lock.
+    /// zero — `hit_hammer_32_threads_loses_no_counts` and
+    /// `mem_hit_hammer_32_threads_stays_on_the_fast_path` assert exactly
+    /// that to prove hits acquire no lock beyond the shard read lock.
     hits_slow_path: Arc<Counter>,
     misses: Arc<Counter>,
     page_reads: Arc<Counter>,

@@ -577,7 +577,7 @@ impl CacheState {
         if let Some((dir, hits)) = self.index.touch(&id, now) {
             // Double-check hit: published between the optimistic probe and
             // the lock. Counted separately — a pure-hit workload must never
-            // land here (the hotpath benchmark asserts it stays 0).
+            // land here (the hit hammer tests assert it stays 0).
             self.hot.hits_slow_path.inc();
             if !self.policies[dir].record_access(id) {
                 self.hot.policy_events_dropped.inc();

@@ -20,9 +20,11 @@
 //!   connection read/write deadlines, and a graceful shutdown that
 //!   drains in-flight requests before severing sockets and joining every
 //!   thread.
-//! * [`loadgen`] — a closed-loop driver (shared by the `loadgen` binary,
-//!   the e2e tests, and the `server` bench) that verifies
-//!   one-response-per-request ordering and byte-exact values.
+//!
+//! `tests/server_e2e.rs` drives the front-end over real sockets (pipelined
+//! connections, one response per request in order, byte-exact values);
+//! its wall-clock cost is measured by the `kv_mixed` workload of the repo
+//! benchmark (`benchmark/`).
 //!
 //! ## Why threads, not tokio
 //!
@@ -35,7 +37,6 @@
 //! The protocol layer is transport-agnostic (`&[u8]` in, `Vec<u8>` out),
 //! so an async transport can replace [`server`] without touching it.
 
-pub mod loadgen;
 pub mod object;
 pub mod protocol;
 pub mod server;
@@ -43,7 +44,6 @@ pub mod server;
 #[cfg(test)]
 mod proptests;
 
-pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use object::{ObjectStore, ObjectValue, SetOutcome};
 pub use protocol::{Command, ParserLimits, RequestParser};
 pub use server::{serve, ServerConfig, ServerHandle};

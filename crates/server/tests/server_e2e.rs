@@ -5,8 +5,8 @@
 //! dropped, shutdown drains and joins every thread, and the request
 //! accounting obeys the server conservation laws.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,9 +16,8 @@ use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::CacheManager;
 use edgecache_metrics::{assert_conserved, server_laws, SnapshotDiff};
 use edgecache_pagestore::{CacheScope, MemoryPageStore};
-use edgecache_server::loadgen::{self, LoadgenOptions};
 use edgecache_server::server::{serve, ServerConfig, ServerHandle};
-use edgecache_workload::kv::KeyMixConfig;
+use edgecache_workload::kv::{fill_value, KeyMix, KeyMixConfig, KvOp};
 
 fn start_server(config: ServerConfig) -> (ServerHandle, Arc<CacheManager>) {
     let clock = system_clock();
@@ -313,27 +312,81 @@ fn shutdown_command_honoured_only_when_allowed() {
     handle.shutdown();
 }
 
+/// One connection of the mix below: 500 seeded ops, 8 pipelined per write,
+/// every response checked against its request in order (a `get` misses or
+/// returns exactly `fill_value`, a `set` is answered). Returns (hits, stored).
+fn drive_mix(handle: &ServerHandle, seed: u64) -> (u64, u64) {
+    const LEN: usize = 512;
+    let mut mix = KeyMix::new(KeyMixConfig {
+        keys: 200,
+        set_ratio: 0.3,
+        value_len: LEN,
+        seed,
+        ..Default::default()
+    });
+    let ops: Vec<KvOp> = (0..500).map(|_| mix.next_op()).collect();
+    let mut c = BufReader::new(connect(handle));
+    let line = |c: &mut BufReader<TcpStream>| {
+        let mut l = String::new();
+        c.read_line(&mut l).unwrap();
+        l.trim_end().to_string()
+    };
+    let (mut hits, mut stored) = (0, 0);
+    for batch in ops.chunks(8) {
+        let mut wire = Vec::new();
+        for op in batch {
+            match op {
+                KvOp::Get { key } => write!(wire, "get {key}\r\n").unwrap(),
+                KvOp::Set { key, .. } => {
+                    write!(wire, "set {key} 0 0 {LEN}\r\n").unwrap();
+                    wire.extend(fill_value(key, LEN));
+                    wire.extend(b"\r\n");
+                }
+                KvOp::Delete { .. } => unreachable!("the mix has no deletes"),
+            }
+        }
+        c.get_mut().write_all(&wire).unwrap();
+        for op in batch {
+            let reply = line(&mut c);
+            match op {
+                KvOp::Get { key } if reply != "END" => {
+                    assert_eq!(reply, format!("VALUE {key} 0 {LEN}"));
+                    let mut data = vec![0u8; LEN + 2];
+                    c.read_exact(&mut data).unwrap();
+                    assert!(data[..LEN] == fill_value(key, LEN)[..], "{key}: bad value");
+                    assert_eq!((&data[LEN..], line(&mut c)), (&b"\r\n"[..], "END".into()));
+                    hits += 1;
+                }
+                KvOp::Get { .. } => {}
+                _ if reply == "STORED" => stored += 1,
+                _ => assert_eq!(reply, "NOT_STORED", "a set's reply, in order"),
+            }
+        }
+    }
+    // Exactly one response per request: nothing follows the last one.
+    c.get_ref().shutdown(Shutdown::Write).unwrap();
+    let mut rest = Vec::new();
+    c.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "unrequested responses: {rest:?}");
+    (hits, stored)
+}
+
 #[test]
-fn loadgen_against_live_server_conserves_and_hits() {
+fn pipelined_mix_against_live_server_conserves_and_hits() {
     let (handle, cache) = start_server(ephemeral());
     let before = cache.metrics().snapshot();
-    let report = loadgen::run(&LoadgenOptions {
-        addr: handle.local_addr().to_string(),
-        conns: 4,
-        pipeline_depth: 8,
-        requests_per_conn: 500,
-        mix: KeyMixConfig {
-            keys: 200,
-            set_ratio: 0.3,
-            value_len: 512,
-            ..Default::default()
-        },
-        verify_values: true,
+    let handle_ref = &handle;
+    let per_conn: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let conns: Vec<_> = (0..4)
+            .map(|conn| s.spawn(move || drive_mix(handle_ref, 42 + conn * 0x9e37)))
+            .collect();
+        conns.into_iter().map(|c| c.join().unwrap()).collect()
     });
-    report.conserved().expect("protocol contract");
-    assert_eq!(report.requests, 4 * 500);
-    assert!(report.hits > 0, "zipf reuse must produce hits");
-    assert!(report.stored > 0);
+    assert!(
+        per_conn.iter().any(|c| c.0 > 0),
+        "zipf reuse must produce hits"
+    );
+    assert!(per_conn.iter().any(|c| c.1 > 0));
     handle.shutdown();
     let diff = SnapshotDiff::between(&before, &cache.metrics().snapshot());
     assert_conserved(&diff, &server_laws()).unwrap();

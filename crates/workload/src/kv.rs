@@ -1,6 +1,6 @@
 //! Key/value operation mixes for the network front-end.
 //!
-//! The server's load generator and its benchmark harness need the same
+//! The server's e2e tests and the repo benchmark's `kv_mixed` need the same
 //! thing the page-level workloads provide for the embedded cache: a
 //! deterministic, Zipf-skewed stream of operations over a bounded keyspace
 //! — here memcached-style string keys grouped into tenant namespaces
@@ -8,9 +8,7 @@
 //! exactly as remote Presto workers would.
 //!
 //! [`KeyMix`] is seeded and fully deterministic: the same seed yields the
-//! same op sequence, which is what lets the server bench commit
-//! byte-exact request accounting next to its (host-dependent) wall-clock
-//! numbers.
+//! same op sequence, so a client can verify every response against it.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -131,7 +129,7 @@ impl KeyMix {
 }
 
 /// Deterministic value bytes for a key: reproducible across processes, so
-/// a loadgen can verify `get` responses byte-for-byte against what any
+/// a client can verify `get` responses byte-for-byte against what any
 /// earlier `set` (its own or another connection's) must have written.
 pub fn fill_value(key: &str, len: usize) -> Vec<u8> {
     let seed = edgecache_common::hash::hash_str(key);
