@@ -5,6 +5,8 @@
 //! is what produces the variably-sized, small column chunks that fragment
 //! read traffic (§2.2).
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 use edgecache_common::error::{Error, Result};
 
@@ -104,9 +106,9 @@ pub fn encode_plain(col: &ColumnData) -> Bytes {
                 buf.put_f64_le(x);
             }
         }
-        ColumnData::Utf8(v) => {
-            for s in v {
-                put_str(&mut buf, s);
+        ColumnData::Utf8 { codes, dict } => {
+            for &c in codes {
+                put_str(&mut buf, &dict[c as usize]);
             }
         }
         ColumnData::Bool(v) => {
@@ -118,24 +120,31 @@ pub fn encode_plain(col: &ColumnData) -> Bytes {
     buf.freeze()
 }
 
-/// Encodes with a dictionary (strings and int64 only): distinct values
-/// followed by u32 indices.
+/// Encodes with a dictionary (strings and int64 only): distinct values in
+/// first-seen order followed by u32 indices. A `Utf8` column's codes are
+/// renumbered so, whatever its in-memory dictionary, the bytes are those of
+/// its values: each used entry's text is looked up once, not once per row.
 pub fn encode_dictionary(col: &ColumnData) -> Option<Bytes> {
     let mut buf = BytesMut::new();
     match col {
-        ColumnData::Utf8(v) => {
-            let mut dict: Vec<&String> = Vec::new();
+        ColumnData::Utf8 { codes, dict } => {
+            let mut entries: Vec<&str> = Vec::new();
             let mut index_of = std::collections::HashMap::new();
-            let mut indices = Vec::with_capacity(v.len());
-            for s in v {
-                let idx = *index_of.entry(s).or_insert_with(|| {
-                    dict.push(s);
-                    dict.len() - 1
-                });
-                indices.push(idx as u32);
+            let mut renumbered = vec![u32::MAX; dict.len()];
+            let mut indices = Vec::with_capacity(codes.len());
+            for &c in codes {
+                let slot = &mut renumbered[c as usize];
+                if *slot == u32::MAX {
+                    let s = dict[c as usize].as_str();
+                    *slot = *index_of.entry(s).or_insert_with(|| {
+                        entries.push(s);
+                        entries.len() as u32 - 1
+                    });
+                }
+                indices.push(*slot);
             }
-            buf.put_u32_le(dict.len() as u32);
-            for s in dict {
+            buf.put_u32_le(entries.len() as u32);
+            for s in entries {
                 put_str(&mut buf, s);
             }
             for i in indices {
@@ -317,6 +326,16 @@ fn checked_run(run: u32, missing: usize) -> Result<usize> {
     }
 }
 
+/// The `rows` u32 codes that follow a dictionary, taken as one slice whose
+/// presence is checked before anything is allocated for them.
+fn code_slice<'a>(cur: &mut Cursor<'a>, rows: usize) -> Result<impl Iterator<Item = usize> + 'a> {
+    let len = rows.checked_mul(4);
+    let bytes = cur.take(len.ok_or_else(|| Error::Decode("chunk truncated".into()))?)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")) as usize))
+}
+
 /// The cursor-driven decode paths: everything except aligned plain
 /// fixed-width chunks.
 fn decode_cursor(
@@ -335,7 +354,8 @@ fn decode_cursor(
                 ColumnData::Float64((0..rows).map(|_| cur.f64()).collect::<Result<_>>()?)
             }
             ColumnType::Utf8 => {
-                ColumnData::Utf8((0..rows).map(|_| cur.str()).collect::<Result<_>>()?)
+                let strings = (0..rows).map(|_| cur.str()).collect::<Result<_>>()?;
+                ColumnData::utf8(strings)
             }
             ColumnType::Bool => ColumnData::Bool(
                 (0..rows)
@@ -349,35 +369,42 @@ fn decode_cursor(
                 ColumnType::Utf8 => {
                     let dict: Vec<String> =
                         (0..dict_len).map(|_| cur.str()).collect::<Result<_>>()?;
-                    let mut out = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        let idx = cur.u32()? as usize;
-                        let s = dict
-                            .get(idx)
-                            .ok_or_else(|| Error::Decode("dict index out of range".into()))?;
-                        out.push(s.clone());
+                    let mut bad = false;
+                    let codes = code_slice(&mut cur, rows)?
+                        .inspect(|&c| bad |= c >= dict.len())
+                        .map(|c| c as u32)
+                        .collect();
+                    if bad {
+                        return Err(Error::Decode("dict index out of range".into()));
                     }
-                    ColumnData::Utf8(out)
+                    ColumnData::Utf8 {
+                        codes,
+                        dict: Arc::new(dict),
+                    }
                 }
                 ColumnType::Int64 => {
                     let dict: Vec<i64> = (0..dict_len).map(|_| cur.i64()).collect::<Result<_>>()?;
-                    let mut out = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        let idx = cur.u32()? as usize;
-                        out.push(
-                            *dict
-                                .get(idx)
-                                .ok_or_else(|| Error::Decode("dict index out of range".into()))?,
-                        );
+                    let mut bad = false;
+                    let values = code_slice(&mut cur, rows)?
+                        .map(|c| {
+                            let v = dict.get(c).copied();
+                            bad |= v.is_none();
+                            v.unwrap_or_default()
+                        })
+                        .collect();
+                    if bad {
+                        return Err(Error::Decode("dict index out of range".into()));
                     }
-                    ColumnData::Int64(out)
+                    ColumnData::Int64(values)
                 }
                 _ => return Err(Error::Decode(format!("dictionary not valid for {ty}"))),
             }
         }
         Encoding::RunLength => match ty {
+            // No reservation from `rows`: a run holds any number of them,
+            // so only what the runs expand to is allocated.
             ColumnType::Int64 => {
-                let mut out = Vec::with_capacity(rows);
+                let mut out = Vec::new();
                 while out.len() < rows {
                     let run = checked_run(cur.u32()?, rows - out.len())?;
                     let v = cur.i64()?;
@@ -386,7 +413,7 @@ fn decode_cursor(
                 ColumnData::Int64(out)
             }
             ColumnType::Bool => {
-                let mut out = Vec::with_capacity(rows);
+                let mut out = Vec::new();
                 while out.len() < rows {
                     let run = checked_run(cur.u32()?, rows - out.len())?;
                     let v = cur.take(1)?[0] != 0;
@@ -422,7 +449,7 @@ mod tests {
     fn round_trips_all_types() {
         round_trip(ColumnData::Int64(vec![1, -5, i64::MAX, 0, i64::MIN]));
         round_trip(ColumnData::Float64(vec![1.5, -0.0, f64::MAX, 3.25]));
-        round_trip(ColumnData::Utf8(vec![
+        round_trip(ColumnData::utf8(vec![
             "a".into(),
             "".into(),
             "日本語".into(),
@@ -433,12 +460,12 @@ mod tests {
     #[test]
     fn empty_columns_round_trip() {
         round_trip(ColumnData::Int64(vec![]));
-        round_trip(ColumnData::Utf8(vec![]));
+        round_trip(ColumnData::utf8(vec![]));
     }
 
     #[test]
     fn dictionary_wins_on_repetitive_strings() {
-        let col = ColumnData::Utf8((0..1000).map(|i| format!("city_{}", i % 5)).collect());
+        let col = ColumnData::utf8((0..1000).map(|i| format!("city_{}", i % 5)).collect());
         let (enc, bytes) = encode_best(&col);
         assert_eq!(enc, Encoding::Dictionary);
         assert!(bytes.len() < encode_plain(&col).len() / 2);
@@ -470,7 +497,7 @@ mod tests {
 
     #[test]
     fn corrupt_dictionary_index_is_rejected() {
-        let col = ColumnData::Utf8(vec!["a".into(), "a".into()]);
+        let col = ColumnData::utf8(vec!["a".into(), "a".into()]);
         let bytes = encode_dictionary(&col).unwrap();
         let mut broken = bytes.to_vec();
         // Point the last index far out of range.
@@ -527,7 +554,7 @@ mod tests {
 
     #[test]
     fn cursor_encodings_count_full_chunk_as_copied() {
-        let col = ColumnData::Utf8((0..100).map(|i| format!("v{}", i % 4)).collect());
+        let col = ColumnData::utf8((0..100).map(|i| format!("v{}", i % 4)).collect());
         let (enc, bytes) = encode_best(&col);
         let (back, copied) = decode_with_stats(enc, ColumnType::Utf8, 100, &bytes).unwrap();
         assert_eq!(back, col);

@@ -25,6 +25,8 @@ use crate::types::{ColumnType, Value};
 pub const MAGIC: &[u8; 4] = b"COLF";
 /// Length of the fixed tail (footer length + magic).
 pub const TAIL_LEN: u64 = 12;
+/// The most rows one row group may declare (decode sizes its output by it).
+pub(crate) const MAX_GROUP_ROWS: u64 = 1 << 24;
 
 /// One column's name and type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +152,9 @@ impl FileMetadata {
         let mut total_rows = 0u64;
         for _ in 0..n_rgs {
             let rows = cur.u64()?;
+            if rows > MAX_GROUP_ROWS {
+                return Err(Error::Decode("absurd row count".into()));
+            }
             total_rows += rows;
             let n_chunks = cur.u32()? as usize;
             if n_chunks != schema.len() {
@@ -339,6 +344,24 @@ mod tests {
     fn garbage_footer_fails_cleanly() {
         let garbage = vec![0xffu8; 64];
         assert!(FileMetadata::decode(&garbage).is_err());
+    }
+
+    #[test]
+    fn a_damaged_row_count_is_rejected() {
+        let mut meta = sample_metadata();
+        meta.row_groups[0].rows = MAX_GROUP_ROWS;
+        assert!(FileMetadata::decode(&meta.encode()).is_ok());
+        // `rows` follows the schema and the row-group count.
+        let encoded = sample_metadata().encode();
+        let names: usize = meta.schema.columns.iter().map(|c| 5 + c.name.len()).sum();
+        let at = 4 + names + 4;
+        assert_eq!(encoded[at..at + 8], 100u64.to_le_bytes(), "test premise");
+        for rows in [MAX_GROUP_ROWS + 1, 1 << 36, u64::MAX] {
+            let mut damaged = encoded.to_vec();
+            damaged[at..at + 8].copy_from_slice(&rows.to_le_bytes());
+            let err = FileMetadata::decode(&damaged).unwrap_err();
+            assert!(err.to_string().contains("absurd row count"), "{err}");
+        }
     }
 
     #[test]

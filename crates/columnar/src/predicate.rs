@@ -115,8 +115,10 @@ impl Predicate {
     /// The typed, column-at-a-time form of [`Predicate::matches`]: narrows
     /// `input` (ascending row ids) to the rows the predicate holds on. Each
     /// leaf resolves its column through `column_of` once and runs one
-    /// comparison loop over the typed slice; `And` refines its left side's
-    /// output, `Or` merges both sides'. Unknown columns select nothing.
+    /// comparison loop over the typed slice (for `Utf8`, over the
+    /// dictionary into a mask that the rows' codes index); `And` refines its
+    /// left side's output, `Or` merges both sides'. Unknown columns select
+    /// nothing.
     pub fn select<'a>(
         &self,
         column_of: &dyn Fn(&str) -> Option<ColumnView<'a>>,
@@ -133,7 +135,15 @@ impl Predicate {
                 Some(view) => match view.data {
                     ColumnData::Int64(v) => self.select_leaf(v, view, input),
                     ColumnData::Float64(v) => self.select_leaf(v, view, input),
-                    ColumnData::Utf8(v) => self.select_leaf(v, view, input),
+                    ColumnData::Utf8 { codes, dict } => {
+                        // The leaf runs once per entry; rows test their code.
+                        let entries: Vec<u32> = (0..dict.len() as u32).collect();
+                        let mut mask = vec![false; dict.len()];
+                        for e in self.select_leaf(dict, ColumnView::direct(view.data), &entries) {
+                            mask[e as usize] = true;
+                        }
+                        keep(codes, view, input, |&c| mask[c as usize])
+                    }
                     ColumnData::Bool(v) => self.select_leaf(v, view, input),
                 },
             },

@@ -11,7 +11,14 @@
 //! * **Corrupt chunks** — [`decode`] answers a damaged chunk with an error or
 //!   with exactly `rows` values; it never panics and never sizes an
 //!   allocation from the chunk's own (corrupt) lengths.
+//! * **Coded ≡ expanded** — every kernel over a `Utf8` column's codes
+//!   (`select`, `extend_selected`, `append`, `min_max`, `into_values`, the
+//!   encoders) equals the same operation on a plain `Vec<String>`, whatever
+//!   the dictionaries: differing between columns, repeating entries,
+//!   holding unused ones and `""`.
 #![cfg(test)]
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,6 +91,73 @@ fn predicate(rng: &mut StdRng, depth: u32) -> Predicate {
     }
 }
 
+/// The texts of a `Utf8` column, from a domain with `""` in it.
+fn texts(rng: &mut StdRng, rows: usize) -> Vec<String> {
+    const DOMAIN: [&str; 6] = ["", "a", "ab", "b", "ba", "c"];
+    (0..rows)
+        .map(|_| DOMAIN[rng.random_range(0..DOMAIN.len())].to_string())
+        .collect()
+}
+
+/// `texts` as codes into a dictionary of its own: entries shuffled, some
+/// repeated (a row picks any copy), some no row uses.
+fn coded(rng: &mut StdRng, texts: &[String]) -> ColumnData {
+    let unused = rng.random_range(0..4);
+    let mut dict: Vec<String> = self::texts(rng, unused);
+    for t in texts {
+        if !dict.contains(t) || rng.random_range(0..4) == 0 {
+            dict.push(t.clone());
+        }
+    }
+    for i in (1..dict.len()).rev() {
+        dict.swap(i, rng.random_range(0..=i));
+    }
+    let codes = texts
+        .iter()
+        .map(|t| {
+            let copies: Vec<u32> = (0..dict.len() as u32)
+                .filter(|&c| dict[c as usize] == *t)
+                .collect();
+            copies[rng.random_range(0..copies.len())]
+        })
+        .collect();
+    ColumnData::Utf8 {
+        codes,
+        dict: Arc::new(dict),
+    }
+}
+
+fn strings(col: &ColumnData) -> Vec<String> {
+    let text = |v: Value| match v {
+        Value::Utf8(s) => s,
+        other => panic!("{other:?} in a Utf8 column"),
+    };
+    col.clone().into_values().map(text).collect()
+}
+
+/// The dictionary encoding of `texts` as the writer defines it: distinct
+/// values in first-seen order, then one index per row.
+fn reference_dictionary(texts: &[String]) -> Vec<u8> {
+    let mut dict: Vec<&String> = Vec::new();
+    let mut indices = Vec::new();
+    for t in texts {
+        let at = dict.iter().position(|d| *d == t).unwrap_or_else(|| {
+            dict.push(t);
+            dict.len() - 1
+        });
+        indices.push(at as u32);
+    }
+    let mut out = (dict.len() as u32).to_le_bytes().to_vec();
+    for d in dict {
+        out.extend_from_slice(&(d.len() as u32).to_le_bytes());
+        out.extend_from_slice(d.as_bytes());
+    }
+    indices
+        .iter()
+        .for_each(|i| out.extend_from_slice(&i.to_le_bytes()));
+    out
+}
+
 /// Mutates a chunk the way storage damages one: bytes overwritten (0xFF
 /// makes a length field huge), the tail cut off, or junk appended.
 fn damage(rng: &mut StdRng, chunk: &mut Vec<u8>) {
@@ -105,7 +179,7 @@ fn capacity(col: &ColumnData) -> usize {
     match col {
         ColumnData::Int64(v) => v.capacity(),
         ColumnData::Float64(v) => v.capacity(),
-        ColumnData::Utf8(v) => v.capacity(),
+        ColumnData::Utf8 { codes, .. } => codes.capacity(),
         ColumnData::Bool(v) => v.capacity(),
     }
 }
@@ -224,6 +298,121 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn coded_utf8_kernels_equal_the_expanded_reference(
+        seed in any::<u64>(),
+        rows in prop_oneof![1 => Just(0usize), 9 => 1usize..30],
+        other_rows in 0usize..30,
+        depth in 0u32..3,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (a_texts, b_texts) = (texts(rng, rows), texts(rng, other_rows));
+        let (a, b) = (coded(rng, &a_texts), coded(rng, &b_texts));
+        prop_assert_eq!(strings(&a), a_texts.clone());
+        prop_assert_eq!(a.len(), rows);
+        prop_assert!(a == ColumnData::utf8(a_texts.clone()), "values, not codes, compare");
+
+        // `select`, direct and through a gather index into `b`.
+        let gather: Vec<u32> = match other_rows {
+            0 => Vec::new(),
+            n => (0..rows).map(|_| rng.random_range(0..n as u32)).collect(),
+        };
+        let pred = predicate(rng, depth);
+        let text_of = |row: usize, gathered: bool| match gathered {
+            true => b_texts[gather[row] as usize].clone(),
+            false => a_texts[row].clone(),
+        };
+        for gathered in [false, true].into_iter().filter(|g| !g || other_rows > 0) {
+            let view = match gathered {
+                true => ColumnView { data: &b, gather: Some(&gather) },
+                false => ColumnView::direct(&a),
+            };
+            let all: Vec<u32> = (0..rows as u32).collect();
+            let got = pred.select(&|name| (name == "s").then_some(view), &all);
+            let want: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|&r| {
+                    pred.matches(&|name| (name == "s").then(|| Value::Utf8(text_of(r as usize, gathered))))
+                })
+                .collect();
+            prop_assert_eq!(got, want, "{:?}", pred);
+        }
+
+        // `extend_selected` onto a column with rows (a foreign dictionary),
+        // onto an empty one (adopts it) and onto itself (the same `Arc`).
+        let sel: Vec<u32> = (0..rows as u32).filter(|_| rng.random()).collect();
+        let picked = |texts: &dyn Fn(usize) -> String| -> Vec<String> {
+            sel.iter().map(|&r| texts(r as usize)).collect()
+        };
+        for target in [b.clone(), ColumnData::empty(ColumnType::Utf8), a.clone()] {
+            let mut want = strings(&target);
+            want.extend(picked(&|r| a_texts[r].clone()));
+            let mut got = target.clone();
+            got.extend_selected(ColumnView::direct(&a), &sel);
+            prop_assert_eq!(strings(&got), want);
+            if other_rows > 0 {
+                let mut want = strings(&target);
+                want.extend(picked(&|r| b_texts[gather[r] as usize].clone()));
+                let mut got = target.clone();
+                got.extend_selected(ColumnView { data: &b, gather: Some(&gather) }, &sel);
+                prop_assert_eq!(strings(&got), want);
+            }
+            // `append`, the whole of `a` and of `b`.
+            let mut got = target.clone();
+            got.append(a.clone()).unwrap();
+            got.append(b.clone()).unwrap();
+            let mut want = strings(&target);
+            want.extend(a_texts.iter().chain(&b_texts).cloned());
+            prop_assert_eq!(strings(&got), want);
+        }
+
+        // `min_max` over the used entries only.
+        let want = a_texts.iter().min().cloned().zip(a_texts.iter().max().cloned());
+        let got = a.min_max().map(|(lo, hi)| (lo.to_string(), hi.to_string()));
+        prop_assert_eq!(got, want);
+
+        // The encoders write the values' bytes, and decode reads them back.
+        prop_assert_eq!(encode_plain(&a), encode_plain(&ColumnData::utf8(a_texts.clone())));
+        let dictionary = encode_dictionary(&a).unwrap();
+        prop_assert_eq!(dictionary.to_vec(), reference_dictionary(&a_texts));
+        for (encoding, bytes) in [(Encoding::Plain, encode_plain(&a)), (Encoding::Dictionary, dictionary)] {
+            let back = decode(encoding, ColumnType::Utf8, rows, &bytes).unwrap();
+            prop_assert_eq!(strings(&back), a_texts.clone());
+        }
+    }
+}
+
+/// A footer's row count sizes decode's output: absurd counts fail on the
+/// bytes they are missing instead of reserving memory for them.
+#[test]
+fn an_absurd_row_count_is_an_error_not_an_allocation() {
+    let rows = 1usize << 36;
+    for (encoding, ty, chunk) in [
+        (Encoding::Dictionary, ColumnType::Int64, &[0u8, 0, 0, 0][..]),
+        (Encoding::Dictionary, ColumnType::Utf8, &[0, 0, 0, 0][..]),
+        (Encoding::RunLength, ColumnType::Int64, &[][..]),
+        (Encoding::RunLength, ColumnType::Bool, &[][..]),
+    ] {
+        let err = decode(encoding, ty, rows, chunk).unwrap_err();
+        assert!(
+            err.to_string().contains("chunk truncated"),
+            "{encoding:?} {ty}: {err}"
+        );
+    }
+    // Both error kinds of a dictionary chunk survive the one-pass decode.
+    let mut chunk = 1u32.to_le_bytes().to_vec();
+    chunk.extend_from_slice(&7i64.to_le_bytes());
+    chunk.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
+    let err = decode(Encoding::Dictionary, ColumnType::Int64, 2, &chunk).unwrap_err();
+    assert!(err.to_string().contains("dict index out of range"), "{err}");
+    let err = decode(Encoding::Dictionary, ColumnType::Int64, 3, &chunk).unwrap_err();
+    assert!(err.to_string().contains("chunk truncated"), "{err}");
 }
 
 /// The chunk from the bug report: a run of `u32::MAX` values claimed for a

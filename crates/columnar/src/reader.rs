@@ -327,7 +327,7 @@ mod tests {
         let cities = r.read_column(2, 1).unwrap();
         assert_eq!(
             cities,
-            ColumnData::Utf8(vec!["city_2".into(), "city_0".into()])
+            ColumnData::utf8(vec!["city_2".into(), "city_0".into()])
         );
     }
 

@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use edgecache_common::error::{Error, Result};
 
@@ -148,22 +149,51 @@ impl<'a> ColumnView<'a> {
     }
 }
 
-/// A decoded column vector.
-#[derive(Debug, Clone, PartialEq)]
+/// A decoded column vector. A `Utf8` row `r` is `dict[codes[r]]`; entries
+/// need not be distinct nor used, and columns may share a dictionary.
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<String>),
+    Utf8 {
+        codes: Vec<u32>,
+        dict: Arc<Vec<String>>,
+    },
     Bool(Vec<bool>),
 }
 
+impl PartialEq for ColumnData {
+    /// Compares values, not codes.
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ColumnData::Int64(a), ColumnData::Int64(b)) => a == b,
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => a == b,
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a == b,
+            (ColumnData::Utf8 { codes: a, dict: da }, ColumnData::Utf8 { codes: b, dict: db }) => {
+                let same = |(x, y): (&u32, &u32)| da[*x as usize] == db[*y as usize];
+                a.len() == b.len() && a.iter().zip(b).all(same)
+            }
+            _ => false,
+        }
+    }
+}
+
 impl ColumnData {
+    /// A `Utf8` column holding `strings` in order, each its own entry.
+    pub fn utf8(strings: Vec<String>) -> Self {
+        let codes = (0..strings.len() as u32).collect();
+        ColumnData::Utf8 {
+            codes,
+            dict: Arc::new(strings),
+        }
+    }
+
     /// An empty vector of the given type.
     pub fn empty(ty: ColumnType) -> Self {
         match ty {
             ColumnType::Int64 => ColumnData::Int64(Vec::new()),
             ColumnType::Float64 => ColumnData::Float64(Vec::new()),
-            ColumnType::Utf8 => ColumnData::Utf8(Vec::new()),
+            ColumnType::Utf8 => ColumnData::utf8(Vec::new()),
             ColumnType::Bool => ColumnData::Bool(Vec::new()),
         }
     }
@@ -173,7 +203,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.len(),
             ColumnData::Float64(v) => v.len(),
-            ColumnData::Utf8(v) => v.len(),
+            ColumnData::Utf8 { codes, .. } => codes.len(),
             ColumnData::Bool(v) => v.len(),
         }
     }
@@ -188,7 +218,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(_) => ColumnType::Int64,
             ColumnData::Float64(_) => ColumnType::Float64,
-            ColumnData::Utf8(_) => ColumnType::Utf8,
+            ColumnData::Utf8 { .. } => ColumnType::Utf8,
             ColumnData::Bool(_) => ColumnType::Bool,
         }
     }
@@ -198,17 +228,20 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => Value::Int64(v[row]),
             ColumnData::Float64(v) => Value::Float64(v[row]),
-            ColumnData::Utf8(v) => Value::Utf8(v[row].clone()),
+            ColumnData::Utf8 { codes, dict } => Value::Utf8(dict[codes[row] as usize].clone()),
             ColumnData::Bool(v) => Value::Bool(v[row]),
         }
     }
 
-    /// Appends a value; panics on a type mismatch.
+    /// Appends a value (a string as a new entry); panics on a type mismatch.
     pub fn push(&mut self, value: Value) {
         match (self, value) {
             (ColumnData::Int64(v), Value::Int64(x)) => v.push(x),
             (ColumnData::Float64(v), Value::Float64(x)) => v.push(x),
-            (ColumnData::Utf8(v), Value::Utf8(x)) => v.push(x),
+            (ColumnData::Utf8 { codes, dict }, Value::Utf8(x)) => {
+                codes.push(dict.len() as u32);
+                Arc::make_mut(dict).push(x);
+            }
             (ColumnData::Bool(v), Value::Bool(x)) => v.push(x),
             (col, value) => panic!(
                 "type mismatch: pushing {} into {} column",
@@ -222,8 +255,16 @@ impl ColumnData {
     /// a NaN. Such a chunk gets no stats and is never pruned: `Between`
     /// matches a NaN row (both bound comparisons are unordered, so neither
     /// fails), so stats over the other values would prune `[NaN, 5.0]`
-    /// under `Between(10, 20)` although its first row matches.
+    /// under `Between(10, 20)` although its first row matches. A `Utf8`
+    /// column reads only the dictionary entries its codes use.
     pub fn min_max(&self) -> Option<(Value, Value)> {
+        if let ColumnData::Utf8 { codes, dict } = self {
+            let mut used = vec![false; dict.len()];
+            codes.iter().for_each(|&c| used[c as usize] = true);
+            let texts = dict.iter().zip(used).filter_map(|(s, u)| u.then_some(s));
+            let (min, max) = (texts.clone().min()?, texts.max()?);
+            return Some((Value::Utf8(min.clone()), Value::Utf8(max.clone())));
+        }
         let has_nan = matches!(self, ColumnData::Float64(v) if v.iter().any(|x| x.is_nan()));
         if self.is_empty() || has_nan {
             return None;
@@ -243,7 +284,7 @@ impl ColumnData {
     }
 
     /// Appends the view's values at the rows in `sel`; panics on a type
-    /// mismatch.
+    /// mismatch. `Utf8` rows copy their codes (see [`merge_dict`]).
     pub fn extend_selected(&mut self, view: ColumnView<'_>, sel: &[u32]) {
         let at = |r: &u32| view.index(*r);
         match (self, view.data) {
@@ -251,8 +292,9 @@ impl ColumnData {
             (ColumnData::Float64(d), ColumnData::Float64(v)) => {
                 d.extend(sel.iter().map(|r| v[at(r)]))
             }
-            (ColumnData::Utf8(d), ColumnData::Utf8(v)) => {
-                d.extend(sel.iter().map(|r| v[at(r)].clone()))
+            (ColumnData::Utf8 { codes, dict }, ColumnData::Utf8 { codes: v, dict: d }) => {
+                let base = merge_dict(codes.is_empty(), dict, d);
+                codes.extend(sel.iter().map(|r| base + v[at(r)]))
             }
             (ColumnData::Bool(d), ColumnData::Bool(v)) => d.extend(sel.iter().map(|r| v[at(r)])),
             (col, data) => panic!(
@@ -263,12 +305,15 @@ impl ColumnData {
         }
     }
 
-    /// Appends all of `other` (strings move); fails on a type mismatch.
+    /// Appends all of `other`; fails on a type mismatch.
     pub fn append(&mut self, other: ColumnData) -> Result<()> {
         match (self, other) {
             (ColumnData::Int64(d), ColumnData::Int64(mut v)) => d.append(&mut v),
             (ColumnData::Float64(d), ColumnData::Float64(mut v)) => d.append(&mut v),
-            (ColumnData::Utf8(d), ColumnData::Utf8(mut v)) => d.append(&mut v),
+            (ColumnData::Utf8 { codes, dict }, ColumnData::Utf8 { codes: v, dict: d }) => {
+                let base = merge_dict(codes.is_empty(), dict, &d);
+                codes.extend(v.iter().map(|c| base + c))
+            }
             (ColumnData::Bool(d), ColumnData::Bool(mut v)) => d.append(&mut v),
             (col, other) => {
                 return Err(Error::InvalidArgument(format!(
@@ -281,15 +326,28 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Consumes the column into boxed values (strings move).
+    /// Consumes the column into boxed values (one string made per row).
     pub fn into_values(self) -> Box<dyn Iterator<Item = Value>> {
         match self {
             ColumnData::Int64(v) => Box::new(v.into_iter().map(Value::Int64)),
             ColumnData::Float64(v) => Box::new(v.into_iter().map(Value::Float64)),
-            ColumnData::Utf8(v) => Box::new(v.into_iter().map(Value::Utf8)),
+            col @ ColumnData::Utf8 { .. } => Box::new((0..col.len()).map(move |r| col.value(r))),
             ColumnData::Bool(v) => Box::new(v.into_iter().map(Value::Bool)),
         }
     }
+}
+
+/// Makes `theirs`' entries readable through `mine` and returns the offset
+/// their codes take: 0 for the same `Arc`, or when `mine` has no rows yet
+/// and adopts `theirs`; otherwise `theirs` is appended once, whole.
+fn merge_dict(no_rows: bool, mine: &mut Arc<Vec<String>>, theirs: &Arc<Vec<String>>) -> u32 {
+    if Arc::ptr_eq(mine, theirs) || no_rows {
+        *mine = Arc::clone(theirs);
+        return 0;
+    }
+    let base = mine.len() as u32;
+    Arc::make_mut(mine).extend(theirs.iter().cloned());
+    base
 }
 
 #[cfg(test)]
@@ -352,7 +410,7 @@ mod tests {
 
     #[test]
     fn extend_selected_reads_through_the_gather_index() {
-        let dim = ColumnData::Utf8(vec!["a".into(), "b".into(), "c".into()]);
+        let dim = ColumnData::utf8(vec!["a".into(), "b".into(), "c".into()]);
         let mut out = ColumnData::empty(ColumnType::Utf8);
         out.extend_selected(ColumnView::direct(&dim), &[0, 2]);
         // Fact rows 1 and 3 joined dimension rows 2 and 1.
@@ -365,7 +423,7 @@ mod tests {
         let all: Vec<Value> = out.clone().into_values().collect();
         assert_eq!(all, ["a", "c", "c", "b"].map(|s| Value::Utf8(s.into())));
         assert!(out.append(ColumnData::Int64(vec![1])).is_err());
-        out.append(ColumnData::Utf8(vec!["z".into()])).unwrap();
+        out.append(ColumnData::utf8(vec!["z".into()])).unwrap();
         assert_eq!(out.len(), 5);
     }
 }

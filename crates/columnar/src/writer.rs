@@ -1,10 +1,13 @@
 //! The `colf` writer: rows in, a columnar file out.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 use edgecache_common::error::{Error, Result};
 
 use crate::encoding::encode_best;
-use crate::format::{ChunkMeta, FileMetadata, RowGroupMeta, Schema, MAGIC};
+use crate::format::{ChunkMeta, FileMetadata, RowGroupMeta, Schema, MAGIC, MAX_GROUP_ROWS};
 use crate::types::{ColumnData, Value};
 
 /// Writes a `colf` file by accumulating rows into row groups.
@@ -28,6 +31,8 @@ pub struct ColfWriter {
     body: BytesMut,
     /// Current row group's column builders.
     current: Vec<ColumnData>,
+    /// Per `Utf8` column, each string's code in the open row group.
+    interned: Vec<HashMap<String, u32>>,
     current_rows: usize,
     row_groups: Vec<RowGroupMeta>,
     total_rows: u64,
@@ -35,8 +40,13 @@ pub struct ColfWriter {
 
 impl ColfWriter {
     /// Creates a writer that closes a row group every `rows_per_group` rows.
+    /// Panics on a row group the reader would reject.
     pub fn new(schema: Schema, rows_per_group: usize) -> Self {
         assert!(rows_per_group > 0, "row group must hold at least one row");
+        assert!(
+            rows_per_group as u64 <= MAX_GROUP_ROWS,
+            "a reader rejects more than {MAX_GROUP_ROWS} rows per group"
+        );
         let current = schema
             .columns
             .iter()
@@ -45,6 +55,7 @@ impl ColfWriter {
         let mut body = BytesMut::new();
         body.put_slice(MAGIC);
         Self {
+            interned: vec![HashMap::new(); schema.len()],
             schema,
             rows_per_group,
             body,
@@ -69,8 +80,9 @@ impl ColfWriter {
                 self.schema.len()
             )));
         }
-        for (value, (col, schema)) in row
+        for ((value, interned), (col, schema)) in row
             .into_iter()
+            .zip(&mut self.interned)
             .zip(self.current.iter_mut().zip(&self.schema.columns))
         {
             if value.column_type() != schema.ty {
@@ -81,7 +93,16 @@ impl ColfWriter {
                     value.column_type()
                 )));
             }
-            col.push(value);
+            match (col, value) {
+                (ColumnData::Utf8 { codes, dict }, Value::Utf8(s)) => {
+                    let next = dict.len() as u32;
+                    codes.push(*interned.entry(s).or_insert_with_key(|s| {
+                        Arc::make_mut(dict).push(s.clone());
+                        next
+                    }));
+                }
+                (col, value) => col.push(value),
+            }
         }
         self.current_rows += 1;
         self.total_rows += 1;
@@ -118,6 +139,7 @@ impl ColfWriter {
         for (col, schema) in self.current.iter_mut().zip(&self.schema.columns) {
             *col = ColumnData::empty(schema.ty);
         }
+        self.interned.iter_mut().for_each(HashMap::clear);
         self.current_rows = 0;
     }
 
@@ -206,6 +228,12 @@ mod tests {
         let meta = FileMetadata::decode(&file[footer_start..file.len() - 12]).unwrap();
         assert!(meta.row_groups.is_empty());
         assert_eq!(meta.total_rows, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a reader rejects")]
+    fn a_row_group_the_reader_rejects_is_refused() {
+        ColfWriter::new(schema(), MAX_GROUP_ROWS as usize + 1);
     }
 
     #[test]

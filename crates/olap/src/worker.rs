@@ -20,7 +20,6 @@ use edgecache_columnar::{
 };
 use edgecache_common::clock::SharedClock;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::hash::fnv1a64;
 use edgecache_common::ByteSize;
 use edgecache_core::config::CacheConfig;
 use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
@@ -992,14 +991,18 @@ struct SplitAgg<'p> {
     aggregates: &'p [AggExpr],
     /// Group id of an Int64/Float64/Bool key, by the key's 64 bits.
     by_bits: HashMap<u64, u32>,
-    /// Group id of a Utf8 key.
+    /// Group id of a Utf8 key's text: merges the same text met under
+    /// different dictionaries.
     by_text: HashMap<String, u32>,
+    /// The dictionary `code_groups` is for, held so its identity cannot be
+    /// reused by another allocation.
+    dict: Option<Arc<Vec<String>>>,
+    /// Group id of each code of `dict` (`NO_GROUP` until a row uses it).
+    code_groups: Vec<u32>,
     /// Group id → the key as [`PartialAgg`] spells it (`None`: ungrouped).
     keys: Vec<Option<String>>,
-    /// Direct-mapped memo `(key hash, group)` in front of the two maps: a
-    /// scan's group keys are few and recur on every row. A hit is checked
-    /// against the key, so a collision costs the map lookup it failed to
-    /// save and nothing else.
+    /// Direct-mapped memo `(key bits, group)` in front of `by_bits`: a
+    /// scan's group keys are few and recur on every row.
     memo: [(u64, u32); MEMO],
     /// Group-major: `states[group * aggregates.len() + aggregate]`.
     states: Vec<AggState>,
@@ -1009,10 +1012,10 @@ const MEMO: usize = 64;
 /// An empty memo slot.
 const NO_GROUP: u32 = u32::MAX;
 
-/// The memo slot of a key hash (Fibonacci hashing: the top bits of the
+/// The memo slot of a key's bits (Fibonacci hashing: the top bits of the
 /// product spread consecutive integers evenly).
-fn memo_slot(hash: u64) -> usize {
-    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.trailing_zeros())) as usize
+fn memo_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.trailing_zeros())) as usize
 }
 
 impl<'p> SplitAgg<'p> {
@@ -1021,6 +1024,8 @@ impl<'p> SplitAgg<'p> {
             aggregates,
             by_bits: HashMap::new(),
             by_text: HashMap::new(),
+            dict: None,
+            code_groups: Vec::new(),
             keys: Vec::new(),
             memo: [(0, NO_GROUP); MEMO],
             states: Vec::new(),
@@ -1045,49 +1050,58 @@ impl<'p> SplitAgg<'p> {
         };
         let rows = sel.iter().map(|&r| view.index(r));
         match view.data {
-            ColumnData::Int64(v) => rows
-                .map(|i| self.group_of(v[i] as u64, &v[i], None))
-                .collect(),
+            ColumnData::Int64(v) => rows.map(|i| self.group_of(v[i] as u64, &v[i])).collect(),
             // Keys are compared as their text: one group for every NaN,
             // `-0` apart from `0`.
             ColumnData::Float64(v) => {
                 let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
-                rows.map(|i| self.group_of(bits(v[i]), &v[i], None))
-                    .collect()
+                rows.map(|i| self.group_of(bits(v[i]), &v[i])).collect()
             }
-            ColumnData::Bool(v) => rows
-                .map(|i| self.group_of(v[i] as u64, &v[i], None))
-                .collect(),
-            ColumnData::Utf8(v) => rows
-                .map(|i| self.group_of(fnv1a64(v[i].as_bytes()), &v[i], Some(&v[i])))
-                .collect(),
+            ColumnData::Bool(v) => rows.map(|i| self.group_of(v[i] as u64, &v[i])).collect(),
+            // A code's group is looked up by text once per dictionary.
+            ColumnData::Utf8 { codes, dict } => {
+                if !self.dict.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+                    self.dict = Some(Arc::clone(dict));
+                    self.code_groups = vec![NO_GROUP; dict.len()];
+                }
+                rows.map(|i| {
+                    let code = codes[i] as usize;
+                    if self.code_groups[code] == NO_GROUP {
+                        self.code_groups[code] = self.text_group(&dict[code]);
+                    }
+                    self.code_groups[code]
+                })
+                .collect()
+            }
         }
     }
 
-    /// The group of one key: `hash` is the key itself for the 64-bit types
-    /// and a hash of `text` for Utf8, which alone can collide and is then
-    /// compared in full.
-    fn group_of(&mut self, hash: u64, key: &dyn Display, text: Option<&String>) -> u32 {
-        let slot = memo_slot(hash);
-        let (memo_hash, memo) = self.memo[slot];
-        let same_text =
-            |group: u32| text.is_none_or(|t| self.keys[group as usize].as_ref() == Some(t));
-        if memo != NO_GROUP && memo_hash == hash && same_text(memo) {
+    /// The group of a Utf8 key's text, whatever dictionary it came from.
+    fn text_group(&mut self, text: &str) -> u32 {
+        if let Some(&group) = self.by_text.get(text) {
+            return group;
+        }
+        let group = self.new_group(Some(text.to_string()));
+        self.by_text.insert(text.to_string(), group);
+        group
+    }
+
+    /// The group of an Int64/Float64/Bool key by its 64 bits.
+    fn group_of(&mut self, bits: u64, key: &dyn Display) -> u32 {
+        let slot = memo_slot(bits);
+        let (memo_bits, memo) = self.memo[slot];
+        if memo != NO_GROUP && memo_bits == bits {
             return memo;
         }
-        let known = match text {
-            Some(text) => self.by_text.get(text),
-            None => self.by_bits.get(&hash),
+        let group = match self.by_bits.get(&bits) {
+            Some(&group) => group,
+            None => {
+                let group = self.new_group(Some(key.to_string()));
+                self.by_bits.insert(bits, group);
+                group
+            }
         };
-        let group = known.copied().unwrap_or_else(|| {
-            let group = self.new_group(Some(key.to_string()));
-            match text {
-                Some(text) => self.by_text.insert(text.clone(), group),
-                None => self.by_bits.insert(hash, group),
-            };
-            group
-        });
-        self.memo[slot] = (hash, group);
+        self.memo[slot] = (bits, group);
         group
     }
 
@@ -1120,13 +1134,15 @@ impl<'p> SplitAgg<'p> {
                     ColumnData::Bool(v) => {
                         self.each(a, v, *view, rows, |s, x| s.add(*x as u8 as f64))
                     }
-                    ColumnData::Utf8(_) => return Err(non_numeric()),
+                    ColumnData::Utf8 { .. } => return Err(non_numeric()),
                 },
                 (AggFunc::Sum | AggFunc::Avg, None) => return Err(non_numeric()),
                 (AggFunc::Min | AggFunc::Max, Some(view)) => match view.data {
                     ColumnData::Int64(v) => self.each(a, v, *view, rows, AggState::offer),
                     ColumnData::Float64(v) => self.each(a, v, *view, rows, AggState::offer),
-                    ColumnData::Utf8(v) => self.each(a, v, *view, rows, AggState::offer),
+                    ColumnData::Utf8 { codes, dict } => {
+                        self.each(a, codes, *view, rows, |s, c| s.offer(&dict[*c as usize]))
+                    }
                     ColumnData::Bool(v) => self.each(a, v, *view, rows, AggState::offer),
                 },
                 (AggFunc::Min | AggFunc::Max, None) => {}

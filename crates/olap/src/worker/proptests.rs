@@ -11,6 +11,11 @@
 //! pipeline's `SplitOutput` must equal the reference's — every `f64` by
 //! `to_bits()`, errors by their text — and the engine's merged answer must
 //! equal the reference partials merged in split order.
+//!
+//! A second shape aims at the `Utf8` coded form: a fact text column whose
+//! row groups meet its texts in different orders (so every row group has
+//! its own dictionary order) and dimensions with duplicate texts, under
+//! GROUP BY, MIN/MAX and filters on those columns.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -408,7 +413,8 @@ struct World {
     plan: QueryPlan,
 }
 
-fn world(rng: &mut StdRng) -> World {
+/// `utf8_keys`: the second shape of the module doc.
+fn world(rng: &mut StdRng, utf8_keys: bool) -> World {
     let clock = SimClock::new();
     let store = Arc::new(ObjectStore::new(Arc::new(clock.clone())));
     let catalog = Arc::new(Catalog::new());
@@ -441,15 +447,29 @@ fn world(rng: &mut StdRng) -> World {
     let mut fact_files = Vec::new();
     for f in 0..2 {
         let n = rng.random_range(0..40);
-        let rows = table_rows(rng, &fact, n, key_stride);
+        let mut rows = table_rows(rng, &fact, n, key_stride);
         let per_group = rng.random_range(1..16);
+        if utf8_keys {
+            // Column `s` cycles through a shuffle of its texts drawn anew
+            // for each row group.
+            for group in rows.chunks_mut(per_group) {
+                let mut order: Vec<&str> = TEXTS.to_vec();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.random_range(0..=i));
+                }
+                let cycle = rng.random_range(1..=order.len());
+                for (i, row) in group.iter_mut().enumerate() {
+                    row[4] = Value::Utf8(order[i % cycle].to_string());
+                }
+            }
+        }
         let bytes = colf_file(&fact, &rows, per_group);
         fact_files.push(data_file(format!("/w/fact/{f}"), bytes));
     }
     let schema = Schema::new(fact.clone());
     register("fact", schema, &fact_files);
 
-    let n_joins = rng.random_range(0..3);
+    let n_joins = rng.random_range(usize::from(utf8_keys)..3);
     let mut dim_files = Vec::new();
     for j in 0..n_joins {
         let columns = dim_columns(j);
@@ -474,7 +494,7 @@ fn world(rng: &mut StdRng) -> World {
         let columns = dim_columns(j);
         let exposed: Vec<&(String, ColumnType)> = columns
             .iter()
-            .filter(|_| rng.random_range(0..3) > 0)
+            .filter(|(name, _)| utf8_keys && name.ends_with('s') || rng.random_range(0..3) > 0)
             .collect();
         let dim_filter = (rng.random_range(0..2) == 0).then(|| predicate(rng, &columns, 1));
         let names: Vec<&str> = exposed.iter().map(|(n, _)| n.as_str()).collect();
@@ -482,12 +502,27 @@ fn world(rng: &mut StdRng) -> World {
         plan = plan.join("w", &format!("dim{j}"), fact_key, "dk", &names, dim_filter);
         visible.extend(exposed.into_iter().cloned());
     }
+    if utf8_keys {
+        // Only the text columns: `s` and each dimension's `d{j}s`.
+        visible.retain(|(name, _)| name.ends_with('s') && name != "dk");
+    }
     if rng.random_range(0..4) > 0 {
         let depth = rng.random_range(0..3);
         plan = plan.filter(predicate(rng, &visible, depth));
     }
     let name = |rng: &mut StdRng| pick(rng, &visible).0;
-    if rng.random_range(0..4) == 0 {
+    if utf8_keys {
+        let funcs = [AggFunc::Min, AggFunc::Max, AggFunc::Min, AggFunc::Max];
+        let mut aggregates: Vec<AggExpr> = funcs
+            .into_iter()
+            .map(|func| AggExpr {
+                func,
+                column: name(rng),
+            })
+            .collect();
+        aggregates.push(AggExpr::count());
+        plan = plan.aggregate(aggregates).group(&name(rng));
+    } else if rng.random_range(0..4) == 0 {
         let projection: Vec<String> = (0..rng.random_range(0..4)).map(|_| name(rng)).collect();
         plan.projection = projection;
     } else {
@@ -543,82 +578,95 @@ fn world(rng: &mut StdRng) -> World {
     }
 }
 
+/// Runs `w.plan` split by split on the pipeline and on the reference, then
+/// as a whole query, and compares every output bit for bit.
+fn check(w: World) {
+    let plan = &w.plan;
+    let config = WorkerConfig::default();
+    let table = w.engine.catalog().table("w", "fact").unwrap();
+    let scope = table.partition_scope("p");
+    let worker = w.engine.worker("worker-0").unwrap();
+
+    let mut joins = Vec::new();
+    let mut ref_joins = Vec::new();
+    for (clause, file) in plan.joins.iter().zip(&w.dim_files) {
+        joins.push(w.engine.prepare_join(clause).unwrap().0);
+        ref_joins.push(ref_dimension(file, clause));
+    }
+
+    // Split by split.
+    let mut merged: Option<PartialAgg> = None;
+    let mut rows = Vec::new();
+    let mut failure = None;
+    for (file, bytes) in &w.fact_files {
+        let got = worker.execute_split(file, &scope, plan, &joins, w.store.as_ref(), true);
+        let want = ref_split(bytes, &file.path, plan, &ref_joins, &config);
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got.to_string(), want.to_string(), "{:?}", plan);
+                failure.get_or_insert(want.to_string());
+                continue;
+            }
+            (got, want) => panic!(
+                "pipeline {:?} but reference {:?} for {plan:?}",
+                got.map(|o| o.partial),
+                want.map(|o| o.groups)
+            ),
+        };
+        prop_assert_eq!(
+            got.partial.as_ref().map(|p| groups_bits(&p.groups)),
+            want.groups.as_ref().map(groups_bits),
+            "{:?}",
+            plan
+        );
+        prop_assert_eq!(rows_bits(&got.rows), rows_bits(&want.rows), "{:?}", plan);
+        prop_assert_eq!(got.rows_scanned, want.rows_scanned);
+        // The operator charges; I/O and footer parsing depend on cache
+        // state, which the reference does not model.
+        let mut cpu_stages = got.stage_breakdown.clone();
+        cpu_stages.retain(|s, _| s.starts_with("cpu.") && *s != "cpu.metadata_parse");
+        prop_assert_eq!(&cpu_stages, &want.cpu_stages, "{:?}", plan);
+
+        // What the coordinator does with the reference's outputs.
+        rows.extend(want.rows);
+        if let Some(groups) = want.groups {
+            let partial = PartialAgg {
+                groups,
+                n_aggs: plan.aggregates.len(),
+            };
+            match &mut merged {
+                Some(m) => m.merge(&partial, None),
+                None => merged = Some(partial),
+            }
+        }
+    }
+
+    // The whole query.
+    let answer = w.engine.execute(plan);
+    if let Some(text) = failure {
+        prop_assert_eq!(answer.unwrap_err().to_string(), text);
+        return;
+    }
+    if let Some(partial) = merged {
+        rows = partial.finalize();
+    }
+    rows.truncate(plan.limit.unwrap_or(usize::MAX));
+    let answer = answer.unwrap();
+    prop_assert_eq!(rows_bits(&answer.rows), rows_bits(&rows), "{:?}", plan);
+    prop_assert_eq!(answer.stats.rows_output, rows.len() as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn pipeline_equals_the_row_interpreter(seed in any::<u64>()) {
-        let w = world(&mut StdRng::seed_from_u64(seed));
-        let plan = &w.plan;
-        let config = WorkerConfig::default();
-        let table = w.engine.catalog().table("w", "fact").unwrap();
-        let scope = table.partition_scope("p");
-        let worker = w.engine.worker("worker-0").unwrap();
+        check(world(&mut StdRng::seed_from_u64(seed), false));
+    }
 
-        let mut joins = Vec::new();
-        let mut ref_joins = Vec::new();
-        for (clause, file) in plan.joins.iter().zip(&w.dim_files) {
-            joins.push(w.engine.prepare_join(clause).unwrap().0);
-            ref_joins.push(ref_dimension(file, clause));
-        }
-
-        // Split by split.
-        let mut merged: Option<PartialAgg> = None;
-        let mut rows = Vec::new();
-        let mut failure = None;
-        for (file, bytes) in &w.fact_files {
-            let got = worker.execute_split(file, &scope, plan, &joins, w.store.as_ref(), true);
-            let want = ref_split(bytes, &file.path, plan, &ref_joins, &config);
-            let (got, want) = match (got, want) {
-                (Ok(got), Ok(want)) => (got, want),
-                (Err(got), Err(want)) => {
-                    prop_assert_eq!(got.to_string(), want.to_string(), "{:?}", plan);
-                    failure.get_or_insert(want.to_string());
-                    continue;
-                }
-                (got, want) => panic!(
-                    "pipeline {:?} but reference {:?} for {plan:?}",
-                    got.map(|o| o.partial),
-                    want.map(|o| o.groups)
-                ),
-            };
-            prop_assert_eq!(
-                got.partial.as_ref().map(|p| groups_bits(&p.groups)),
-                want.groups.as_ref().map(groups_bits),
-                "{:?}",
-                plan
-            );
-            prop_assert_eq!(rows_bits(&got.rows), rows_bits(&want.rows), "{:?}", plan);
-            prop_assert_eq!(got.rows_scanned, want.rows_scanned);
-            // The operator charges; I/O and footer parsing depend on cache
-            // state, which the reference does not model.
-            let mut cpu_stages = got.stage_breakdown.clone();
-            cpu_stages.retain(|s, _| s.starts_with("cpu.") && *s != "cpu.metadata_parse");
-            prop_assert_eq!(&cpu_stages, &want.cpu_stages, "{:?}", plan);
-
-            // What the coordinator does with the reference's outputs.
-            rows.extend(want.rows);
-            if let Some(groups) = want.groups {
-                let partial = PartialAgg { groups, n_aggs: plan.aggregates.len() };
-                match &mut merged {
-                    Some(m) => m.merge(&partial, None),
-                    None => merged = Some(partial),
-                }
-            }
-        }
-
-        // The whole query.
-        let answer = w.engine.execute(plan);
-        if let Some(text) = failure {
-            prop_assert_eq!(answer.unwrap_err().to_string(), text);
-            return;
-        }
-        if let Some(partial) = merged {
-            rows = partial.finalize();
-        }
-        rows.truncate(plan.limit.unwrap_or(usize::MAX));
-        let answer = answer.unwrap();
-        prop_assert_eq!(rows_bits(&answer.rows), rows_bits(&rows), "{:?}", plan);
-        prop_assert_eq!(answer.stats.rows_output, rows.len() as u64);
+    #[test]
+    fn utf8_keys_group_alike_under_every_dictionary(seed in any::<u64>()) {
+        check(world(&mut StdRng::seed_from_u64(seed), true));
     }
 }

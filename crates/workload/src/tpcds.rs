@@ -434,6 +434,45 @@ mod tests {
         );
     }
 
+    /// Cross-commit golden of the writer: XXH64 over every object the tiny
+    /// data set writes, in catalog order, then one file with a
+    /// high-cardinality Utf8 column (the plain encoder) and a column of
+    /// `""` and `"a"`. Constant and length taken at 483af25, before the
+    /// writer built coded Utf8 columns. Every `BENCH_*.json` reads files
+    /// made by these bytes.
+    #[test]
+    fn written_files_match_the_writer_golden() {
+        let gen = TpcdsGen::new(TpcdsScale::tiny(), 1);
+        let (catalog, store) = gen.build_fresh(Arc::new(SimClock::new())).unwrap();
+        let mut written = Vec::new();
+        for (schema, table) in catalog.table_names() {
+            for (_, file) in catalog.table(&schema, &table).unwrap().files() {
+                let object = store.get_range(&file.path, 0, file.length).unwrap();
+                written.extend_from_slice(&object);
+            }
+        }
+        let schema = Schema::new(vec![
+            ("id", ColumnType::Int64),
+            ("name", ColumnType::Utf8),
+            ("blank", ColumnType::Utf8),
+        ]);
+        let mut w = ColfWriter::new(schema, 128);
+        for i in 0..300i64 {
+            w.push_row(vec![
+                Value::Int64(i),
+                Value::Utf8(format!("name_{}", i * 7919 % 1000)),
+                Value::Utf8(if i % 3 == 0 { "a" } else { "" }.into()),
+            ])
+            .unwrap();
+        }
+        written.extend_from_slice(&w.finish().unwrap());
+        assert_eq!(written.len(), 112_275);
+        assert_eq!(
+            edgecache_common::hash::xxh64(&written, 0),
+            0xd652_ff33_081d_aa2a
+        );
+    }
+
     #[test]
     fn queries_are_deterministic() {
         let gen = TpcdsGen::new(TpcdsScale::tiny(), 1);
