@@ -42,13 +42,10 @@ pub struct CacheConfig {
     /// adopted for data-privacy requirements). `None` disables expiry.
     pub ttl: Option<Duration>,
     /// Deadline for a local `read_file` before falling back to remote
-    /// storage (§8 reports a 10-second production default).
-    pub read_timeout: Duration,
-    /// Threads in the local-I/O pool that enforces `read_timeout`.
-    pub io_threads: usize,
-    /// When `false`, local reads run inline and `read_timeout` is not
-    /// enforced (cheaper; used by simulations that inject their own delays).
-    pub enforce_read_timeout: bool,
+    /// storage (§8 reports a 10-second production default). `None` (the
+    /// default) reads inline with no deadline — cheaper, and what
+    /// simulations that inject their own delays need.
+    pub read_timeout: Option<Duration>,
     /// Upper bound on concurrent remote fetches issued by one `read` call.
     /// `1` serialises the fetch stage (the pre-parallel behaviour, useful as
     /// a benchmark baseline).
@@ -72,9 +69,7 @@ impl Default for CacheConfig {
             page_size: ByteSize::mib(1),
             eviction: EvictionPolicyKind::Lru,
             ttl: None,
-            read_timeout: Duration::from_secs(10),
-            io_threads: 4,
-            enforce_read_timeout: false,
+            read_timeout: None,
             max_concurrent_fetches: 8,
             coalesce_fetches: true,
             memory_capacity: 0,
@@ -103,8 +98,7 @@ impl CacheConfig {
 
     /// Enables the read-timeout fallback with the given deadline.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self.enforce_read_timeout = true;
+        self.read_timeout = Some(timeout);
         self
     }
 
@@ -138,7 +132,7 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.page_size, ByteSize::mib(1));
         assert_eq!(c.eviction, EvictionPolicyKind::Lru);
-        assert_eq!(c.read_timeout, Duration::from_secs(10));
+        assert_eq!(c.read_timeout, None, "reads run inline by default");
         assert!(c.ttl.is_none());
         assert_eq!(c.max_concurrent_fetches, 8);
         assert!(c.coalesce_fetches);
@@ -158,7 +152,7 @@ mod tests {
         assert_eq!(c.page_size, ByteSize::kib(64));
         assert_eq!(c.eviction, EvictionPolicyKind::Fifo);
         assert_eq!(c.ttl, Some(Duration::from_secs(3600)));
-        assert!(c.enforce_read_timeout);
+        assert_eq!(c.read_timeout, Some(Duration::from_millis(50)));
         assert_eq!(c.max_concurrent_fetches, 1, "clamped to at least one");
         assert!(!c.coalesce_fetches);
         assert_eq!(c.memory_capacity, ByteSize::mib(8).as_u64());

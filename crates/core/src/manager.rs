@@ -61,9 +61,8 @@ use write_behind::WriteBehind;
 /// Number of page-lock stripes (power of two).
 const LOCK_STRIPES: usize = 1024;
 
-/// Number of single-flight table shards (power of two): misses on different
-/// pages land on different shards and never contend on one global mutex.
-const INFLIGHT_SHARDS: usize = 64;
+/// Threads in the local-I/O pool that enforces a configured read timeout.
+const IO_THREADS: usize = 4;
 
 /// Capacity of each directory's access-event ring. Sized so batches between
 /// two policy-lock acquisitions (one per put/evict) rarely overflow; a full
@@ -195,7 +194,7 @@ impl PolicyCell {
 /// still go through the registry by name.
 struct HotMetrics {
     hits: Arc<Counter>,
-    /// Hits classified under the stripe lock (the double-check after an
+    /// Hits classified under the page lock (the double-check after an
     /// optimistic probe missed). A pure-hit steady state must keep this at
     /// zero — `hit_hammer_32_threads_loses_no_counts` and
     /// `mem_hit_hammer_32_threads_stays_on_the_fast_path` assert exactly
@@ -359,11 +358,7 @@ impl CacheManagerBuilder {
         let policies: Vec<PolicyCell> = (0..dirs)
             .map(|_| PolicyCell::new(build_policy(self.config.eviction)))
             .collect();
-        let io_pool = if self.config.enforce_read_timeout {
-            Some(IoPool::new(self.config.io_threads.max(1)))
-        } else {
-            None
-        };
+        let io_pool = self.config.read_timeout.map(|_| IoPool::new(IO_THREADS));
         // A persistent pool for stage-2 remote fetches: sized above the
         // per-read cap so several reader threads can fetch at their full
         // `max_concurrent_fetches` simultaneously. Spawning threads per
@@ -395,8 +390,7 @@ impl CacheManagerBuilder {
             metrics,
             hot,
             clock: self.clock,
-            page_locks: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
-            inflight: (0..INFLIGHT_SHARDS)
+            stripes: (0..LOCK_STRIPES)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             io_pool,
@@ -555,13 +549,11 @@ pub struct CacheState {
     /// Pre-resolved handles for per-page-read metric updates.
     hot: HotMetrics,
     clock: SharedClock,
-    page_locks: Vec<Mutex<()>>,
-    /// Single-flight table: pages currently being fetched from the remote,
-    /// sharded by page hash so misses on different pages never contend.
-    /// A shard is locked strictly *after* a stripe lock, never before, and
-    /// never together with another shard (except the read-only sweep of
-    /// [`Self::inflight_fetches`], which holds no stripe lock).
-    inflight: Vec<Mutex<HashMap<PageId, Arc<InflightFetch>>>>,
+    /// Page locks, striped by page hash. A stripe also holds the
+    /// single-flight entries of its pages (those being fetched from the
+    /// remote, or queued for write-behind), so one lock guards all of a
+    /// page's state. Taken through [`Self::lock_page`]; never two at once.
+    stripes: Vec<Mutex<HashMap<PageId, Arc<InflightFetch>>>>,
     io_pool: Option<IoPool>,
     /// Workers for concurrent stage-2 remote fetches (absent when
     /// `max_concurrent_fetches` is 1: fetches then run inline).
@@ -609,7 +601,7 @@ impl CacheState {
     /// once quiesced — a leaked latch would strand every future reader of
     /// that page (the torture harness asserts this after every operation).
     pub fn inflight_fetches(&self) -> usize {
-        self.inflight.iter().map(|s| s.lock().len()).sum()
+        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Per-directory `(bytes_used_by_store, bytes_indexed, capacity)` —
@@ -662,12 +654,10 @@ impl CacheState {
         self.clock.now_millis()
     }
 
-    fn stripe(&self, id: PageId) -> &Mutex<()> {
-        &self.page_locks[(id.stable_hash() as usize) & (LOCK_STRIPES - 1)]
-    }
-
-    fn inflight_shard(&self, id: PageId) -> &Mutex<HashMap<PageId, Arc<InflightFetch>>> {
-        &self.inflight[(id.stable_hash() as usize) & (INFLIGHT_SHARDS - 1)]
+    /// Takes page `id`'s lock (its stripe) until the returned value drops.
+    fn lock_page(&self, id: PageId) -> PageLock<'_> {
+        let stripe = self.stripes[(id.stable_hash() as usize) & (LOCK_STRIPES - 1)].lock();
+        PageLock { id, stripe }
     }
 
     /// Oracle used by the simulation harness: after draining buffered
@@ -717,24 +707,18 @@ impl CacheState {
     /// layer (`server::object`) publishes each page of a stored value this
     /// way and reads it back through [`Self::read`].
     pub fn put_page(&self, file: &SourceFile, page_index: u64, data: &[u8]) -> Result<()> {
-        let id = PageId::new(file.file_id(), page_index);
-        let _guard = self.stripe(id).lock();
-        self.put_page_locked(file, id, data, SpanId::NONE)
+        let mut lock = self.lock_page(PageId::new(file.file_id(), page_index));
+        self.put_page_locked(&mut lock, file, data, SpanId::NONE)
     }
 
     /// Whether a page is cached, a page queued for write-behind included.
     pub fn contains(&self, file: &SourceFile, page_index: u64) -> bool {
         let id = PageId::new(file.file_id(), page_index);
-        // Under the stripe lock a landing is all or nothing: the page is in
+        // Under the page lock a landing is all or nothing: the page is in
         // the index, or still queued — its in-flight entry published (an
         // inline publish removes the entry before publishing).
-        let _guard = self.stripe(id).lock();
-        self.index.contains(&id)
-            || self
-                .inflight_shard(id)
-                .lock()
-                .get(&id)
-                .is_some_and(|l| l.page().is_some())
+        let lock = self.lock_page(id);
+        self.index.contains(&id) || lock.inflight().is_some_and(|l| l.page().is_some())
     }
 
     /// Waits until every read-through publish queued before the call has
@@ -747,17 +731,17 @@ impl CacheState {
         }
     }
 
-    /// Inner put; the caller holds the page's stripe lock. Eviction work
-    /// done to make room is recorded as an `eviction` child of `parent`
-    /// (only when evictions happen).
+    /// Inner put, under the page's lock. Eviction work done to make room
+    /// is recorded as an `eviction` child of `parent` (only when evictions
+    /// happen).
     fn put_page_locked(
         &self,
+        lock: &mut PageLock<'_>,
         file: &SourceFile,
-        id: PageId,
         data: &[u8],
         parent: SpanId,
     ) -> Result<()> {
-        let size = data.len() as u64;
+        let (id, size) = (lock.id, data.len() as u64);
         // Publishes land on SSD, never in the DRAM tier: a page enters
         // memory only through its second SSD hit (`serve_hit`), so a
         // one-off miss costs no demotion.
@@ -803,44 +787,44 @@ impl CacheState {
         self.store_put(dir, id, data)?;
 
         let info = PageInfo::new(id, size, file.scope.clone(), dir, self.now_ms());
-        if let Some(old) = self.index_insert(info) {
-            // Refresh of an existing page: retire the old copy's policy
-            // entry, and delete its stored bytes when the allocator placed
-            // the new copy in a different directory (capacity fallback on a
-            // size change, or a memory-resident old copy) — otherwise they
-            // stay stranded in the old store.
+        let old = self.place(lock, info);
+        if old.is_some_and(|old| Some(old.dir) == self.mem_dir) {
+            // The refresh displaced a memory-resident copy: a counted
+            // memory-tier exit.
+            self.hot.mem_replaced.inc();
+        }
+        self.hot.puts.inc();
+        self.hot.bytes_written.add(size);
+        Ok(())
+    }
+
+    /// Puts `info` in the index, the only way a page enters it. A page
+    /// still queued for write-behind is handed over in the same step, under
+    /// the queue lock `stats` reads with: it leaves the queue's count and
+    /// its in-flight entry goes, so its landing (if this is not it) is
+    /// skipped. A replaced entry leaves its policy, and its copy in another
+    /// directory (a tier move, a size change that moved directory, a page
+    /// recovered from two) is deleted. Returns the replaced entry.
+    fn place(&self, lock: &mut PageLock<'_>, info: PageInfo) -> Option<PageInfo> {
+        let (id, dir) = (info.id, info.dir);
+        let queued = lock.inflight().and_then(|latch| latch.page());
+        let old = match (&self.write_behind, queued) {
+            (Some(queue), Some(page)) => {
+                lock.take_inflight();
+                queue.hand_over(page.len() as u64, || self.index.insert(info))
+            }
+            _ => self.index.insert(info),
+        };
+        if let Some(old) = &old {
             self.policies[old.dir].lock().on_remove(id);
             if old.dir != dir {
                 if let Err(e) = self.stores[old.dir].delete(id) {
                     self.metrics.record_error("delete", e.kind());
                 }
             }
-            if Some(old.dir) == self.mem_dir {
-                // The refresh displaced a memory-resident copy: a counted
-                // memory-tier exit.
-                self.hot.mem_replaced.inc();
-            }
         }
         self.policies[dir].lock().on_insert(id);
-        self.hot.puts.inc();
-        self.hot.bytes_written.add(size);
-        Ok(())
-    }
-
-    /// Inserts a put page into the index. A page still queued for
-    /// write-behind is handed over in the same step, under the queue lock
-    /// `stats` reads with: it leaves the queue's count and its in-flight
-    /// entry goes, so its landing (if this is not it) is skipped. Caller
-    /// holds the page's stripe lock.
-    fn index_insert(&self, info: PageInfo) -> Option<PageInfo> {
-        if let Some(queue) = &self.write_behind {
-            let mut inflight = self.inflight_shard(info.id).lock();
-            if let Some(page) = inflight.get(&info.id).and_then(|latch| latch.page()) {
-                inflight.remove(&info.id);
-                return queue.hand_over(page.len() as u64, || self.index.insert(info));
-            }
-        }
-        self.index.insert(info)
+        old
     }
 
     /// Applies the §5.2 strategy for a quota violation. Victims come from
@@ -906,13 +890,12 @@ impl CacheState {
     }
 
     /// Removes a page from the index and policy only (store already lost
-    /// it). Verifies under the page's stripe lock that the store really
-    /// lacks the bytes — a concurrent tier move explains a transient
-    /// `NotFound` without any data having been lost, and dropping the entry
-    /// then would strand the moved copy in its new store. Callers hold no
-    /// stripe lock.
+    /// it). Verifies under the page's lock that the store really lacks the
+    /// bytes — a concurrent tier move explains a transient `NotFound`
+    /// without any data having been lost, and dropping the entry then would
+    /// strand the moved copy in its new store. Callers hold no page lock.
     fn drop_from_index(&self, id: &PageId) {
-        let _guard = self.stripe(*id).lock();
+        let _lock = self.lock_page(*id);
         if let Some(info) = self.index.get(id) {
             if self.stores[info.dir].contains(*id) {
                 return; // raced a tier move: the page is real again
@@ -995,13 +978,13 @@ impl CacheState {
     }
 
     /// Evicts every listed page still cached, in list order; returns how
-    /// many were. Each under its stripe lock: a store's writers of one page
+    /// many were. Each under its page lock: a store's writers of one page
     /// must be serialized, and a publish of the page (inline or landing)
     /// may run concurrently.
     fn evict_all(&self, ids: Vec<PageId>, cause: &str) -> usize {
         ids.iter()
             .filter(|&&id| {
-                let _guard = self.stripe(id).lock();
+                let _lock = self.lock_page(id);
                 self.evict_page(&id, cause).is_some()
             })
             .count()
@@ -1020,8 +1003,7 @@ impl CacheState {
                 // pages are tracked globally (quotas re-apply as new traffic
                 // re-tags pages).
                 let info = PageInfo::new(id, size, CacheScope::Global, dir, self.now_ms());
-                self.index.insert(info);
-                self.policies[dir].lock().on_insert(id);
+                self.place(&mut self.lock_page(id), info);
                 self.metrics.counter("recovered_pages").inc();
             }
         }
@@ -1032,6 +1014,29 @@ impl CacheState {
     /// was lost, e.g. a DataNode restart, §6.2.3). Returns pages removed.
     pub fn clear(&self) -> usize {
         self.delete_scope(&CacheScope::Global)
+    }
+}
+
+/// A held page lock: the page's id and its stripe, which also holds the
+/// page's single-flight entry. Functions that need a page's lock take one,
+/// so none of them runs without it.
+struct PageLock<'a> {
+    id: PageId,
+    stripe: MutexGuard<'a, HashMap<PageId, Arc<InflightFetch>>>,
+}
+
+impl PageLock<'_> {
+    /// The page's in-flight entry, if it is being fetched or queued.
+    fn inflight(&self) -> Option<&Arc<InflightFetch>> {
+        self.stripe.get(&self.id)
+    }
+
+    fn set_inflight(&mut self, latch: Arc<InflightFetch>) {
+        self.stripe.insert(self.id, latch);
+    }
+
+    fn take_inflight(&mut self) -> Option<Arc<InflightFetch>> {
+        self.stripe.remove(&self.id)
     }
 }
 

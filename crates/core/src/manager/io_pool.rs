@@ -108,7 +108,7 @@ impl IoPool {
 impl Drop for IoPool {
     fn drop(&mut self) {
         // Close the channel so every worker's `recv` loop ends, then join.
-        // Detaching here would leak `io_threads + max_concurrent_fetches`
+        // Detaching here would leak `IO_THREADS` plus the fetch pool's
         // threads per dropped `CacheManager` — fatal for embedders that
         // restart caches in-process (the network server's start/stop path).
         // In-flight jobs run to completion before their worker exits, so a

@@ -11,7 +11,7 @@ use edgecache_pagestore::PageId;
 use parking_lot::{Condvar, Mutex};
 
 use super::write_behind::Deferred;
-use super::{CacheState, RemoteSource, SourceFile};
+use super::{CacheState, PageLock, RemoteSource, SourceFile};
 
 /// Latch for a page fetch in progress. The owning reader publishes the full
 /// page (or an error — [`Error`] is not `Clone`, so failures travel as text)
@@ -133,7 +133,7 @@ impl CacheState {
     /// pipeline:
     ///
     /// 1. **Classify** — each distinct page is classified once, under its
-    ///    stripe lock only on a miss and never across I/O, as a local hit,
+    ///    page lock only on a miss and never across I/O, as a local hit,
     ///    an in-flight fetch to join, a miss this reader owns, or an
     ///    admission bypass.
     /// 2. **Fetch** — owned misses are coalesced into runs of adjacent
@@ -143,7 +143,7 @@ impl CacheState {
     /// 3. **Publish** — fetched pages are released through per-page
     ///    single-flight latches, so N concurrent readers of one cold page
     ///    produce exactly one remote request, and cached: inline (re-taking
-    ///    the stripe lock just for the insert), or for a file-backed store
+    ///    the page lock just for the insert), or for a file-backed store
     ///    behind the read on the write-behind writer, while its bounded
     ///    queue has room.
     /// 4. **Assemble** — a range inside one page or one coalesced run is a
@@ -479,8 +479,8 @@ impl CacheState {
                     let class = if timed_out {
                         PageClass::Bypass
                     } else {
-                        let _guard = self.stripe(plan.id).lock();
-                        self.classify_miss(file, plan.id, now, repair_span.id())
+                        let mut lock = self.lock_page(plan.id);
+                        self.classify_miss(&mut lock, file, now, repair_span.id())
                     };
                     PagePlan {
                         class,
@@ -550,8 +550,8 @@ impl CacheState {
     /// The hit path is lock-free in the write sense: an optimistic
     /// [`IndexManager::touch`] classifies a resident page under its index
     /// shard's *read* lock, records recency in per-entry atomics, and
-    /// pushes the policy access event into the lock-free ring — no stripe
-    /// mutex, no policy mutex, no aggregates lock. Recording the access at
+    /// pushes the policy access event into the lock-free ring — no page
+    /// lock, no policy mutex, no aggregates lock. Recording the access at
     /// classify (not serve) time means stage 3 of this very read drains the
     /// ring before choosing eviction victims, so recency-based eviction sees
     /// the page as just used. Safety of the optimism: a page evicted between
@@ -559,13 +559,13 @@ impl CacheState {
     /// [`Self::serve_hit`] fail, and the page is repaired like any other
     /// degraded hit.
     ///
-    /// Only misses take the stripe lock, re-check the index (a concurrent
-    /// publisher may have landed the page), and consult the single-flight
-    /// shard. Lock order everywhere is stripe lock → in-flight map, so a
-    /// concurrent publisher (which inserts the page and removes the
-    /// in-flight entry under the same stripe lock) is seen either entirely
-    /// before or entirely after: a classifier finds the in-flight entry or
-    /// the cached page, never neither.
+    /// Only misses take the page lock, re-check the index (a concurrent
+    /// publisher may have landed the page), and consult the page's
+    /// single-flight entry, which that lock also guards. A concurrent
+    /// publisher (which inserts the page and removes the in-flight entry
+    /// under the same lock) is seen either entirely before or entirely
+    /// after: a classifier finds the in-flight entry or the cached page,
+    /// never neither.
     fn classify_page(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
         if let Some((dir, hits)) = self.index.touch(&id, now) {
             if !self.policies[dir].record_access(id) {
@@ -573,7 +573,7 @@ impl CacheState {
             }
             return PageClass::Hit { dir, hits };
         }
-        let _guard = self.stripe(id).lock();
+        let mut lock = self.lock_page(id);
         if let Some((dir, hits)) = self.index.touch(&id, now) {
             // Double-check hit: published between the optimistic probe and
             // the lock. Counted separately — a pure-hit workload must never
@@ -584,15 +584,21 @@ impl CacheState {
             }
             return PageClass::Hit { dir, hits };
         }
-        self.classify_miss(file, id, now, parent)
+        self.classify_miss(&mut lock, file, now, parent)
     }
 
-    /// The miss half of stage 1; the caller holds the page's stripe lock.
-    /// A repair classifies its pages here directly: it never probes the
-    /// index for a hit, so one repair round is the most a read runs.
-    fn classify_miss(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
-        let mut inflight = self.inflight_shard(id).lock();
-        if let Some(page) = inflight.get(&id).and_then(|latch| latch.page()) {
+    /// The miss half of stage 1, under the page's lock. A repair classifies
+    /// its pages here directly: it never probes the index for a hit, so one
+    /// repair round is the most a read runs.
+    fn classify_miss(
+        &self,
+        lock: &mut PageLock<'_>,
+        file: &SourceFile,
+        now: u64,
+        parent: SpanId,
+    ) -> PageClass {
+        let id = lock.id;
+        if let Some(page) = lock.inflight().and_then(|latch| latch.page()) {
             // Published and still queued for write-behind (an inline
             // publish removes the entry first): cached, not yet landed.
             self.hot.hits.inc();
@@ -600,7 +606,7 @@ impl CacheState {
             return PageClass::Pending { page };
         }
         self.hot.misses.inc();
-        if let Some(latch) = inflight.get(&id) {
+        if let Some(latch) = lock.inflight() {
             // Join the in-flight fetch regardless of admission:
             // the owner is caching this page anyway.
             self.hot.inflight_waits.inc();
@@ -615,7 +621,7 @@ impl CacheState {
             admission_span.finish();
             if admitted {
                 let latch = Arc::new(InflightFetch::default());
-                inflight.insert(id, Arc::clone(&latch));
+                lock.set_inflight(Arc::clone(&latch));
                 PageClass::Owner { latch }
             } else {
                 // Non-cache read path (Figure 3): read exactly
@@ -823,7 +829,7 @@ impl CacheState {
     }
 
     /// Stage 3 for one owned page published inline: caches the fetched
-    /// page (re-taking its stripe lock just for the insert), removes the
+    /// page (re-taking its page lock just for the insert), removes the
     /// in-flight entry while that lock is still held (see
     /// [`Self::classify_page`] for why), then releases the latch.
     fn finish_fetch(
@@ -835,24 +841,24 @@ impl CacheState {
         parent: SpanId,
     ) {
         {
-            let _guard = self.stripe(id).lock();
-            self.cache_fetched(file, id, outcome.as_ref().ok(), parent);
-            self.inflight_shard(id).lock().remove(&id);
+            let mut lock = self.lock_page(id);
+            self.cache_fetched(&mut lock, file, outcome.as_ref().ok(), parent);
+            lock.take_inflight();
         }
         latch.publish(outcome.clone());
     }
 
     /// Caches an owner's fetched page (`None`: the fetch failed), inline or
-    /// on the write-behind writer. Caller holds the page's stripe lock.
+    /// on the write-behind writer.
     pub(super) fn cache_fetched(
         &self,
+        lock: &mut PageLock<'_>,
         file: &SourceFile,
-        id: PageId,
         page: Option<&Bytes>,
         parent: SpanId,
     ) {
         let cached = page.is_some_and(|page| {
-            self.put_page_locked(file, id, page, parent)
+            self.put_page_locked(lock, file, page, parent)
                 // Caching failed (quota, space, store error): the read and
                 // its waiters are still served from the fetched bytes.
                 .map_err(|e| self.metrics.record_error("put", e.kind()))
@@ -865,7 +871,7 @@ impl CacheState {
         }
     }
 
-    /// Serves a page classified as a hit, without the stripe lock. A hit
+    /// Serves a page classified as a hit, without the page lock. A hit
     /// that degrades returns the store's error after the §8 bookkeeping —
     /// a hang keeps the page, a lost page leaves the index, anything else
     /// evicts it — and the caller repairs it.
@@ -959,20 +965,17 @@ impl CacheState {
         }
     }
 
-    /// Local store read, with the configured deadline when enforced.
+    /// Local store read, under the configured read timeout if one is set.
     fn store_get(&self, dir: usize, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
         let store = &self.stores[dir];
-        if Some(dir) == self.mem_dir {
-            // DRAM cannot hang like a failing disk: slice the frame inline
-            // (zero-copy) instead of paying an io-pool dispatch + deadline.
-            return store.get(id, offset, len);
-        }
-        match &self.io_pool {
-            None => store.get(id, offset, len),
-            Some(pool) => {
+        match (&self.io_pool, self.config.read_timeout) {
+            // DRAM cannot hang like a failing disk: it slices the frame
+            // inline (zero-copy) instead of paying an io-pool dispatch.
+            (Some(pool), Some(deadline)) if Some(dir) != self.mem_dir => {
                 let store = Arc::clone(store);
-                pool.run_with_deadline(self.config.read_timeout, move || store.get(id, offset, len))
+                pool.run_with_deadline(deadline, move || store.get(id, offset, len))
             }
+            _ => store.get(id, offset, len),
         }
     }
 }

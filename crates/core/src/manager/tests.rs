@@ -708,6 +708,35 @@ fn recovery_restores_hits() {
 }
 
 #[test]
+fn recovery_keeps_one_copy_of_a_page_found_in_two_directories() {
+    // A kill between a relocating `put_page`'s store write and its
+    // old-copy delete leaves one page in two directories.
+    let stores = [MemoryPageStore::new(), MemoryPageStore::new()].map(Arc::new);
+    let id = PageId::new(file("/a", 1000).file_id(), 0);
+    for store in &stores {
+        store.put(id, &pattern(100)).unwrap();
+    }
+    let cache = CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
+        .with_store(Arc::clone(&stores[0]) as Arc<dyn PageStore>, 10_000)
+        .with_store(Arc::clone(&stores[1]) as Arc<dyn PageStore>, 10_000)
+        .with_recovery()
+        .build()
+        .unwrap();
+    cache.check_policy_coherence().unwrap();
+    assert_eq!(
+        stores.iter().filter(|s| s.contains(id)).count(),
+        1,
+        "exactly one store keeps the page"
+    );
+    for (dir, (stored, indexed, _)) in cache.dir_usage().into_iter().enumerate() {
+        assert_eq!(
+            stored, indexed,
+            "dir {dir}: store bytes differ from the index"
+        );
+    }
+}
+
+#[test]
 fn clear_wipes_everything() {
     let cache = small_cache(100, 1 << 20);
     let remote = ScriptedRemote::new().with_file("/a", pattern(300));

@@ -8,7 +8,7 @@ use edgecache_common::error::{Error, Result};
 use edgecache_metrics::trace::SpanId;
 use edgecache_pagestore::{PageId, PageInfo, PageStore};
 
-use super::CacheState;
+use super::{CacheState, PageLock};
 
 impl CacheState {
     /// Adjusts the DRAM tier's byte capacity at runtime (no-op without a
@@ -27,8 +27,8 @@ impl CacheState {
         // eviction, or pinned frames in the victim stream) — evict what
         // remains unpinned so the over-capacity invariant holds.
         self.shrink_mem(mem, bytes, |victim| {
-            let _guard = self.stripe(*victim).lock();
-            if let Err(outcome) = self.mem_victim(victim, mem) {
+            let lock = self.lock_page(*victim);
+            if let Err(outcome) = self.mem_victim(&lock, mem) {
                 return outcome;
             }
             self.evict_page(victim, "mem_pressure");
@@ -38,8 +38,8 @@ impl CacheState {
 
     /// Passes memory-tier victims to `exit` (demotion, or eviction under
     /// pressure) until the tier holds at most `target` bytes. Must be called
-    /// while holding **no** stripe lock: `exit` takes the victim's stripe,
-    /// and stripe locks never nest. Stops early when nothing more can be
+    /// while holding **no** page lock: `exit` takes the victim's, and page
+    /// locks never nest. Stops early when nothing more can be
     /// freed: a full lap found only pinned frames, or `exit` failed (SSD
     /// refuses the bytes). Only promotion and [`Self::set_memory_capacity`]
     /// shrink the tier: publishes land on SSD and never make room here.
@@ -49,7 +49,7 @@ impl CacheState {
             let victim = self.policies[mem].lock().victim();
             let Some(victim) = victim else { return };
             // `exit` retires stale entries and recycles pinned ones itself
-            // (`mem_victim`), under the victim's stripe lock — doing it here
+            // (`mem_victim`), under the victim's page lock — doing it here
             // would race a concurrent promotion re-inserting the same page.
             match exit(&victim) {
                 DemoteOutcome::Freed | DemoteOutcome::Stale => pinned_skips = 0,
@@ -64,25 +64,30 @@ impl CacheState {
         }
     }
 
-    /// The checks every memory victim passes first, under its stripe lock.
+    /// The checks every memory victim passes first, under its page lock.
     /// A victim no longer in memory (it raced another exit or move) has its
     /// stale policy entry retired: `Stale`. A pinned one is recycled to
     /// most-recently-used so the scan moves on: `Pinned`. Both are safe
-    /// only under the stripe — a concurrent promotion of this page, which
-    /// re-inserts the policy entry, needs the same stripe, so neither can
-    /// clobber a fresh insert. Otherwise returns the victim's index entry.
-    fn mem_victim(&self, id: &PageId, mem: usize) -> std::result::Result<PageInfo, DemoteOutcome> {
-        let info = match self.index.get(id) {
+    /// only under the page lock, which a concurrent promotion re-inserting
+    /// the policy entry needs too, so neither can clobber a fresh insert.
+    /// Otherwise returns the victim's index entry.
+    fn mem_victim(
+        &self,
+        lock: &PageLock<'_>,
+        mem: usize,
+    ) -> std::result::Result<PageInfo, DemoteOutcome> {
+        let id = lock.id;
+        let info = match self.index.get(&id) {
             Some(info) if info.dir == mem => info,
             _ => {
-                self.policies[mem].lock().on_remove(*id);
+                self.policies[mem].lock().on_remove(id);
                 return Err(DemoteOutcome::Stale);
             }
         };
-        if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(*id)) {
+        if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(id)) {
             let mut guard = self.policies[mem].lock();
-            guard.on_remove(*id);
-            guard.on_insert(*id);
+            guard.on_remove(id);
+            guard.on_insert(id);
             return Err(DemoteOutcome::Pinned);
         }
         Ok(info)
@@ -91,15 +96,15 @@ impl CacheState {
     /// Moves one memory-resident page down to SSD — the "demotion, not
     /// eviction" half of the three-tier contract: under pressure a frame's
     /// bytes stay in the hierarchy, one level down. Takes the victim's
-    /// stripe lock (callers hold none). A frame that fails its tier-exit
+    /// page lock (callers hold none). A frame that fails its tier-exit
     /// checksum is evicted instead (counted): corrupt DRAM bytes must not
     /// land on SSD wearing a fresh trailer.
     fn demote_page(&self, id: &PageId, parent: SpanId) -> DemoteOutcome {
         let (Some(mem), Some(mem_store)) = (self.mem_dir, self.mem_store.as_ref()) else {
             return DemoteOutcome::Failed;
         };
-        let _guard = self.stripe(*id).lock();
-        let info = match self.mem_victim(id, mem) {
+        let mut lock = self.lock_page(*id);
+        let info = match self.mem_victim(&lock, mem) {
             Ok(info) => info,
             Err(outcome) => return outcome,
         };
@@ -119,8 +124,8 @@ impl CacheState {
         let mut span = self.tracer.child(parent, "demote");
         span.annotate("page", *id);
         // Make room on the target SSD directory — the same capacity loop a
-        // put runs. SSD victims evicted here hold no stripe lock of their
-        // own, so no second stripe is ever taken.
+        // put runs. SSD victims evicted here take no page lock of their
+        // own, so no second one is ever taken.
         if self.make_room(dir, info.size).is_err() {
             span.annotate("status", "no_victim");
             return DemoteOutcome::Failed;
@@ -132,14 +137,9 @@ impl CacheState {
         }
         // Keep `created_ms`: a page's TTL clock does not reset on a tier
         // move — only genuinely new bytes restart the privacy countdown.
+        // Placing it deletes the memory copy.
         let new_info = PageInfo::new(*id, info.size, info.scope.clone(), dir, info.created_ms);
-        if let Some(old) = self.index.insert(new_info) {
-            self.policies[old.dir].lock().on_remove(*id);
-        }
-        self.policies[dir].lock().on_insert(*id);
-        if let Err(e) = mem_store.delete(*id) {
-            self.metrics.record_error("delete", e.kind());
-        }
+        self.place(&mut lock, new_info);
         self.hot.mem_demotions.inc();
         self.hot.mem_bytes_demoted.add(info.size);
         span.annotate("to_dir", dir);
@@ -150,7 +150,7 @@ impl CacheState {
     /// Moves a just-served SSD-resident page up into the DRAM tier on its
     /// second SSD hit (the mirror of [`Self::demote_page`], and the tier's
     /// only way in). `data` is the page's freshly read full payload, checked
-    /// against `info.size`; the caller holds no stripe lock. Best-effort: any
+    /// against `info.size`; the caller holds no page lock. Best-effort: any
     /// conflict (raced refresh, no room after demotion) leaves the page
     /// where it is.
     pub(super) fn promote_to_mem(&self, info: &PageInfo, data: &Bytes, parent: SpanId) {
@@ -165,8 +165,8 @@ impl CacheState {
             return; // could not make room (pinned frames, demotion failure)
         }
         let id = info.id;
-        let _guard = self.stripe(id).lock();
-        // Re-check under the stripe: a concurrent refresh, eviction, or
+        let mut lock = self.lock_page(id);
+        // Re-check under the lock: a concurrent refresh, eviction, or
         // another promotion may have changed the page since it was served.
         let Some(cur) = self.index.get(&id) else {
             return;
@@ -183,16 +183,10 @@ impl CacheState {
             return;
         }
         // Keep `created_ms` (see demote_page): TTL survives tier moves.
+        // Exclusive hierarchy: the SSD copy moves up, it is not mirrored —
+        // placing it deletes the lower copy.
         let new_info = PageInfo::new(id, cur.size, cur.scope.clone(), mem, cur.created_ms);
-        if let Some(old) = self.index.insert(new_info) {
-            self.policies[old.dir].lock().on_remove(id);
-            // Exclusive hierarchy: the SSD copy moves up, it is not
-            // mirrored — delete the lower copy.
-            if let Err(e) = self.stores[old.dir].delete(id) {
-                self.metrics.record_error("delete", e.kind());
-            }
-        }
-        self.policies[mem].lock().on_insert(id);
+        self.place(&mut lock, new_info);
         self.hot.mem_promotions.inc();
         self.hot.mem_bytes_promoted.add(info.size);
         span.annotate("from_dir", info.dir);
@@ -206,19 +200,26 @@ impl CacheState {
         let capacity = self.allocator.capacity(dir);
         let mut drawn = 0u64;
         while self.index.bytes_of_dir(dir) + size > capacity {
-            let victim = self.policies[dir].lock().victim();
-            let Some(victim) = victim else {
+            if self.evict_victim(dir, "capacity").is_none() {
                 return Err(drawn);
-            };
-            if self.evict_page(&victim, "capacity").is_none() {
-                // The policy offered a page the index no longer holds (a
-                // racing eviction through another path). Retire the stale
-                // entry, or this loop would redraw the same victim forever.
-                self.policies[dir].lock().on_remove(victim);
             }
             drawn += 1;
         }
         Ok(drawn)
+    }
+
+    /// Draws directory `dir`'s policy victim and evicts it, without its
+    /// page lock: `None` when the policy is empty, `Some(None)` when the
+    /// victim was a page the index no longer holds (a racing eviction
+    /// through another path). That stale entry is retired, or the caller's
+    /// loop would redraw the same victim forever.
+    fn evict_victim(&self, dir: usize, cause: &str) -> Option<Option<PageInfo>> {
+        let victim = self.policies[dir].lock().victim()?;
+        let evicted = self.evict_page(&victim, cause);
+        if evicted.is_none() {
+            self.policies[dir].lock().on_remove(victim);
+        }
+        Some(evicted)
     }
 
     /// Writes a page to directory `dir`'s store. §8 "Insufficient disk
@@ -233,17 +234,11 @@ impl CacheState {
         let want = (data.len() as u64).max(1);
         let mut freed = 0u64;
         while freed < want {
-            let victim = self.policies[dir].lock().victim();
-            let Some(victim) = victim else { break };
-            match self.evict_page(&victim, "no_space") {
-                Some(info) => freed += info.size,
-                None => {
-                    // Stale policy entry (see `make_room`): retire it so the
-                    // next draw makes progress.
-                    self.policies[dir].lock().on_remove(victim);
-                    freed += 1;
-                }
-            }
+            let Some(evicted) = self.evict_victim(dir, "no_space") else {
+                break;
+            };
+            // A retired stale entry counts 1, so the loop makes progress.
+            freed += evicted.map_or(1, |info| info.size);
         }
         self.stores[dir].put(id, data)
     }

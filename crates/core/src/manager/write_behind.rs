@@ -3,9 +3,9 @@
 //! writer thread per manager, behind a queue bounded in bytes — the flush
 //! queue of a page cache, kept beside the index and the eviction policy.
 //!
-//! Until a page lands, its in-flight entry stays in the single-flight
-//! table holding the bytes, so a reader arriving meanwhile is served from
-//! it as a hit (`hits.pending`) instead of refetching.
+//! Until a page lands, its in-flight entry stays in its page-lock stripe
+//! holding the bytes, so a reader arriving meanwhile is served from it as a
+//! hit (`hits.pending`) instead of refetching.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,7 +16,7 @@ use edgecache_pagestore::PageId;
 use parking_lot::{Condvar, Mutex};
 
 use super::read::InflightFetch;
-use super::{CacheState, SourceFile};
+use super::{CacheState, PageLock, SourceFile};
 
 /// Payload the queue holds at most, in configured pages. With one page the
 /// next miss often finds the queue full and publishes inline; more than
@@ -136,7 +136,7 @@ impl<'a> Deferred<'a> {
     /// the queue is full, or the page is indexed already (a repair round
     /// owns pages without probing the index): that refresh stays inline,
     /// so a queued page is never also indexed — only its hand-over to the
-    /// index (`index_insert`, under the queue lock) puts it there.
+    /// index (`place`, under the queue lock) puts it there.
     pub(super) fn publish(
         &mut self,
         file: &SourceFile,
@@ -147,7 +147,7 @@ impl<'a> Deferred<'a> {
         let Some(queue) = &self.state.write_behind else {
             return false;
         };
-        let _guard = self.state.stripe(id).lock();
+        let _lock = self.state.lock_page(id);
         if self.state.index.contains(&id) || !queue.try_reserve(page.len() as u64) {
             return false;
         }
@@ -201,9 +201,9 @@ pub(super) fn run_writer(state: &CacheState) {
         };
         if catch_unwind(AssertUnwindSafe(|| state.land(&job))).is_err() {
             state.metrics.record_error("put", "panic");
-            let _guard = state.stripe(job.id).lock();
+            let mut lock = state.lock_page(job.id);
             state.release_admission_if_vacant(&job.file.scope);
-            state.retire(&job);
+            state.retire(&mut lock, &job);
         }
         let mut q = queue.queue.lock();
         q.landed += 1;
@@ -219,31 +219,27 @@ impl CacheState {
     fn land(&self, job: &Landing) {
         let mut span = self.tracer.span("cache.land");
         span.annotate("page", job.id);
-        let _guard = self.stripe(job.id).lock();
-        if self.is_queued(job) {
-            self.cache_fetched(&job.file, job.id, Some(&job.page), span.id());
+        let mut lock = self.lock_page(job.id);
+        if self.is_queued(&lock, job) {
+            self.cache_fetched(&mut lock, &job.file, Some(&job.page), span.id());
         }
-        self.retire(job);
+        self.retire(&mut lock, job);
     }
 
-    /// Whether `job`'s entry is still the page's in-flight entry. Caller
-    /// holds the page's stripe lock.
-    fn is_queued(&self, job: &Landing) -> bool {
-        self.inflight_shard(job.id)
-            .lock()
-            .get(&job.id)
+    /// Whether `job`'s entry is still its page's in-flight entry.
+    fn is_queued(&self, lock: &PageLock<'_>, job: &Landing) -> bool {
+        lock.inflight()
             .is_some_and(|latch| Arc::ptr_eq(latch, &job.latch))
     }
 
     /// Removes a page that did not land (failed, skipped, or panicked)
-    /// from the queue's count and the single-flight table. A page whose
-    /// put handed it over is gone from both already. Caller holds the
-    /// page's stripe lock.
-    fn retire(&self, job: &Landing) {
-        if !self.is_queued(job) {
+    /// from the queue's count and its in-flight entry. A page whose put
+    /// handed it over is gone from both already.
+    fn retire(&self, lock: &mut PageLock<'_>, job: &Landing) {
+        if !self.is_queued(lock, job) {
             return;
         }
-        self.inflight_shard(job.id).lock().remove(&job.id);
+        lock.take_inflight();
         if let Some(queue) = &self.write_behind {
             queue.hand_over(job.page.len() as u64, || ());
         }

@@ -148,9 +148,6 @@ fn build_direct(
         // DRAM does not survive process death.
         config = config.with_memory_tier(ByteSize::new(cap));
     }
-    // Injected delays pay virtual time; the wall-clock deadline machinery
-    // would race against them and break determinism.
-    config.enforce_read_timeout = false;
 
     // One registry + tracer per epoch: span rollups land in the epoch's
     // `trace.*_us` histograms, so the final-metrics determinism check covers
