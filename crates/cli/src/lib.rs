@@ -282,12 +282,26 @@ mod tests {
     #[test]
     fn verify_finds_and_repairs_corruption() {
         let (dir, store) = setup("verify");
-        // Corrupt one page file on disk.
+        // Corrupt one page's payload on disk: the slot whose header
+        // (`"ECS1"`, then file id and page index, little-endian, at bytes 8
+        // and 16) names it, in one of the 4 KiB store's four stripe files.
         let id = PageId::new(FileId(2), 0);
-        let path = walk_find(&dir, "0");
-        let mut raw = std::fs::read(&path).unwrap();
-        raw[1] ^= 0xff;
-        std::fs::write(&path, raw).unwrap();
+        let corrupt = |k: u64| {
+            let path = dir.join(format!("page_size=4096/slots_4096.{k}"));
+            let mut raw = std::fs::read(&path).unwrap();
+            let names = |at: usize| {
+                &raw[at..at + 4] == b"ECS1"
+                    && raw[at + 8..at + 16] == id.file.0.to_le_bytes()
+                    && raw[at + 16..at + 24] == id.index.to_le_bytes()
+            };
+            let Some(at) = (0..raw.len()).step_by(48 + 4096).find(|&at| names(at)) else {
+                return false;
+            };
+            raw[at + 48 + 1] ^= 0xff;
+            std::fs::write(&path, raw).unwrap();
+            true
+        };
+        assert!((0..4).any(corrupt), "page on disk");
         drop(store);
 
         let r = verify(&dir, false).unwrap();
@@ -298,7 +312,7 @@ mod tests {
         assert_eq!(r.corrupt, 1);
         let r = verify(&dir, false).unwrap();
         assert_eq!((r.checked, r.corrupt), (5, 0));
-        let _ = (id, std::fs::remove_dir_all(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -397,21 +411,5 @@ mod tests {
         set_get(session.handle.local_addr(), b"version\r\n", "VERSION");
         drop(session);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Finds the first file named `name` under `dir`.
-    fn walk_find(dir: &std::path::Path, name: &str) -> PathBuf {
-        let mut stack = vec![dir.to_path_buf()];
-        while let Some(d) = stack.pop() {
-            for entry in std::fs::read_dir(&d).unwrap().flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else if p.file_name().and_then(|n| n.to_str()) == Some(name) {
-                    return p;
-                }
-            }
-        }
-        panic!("no file named {name}");
     }
 }

@@ -1,19 +1,19 @@
 //! Stable 64-bit hash functions.
 //!
 //! Page placement (§4.1's allocator), the soft-affinity hash ring (§6.1.2),
-//! and the on-disk bucket fan-out (§4.3) all need hashes that are *stable
-//! across process restarts and architectures* — a page written before a crash
-//! must land in the same bucket after recovery. `std::hash` makes no such
+//! and the file ids in on-disk page headers (§4.3) all need hashes that are
+//! *stable across process restarts and architectures* — a page written before
+//! a crash must be found under the same id after recovery. `std::hash` makes no such
 //! guarantee, so we use FNV-1a plus a splitmix64 finalizer.
 //!
 //! Two byte hashes live here, each with one job:
 //!
 //! * [`fnv1a64`] wherever the *value* is a stability contract — string keys
-//!   ([`hash_str`]), ring points, bucket fan-out, kvstore records, DataNode
-//!   `.meta` files, simtest byte oracles. It consumes one byte per multiply,
-//!   which is fine for short keys.
-//! * [`xxh64`] for bulk integrity — the page checksum of the SSD trailer and
-//!   the DRAM frame. It consumes 32 bytes per step over four independent
+//!   ([`hash_str`]), ring points, page-header file ids, kvstore records,
+//!   DataNode `.meta` files, simtest byte oracles. It consumes one byte per
+//!   multiply, which is fine for short keys.
+//! * [`xxh64`] for bulk integrity — the page checksum of the SSD slot header
+//!   and the DRAM frame. It consumes 32 bytes per step over four independent
 //!   lanes, so checksumming a 1 MiB page costs about two copies of it
 //!   rather than thirty.
 

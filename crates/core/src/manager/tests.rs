@@ -2194,7 +2194,7 @@ mod mem_tier {
     #[test]
     fn corrupt_frame_is_evicted_not_demoted() {
         // A frame whose DRAM bytes fail the tier-exit checksum must not
-        // land on SSD wearing a fresh trailer: it exits via (counted)
+        // land on SSD wearing a fresh checksum: it exits via (counted)
         // eviction and the next read refetches from remote.
         let cache = tiered_cache(1024, 1 << 20, 4 * 1024);
         let data = pattern(4096);

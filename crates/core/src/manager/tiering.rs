@@ -98,7 +98,7 @@ impl CacheState {
     /// bytes stay in the hierarchy, one level down. Takes the victim's
     /// page lock (callers hold none). A frame that fails its tier-exit
     /// checksum is evicted instead (counted): corrupt DRAM bytes must not
-    /// land on SSD wearing a fresh trailer.
+    /// land on SSD wearing a fresh checksum.
     fn demote_page(&self, id: &PageId, parent: SpanId) -> DemoteOutcome {
         let (Some(mem), Some(mem_store)) = (self.mem_dir, self.mem_store.as_ref()) else {
             return DemoteOutcome::Failed;

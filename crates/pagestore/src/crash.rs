@@ -4,8 +4,8 @@
 //! interpretable after a crash at *any* point of a write or delete. A
 //! [`CrashPlan`] lets a test arm exactly one such point: the next matching
 //! store operation performs the on-disk half-effect a real crash could leave
-//! behind (an orphaned tmp file, a page whose tail never reached the
-//! platters) and then fails with a `simulated crash` error. The harness
+//! behind (a payload never committed, a committed page with a torn payload)
+//! and then fails with a `simulated crash` error. The harness
 //! treats that error as process death — it drops the cache and re-opens the
 //! directory, at which point recovery must clean up whatever was left.
 //!
@@ -31,15 +31,15 @@ pub fn is_simulated_crash(err: &Error) -> bool {
 /// Where a simulated crash interrupts the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// Crash after the tmp file is fully written but before the atomic
-    /// rename: the orphaned `.tmp` file survives, the page does not.
+    /// Crash after the payload is written to a free slot but before its
+    /// header commits it: the slot stays free, the page is not stored.
     PutTmpWritten,
-    /// Crash after the rename but before the data blocks reached the
-    /// device (pages are not fsynced by design): the page file exists at
-    /// full length with a torn tail.
+    /// Crash after the header commits the page but before its payload
+    /// reached the device (pages are not fsynced by design): a committed
+    /// record over a torn payload.
     PutTornTail,
-    /// Crash while deleting/compacting: the page file is neither intact
-    /// nor gone — its tail is torn and the unlink never happened.
+    /// Crash while deleting: the page is neither intact nor gone — its
+    /// magic was never cleared and its payload is torn.
     DeleteTornTail,
 }
 

@@ -9,11 +9,11 @@
 //!   bulk operations (§4.4).
 //! * [`store`] — the [`PageStore`] trait: put/get/delete of pages with
 //!   partial (ranged) reads.
-//! * [`local`] — [`LocalPageStore`], the SSD-backed implementation with the
-//!   paper's on-disk layout (§4.3): a top-level `page_size=` directory that
-//!   makes recovery self-describing, hash-bucket fan-out, one directory per
-//!   file ID, self-contained page names, atomic tmp+rename writes, and a
-//!   checksum trailer for corruption detection (§8).
+//! * [`local`] — [`LocalPageStore`], the SSD-backed implementation: a
+//!   top-level `page_size=` directory that makes recovery self-describing
+//!   (§4.3), one file of fixed-size slots per size class, a self-describing
+//!   header per page that commits it after its payload, and a payload
+//!   checksum for corruption detection (§8).
 //! * [`memory`] — [`MemoryPageStore`], an in-memory implementation for tests
 //!   and metadata-style payloads.
 //! * [`memtier`] — [`MemTierStore`], the DRAM cache tier: checksummed,
@@ -23,7 +23,7 @@
 //!   failure modes of §8 (corruption, `No space left on device`, read hangs).
 //! * [`crash`] — [`CrashPlan`], armable crash points that make a
 //!   [`LocalPageStore`] operation leave a realistic half-effect on disk
-//!   (orphaned tmp file, torn tail) and fail as if the process died, so
+//!   (uncommitted payload, torn payload) and fail as if the process died, so
 //!   recovery (§4.3) can be tortured deterministically.
 
 pub mod crash;

@@ -1,38 +1,47 @@
-//! The SSD-backed page store with the paper's on-disk layout (§4.3).
+//! The SSD-backed page store: pages in fixed-size slots of a few class files.
 //!
 //! ```text
 //! <root>/
-//!   page_size=1048576/            top-level folder: persistent global info
-//!     bucket_00/ … bucket_3f/     hash fan-out bounding directory width
-//!       <file-id, 16 hex chars>/  one directory per cached file
-//!         0, 1, 2, …              page files, named by page index
+//!   page_size=1048576/   top-level folder: persistent global info (§4.3)
+//!     slots_1048576.0-3  four stripe files per size class, named by the
+//!     slots_524288.0-3   payload a slot holds: halving from the page size
+//!     …                  down to a 4 KiB floor (one class if the page size
+//!     slots_4096.0-3     is 4 KiB or less)
 //! ```
 //!
-//! Page information is self-contained in page names and parent folders
-//! (§4.3), so a cold restart can rebuild the in-memory index purely from a
-//! directory scan ([`LocalPageStore::recover`]).
+//! The paper keeps one file per page (§4.3). Here a page lives in a slot of
+//! the smallest class that fits it, so above the floor a slot's payload is
+//! under twice the page's length. Slot `s` is in stripe `s % 4`, so puts of
+//! one class rarely queue on one file's write lock. A slot is `header ‖
+//! payload`; the header names its page, as the paper's file names did:
 //!
-//! Each page file is `payload ‖ checksum(8 bytes, XXH64 LE) ‖ magic(4 bytes, "ECP2")`.
-//! The magic names the checksum algorithm: a page written before the bump
-//! (`ECP1`, FNV-1a) fails the trailer check like any other corrupt page and
-//! is evicted and refetched once (§8). Payload offsets did not move, so
-//! ranged reads of such a page stay byte-correct.
-//! Writes go to a temporary name and are published with an atomic `rename`,
-//! so a concurrent reader sees the old state or the new state, never a torn
-//! page. Full-page reads verify the checksum and surface
-//! [`Error::Corrupted`](edgecache_common::error::Error) — the
-//! signal that drives early eviction (§8, "Corrupted files").
+//! ```text
+//! "ECS1" ‖ check (4) ‖ file id (8) ‖ page index (8) ‖ length (8) ‖ seq (8) ‖ XXH64(payload) (8)
+//! ```
 //!
-//! Up to 512 page files stay open, so most hits are one `pread`; DESIGN.md §4
-//! "Open page files" states the contract that keeps this correct.
+//! Fields are little-endian; `check` is the low half of XXH64 over the 40
+//! bytes after it, so a header verifies on its own. A put writes the payload
+//! into a free slot, then the header: the header write commits the page. A
+//! delete clears the slot's magic (one 4-byte write), and so does a put for
+//! the slot of the version it replaced. `seq` grows with every put, so a
+//! crash between a put's commit and that clear leaves two records of one
+//! page, and recovery keeps the newer.
 //!
-//! Page data is rebuildable from the remote source by definition, so files
-//! are *not* fsynced; a crash can lose recently written pages but never
-//! serves a torn one (the checksum catches partial writes that survived a
-//! crash).
+//! In memory each page is an `Arc<Slot>` (class, slot, length, checksum).
+//! A read clones it under a shard lock and reads outside the lock: a ranged
+//! read is one `pread`, a full read `pread`s the payload and checks it
+//! against the checksum, surfacing
+//! [`Error::Corrupted`](edgecache_common::error::Error) — the signal that
+//! drives early eviction (§8, "Corrupted files"). A slot returns to its
+//! class's free list only when its last `Arc` drops, so a reader that found
+//! a version of a page reads all of it, never a later tenant of its slot.
+//!
+//! Page data is rebuildable from the remote source by definition, so nothing
+//! is fsynced; a crash can lose recent pages but never serves a torn one.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
-use std::io::{Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +49,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::lru::LruMap;
+use edgecache_common::hash::xxh64;
 use edgecache_metrics::Tracer;
 use parking_lot::Mutex;
 
@@ -48,26 +57,143 @@ use crate::crash::{CrashPlan, CrashSite};
 use crate::page::{page_checksum, FileId, PageId};
 use crate::store::PageStore;
 
-/// Trailer magic marking a complete edgecache page file whose checksum is
-/// XXH64.
-const PAGE_MAGIC: &[u8; 4] = b"ECP2";
-/// Trailer length: 8-byte checksum + 4-byte magic.
-const TRAILER_LEN: u64 = 12;
-/// Descriptor cache shape: 16 shards of 32 open page files.
-const FD_SHARDS: usize = 16;
-const FD_PER_SHARD: usize = 32;
-/// Largest payload a full read takes through its descriptor; a larger one is
-/// `fs::read(path)`, which does not zero its buffer first (DESIGN.md §4).
-const PREAD_FULL_MAX: u64 = 128 << 10;
-/// An open page file and its payload length.
-type Descriptor = (Arc<File>, u64);
+/// Magic opening a committed slot header.
+const SLOT_MAGIC: &[u8; 4] = b"ECS1";
+/// Header bytes in front of every slot's payload.
+const HEADER: u64 = 48;
+/// Offset of the payload checksum within a header.
+const SUM_AT: u64 = 40;
+/// Smallest class payload, unless the page size is smaller.
+const CLASS_FLOOR: u64 = 4 << 10;
+/// Files a class's slots are striped over.
+const STRIPES: u64 = 4;
+/// Shards of the in-memory page map.
+const SHARDS: usize = 16;
 
-/// The trailer that follows `payload` in a page file.
-fn trailer(payload: &[u8]) -> [u8; TRAILER_LEN as usize] {
-    let mut t = [0u8; TRAILER_LEN as usize];
-    t[..8].copy_from_slice(&page_checksum(payload).to_le_bytes());
-    t[8..].copy_from_slice(PAGE_MAGIC);
-    t
+/// What a committed header says.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    id: PageId,
+    len: u64,
+    seq: u64,
+    sum: u64,
+}
+
+impl Record {
+    fn encode(&self) -> [u8; HEADER as usize] {
+        let mut h = [0u8; HEADER as usize];
+        h[..4].copy_from_slice(SLOT_MAGIC);
+        let words = [self.id.file.0, self.id.index, self.len, self.seq, self.sum];
+        for (at, word) in h[8..].chunks_exact_mut(8).zip(words) {
+            at.copy_from_slice(&word.to_le_bytes());
+        }
+        let check = xxh64(&h[8..], 0) as u32;
+        h[4..8].copy_from_slice(&check.to_le_bytes());
+        h
+    }
+
+    /// The record of a committed header whose check holds.
+    fn decode(h: &[u8; HEADER as usize]) -> Option<Self> {
+        let check = u32::from_le_bytes(h[4..8].try_into().expect("4 bytes"));
+        if &h[..4] != SLOT_MAGIC || check != xxh64(&h[8..], 0) as u32 {
+            return None;
+        }
+        let word =
+            |i: usize| u64::from_le_bytes(h[8 + 8 * i..16 + 8 * i].try_into().expect("8 bytes"));
+        Some(Self {
+            id: PageId::new(FileId(word(0)), word(1)),
+            len: word(2),
+            seq: word(3),
+            sum: word(4),
+        })
+    }
+}
+
+/// One size class: equal slots, striped over `STRIPES` files.
+#[derive(Debug)]
+struct Class {
+    files: Vec<File>,
+    /// Payload bytes a slot holds.
+    cap: u64,
+    free: Mutex<FreeSlots>,
+}
+
+#[derive(Debug, Default)]
+struct FreeSlots {
+    /// Freed slots, reused last in, first out.
+    slots: Vec<u64>,
+    /// Slots the class spans: the number of the next new one.
+    end: u64,
+    /// Bumped by every recovery scan, which rebuilds `slots`: a slot handed
+    /// out before it is not returned.
+    epoch: u64,
+}
+
+impl Class {
+    /// The file holding slot `slot` and the offset of its header there.
+    fn locate(&self, slot: u64) -> (&File, u64) {
+        let file = &self.files[(slot % STRIPES) as usize];
+        (file, slot / STRIPES * (HEADER + self.cap))
+    }
+}
+
+/// A page's slot. Dropping its last reference frees the slot.
+#[derive(Debug)]
+struct Slot {
+    class: Arc<Class>,
+    index: u64,
+    len: u64,
+    sum: u64,
+    epoch: u64,
+}
+
+impl Slot {
+    fn alloc(class: &Arc<Class>, len: u64, sum: u64) -> Self {
+        let mut free = class.free.lock();
+        let index = free.slots.pop().unwrap_or_else(|| {
+            free.end += 1;
+            free.end - 1
+        });
+        Self {
+            class: Arc::clone(class),
+            index,
+            len,
+            sum,
+            epoch: free.epoch,
+        }
+    }
+
+    /// The slot's file and the offset of its header there.
+    fn at(&self) -> (&File, u64) {
+        self.class.locate(self.index)
+    }
+
+    /// Clears the slot's magic on disk: the page it held is gone.
+    fn clear(&self) -> Result<()> {
+        let (file, at) = self.at();
+        Ok(file.write_all_at(&[0; 4], at)?)
+    }
+
+    /// Simulates data blocks that never reached the device: fills the second
+    /// half of the payload (the header's checksum, for an empty page) with a
+    /// pattern, leaving a committed but torn page.
+    fn tear(&self) -> Result<()> {
+        let (file, at) = self.at();
+        let (from, to) = match self.len {
+            0 => (at + SUM_AT, at + HEADER),
+            n => (at + HEADER + n / 2, at + HEADER + n),
+        };
+        Ok(file.write_all_at(&vec![0xEE; (to - from) as usize], from)?)
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut free = self.class.free.lock();
+        if free.epoch == self.epoch {
+            free.slots.push(self.index);
+        }
+    }
 }
 
 /// Configuration for a [`LocalPageStore`].
@@ -75,10 +201,8 @@ fn trailer(payload: &[u8]) -> [u8; TRAILER_LEN as usize] {
 pub struct LocalStoreConfig {
     /// Nominal page size; recorded in the top-level directory name because
     /// it is "required to calculate the page index" during recovery (§4.3).
+    /// Also the largest page the store takes.
     pub page_size: u64,
-    /// Number of hash buckets between the page-size directory and the
-    /// per-file directories.
-    pub buckets: usize,
     /// Verify page checksums during [`LocalPageStore::recover`]; corrupt
     /// pages are dropped instead of reported.
     pub verify_on_recovery: bool,
@@ -92,7 +216,6 @@ impl Default for LocalStoreConfig {
     fn default() -> Self {
         Self {
             page_size: 1 << 20, // 1 MB, the paper's production default (§7).
-            buckets: 64,
             verify_on_recovery: false,
             crash_plan: None,
         }
@@ -105,26 +228,28 @@ impl Default for LocalStoreConfig {
 #[derive(Debug)]
 pub struct LocalPageStore {
     root: PathBuf,
-    base: PathBuf,
     config: LocalStoreConfig,
+    /// Size classes, largest first.
+    classes: Vec<Arc<Class>>,
+    pages: [Mutex<HashMap<PageId, Arc<Slot>>>; SHARDS],
     bytes_used: AtomicU64,
-    tmp_seq: AtomicU64,
+    /// The next put's sequence number.
+    seq: AtomicU64,
     tracer: Tracer,
-    fds: [Mutex<LruMap<PageId, Descriptor>>; FD_SHARDS],
 }
 
 impl LocalPageStore {
-    /// Opens (or creates) a page store rooted at `root`.
+    /// Opens (or creates) a page store rooted at `root` and recovers its
+    /// pages.
     ///
     /// If `root` already holds a store with a *different* page size, the old
     /// contents are wiped: page indexes computed with another page size are
-    /// meaningless, so the cache must restart cold (§4.3).
+    /// meaningless, so the cache must restart cold (§4.3). So is a
+    /// `page_size=` folder holding anything but this store's class files,
+    /// such as the page-per-file layout of earlier versions.
     pub fn open(root: impl Into<PathBuf>, config: LocalStoreConfig) -> Result<Self> {
         if config.page_size == 0 {
             return Err(Error::InvalidArgument("page_size must be positive".into()));
-        }
-        if config.buckets == 0 {
-            return Err(Error::InvalidArgument("buckets must be positive".into()));
         }
         let root = root.into();
         fs::create_dir_all(&root)?;
@@ -137,19 +262,44 @@ impl LocalPageStore {
             }
         }
         let base = root.join(&expected);
+        let caps: Vec<u64> = std::iter::successors(Some(config.page_size), |&cap| {
+            (cap / 2 >= CLASS_FLOOR).then_some(cap / 2)
+        })
+        .collect();
+        let name = |cap: u64, stripe: u64| format!("slots_{cap}.{stripe}");
+        let names: Vec<String> = (caps.iter())
+            .flat_map(|&cap| (0..STRIPES).map(move |k| name(cap, k)))
+            .collect();
+        let stray = |e: std::io::Result<fs::DirEntry>| {
+            e.map_or(true, |e| !names.iter().any(|n| e.file_name() == **n))
+        };
+        if fs::read_dir(&base).is_ok_and(|mut entries| entries.any(stray)) {
+            fs::remove_dir_all(&base)?;
+        }
         fs::create_dir_all(&base)?;
+        let mut options = File::options();
+        options.read(true).write(true).create(true).truncate(false);
+        let classes = caps
+            .into_iter()
+            .map(|cap| {
+                let files = (0..STRIPES).map(|k| options.open(base.join(name(cap, k))));
+                Ok(Arc::new(Class {
+                    files: files.collect::<std::io::Result<_>>()?,
+                    cap,
+                    free: Mutex::default(),
+                }))
+            })
+            .collect::<Result<_>>()?;
         let store = Self {
             root,
-            base,
             config,
+            classes,
+            pages: std::array::from_fn(|_| Mutex::default()),
             bytes_used: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
             tracer: Tracer::disabled(),
-            fds: std::array::from_fn(|_| Mutex::default()),
         };
-        // Initialize the usage gauge from what is already on disk.
-        let existing: u64 = store.recover()?.iter().map(|(_, s)| s).sum();
-        store.bytes_used.store(existing, Ordering::SeqCst);
+        store.recover()?;
         Ok(store)
     }
 
@@ -186,17 +336,8 @@ impl LocalPageStore {
         self.config.page_size
     }
 
-    fn bucket_dir(&self, file: FileId) -> PathBuf {
-        let bucket = (file.0 % self.config.buckets as u64) as usize;
-        self.base.join(format!("bucket_{bucket:02x}"))
-    }
-
-    fn file_dir(&self, file: FileId) -> PathBuf {
-        self.bucket_dir(file).join(file.as_hex())
-    }
-
-    fn page_path(&self, id: PageId) -> PathBuf {
-        self.file_dir(id.file).join(id.index.to_string())
+    fn shard(&self, id: PageId) -> &Mutex<HashMap<PageId, Arc<Slot>>> {
+        &self.pages[(id.stable_hash() % SHARDS as u64) as usize]
     }
 
     /// Whether an armed crash point at `site` fires now (consumes it).
@@ -206,152 +347,60 @@ impl LocalPageStore {
             .as_ref()
             .is_some_and(|p| p.should_crash(site))
     }
-
-    /// Simulates data blocks that never reached the device: overwrites the
-    /// tail of the file — always covering the checksum trailer — with a fill
-    /// pattern, leaving a full-length but torn page.
-    fn tear_tail(path: &Path) -> Result<()> {
-        let len = fs::metadata(path)?.len();
-        let torn_from = (len / 2).min(len.saturating_sub(TRAILER_LEN));
-        let mut f = fs::OpenOptions::new().write(true).open(path)?;
-        f.seek(SeekFrom::Start(torn_from))?;
-        f.write_all(&vec![0xEE; (len - torn_from) as usize])?;
-        Ok(())
-    }
-
-    /// Reads and verifies a whole page file, returning the payload.
-    fn read_verified(&self, path: &Path, id: PageId) -> Result<Bytes> {
-        match fs::read(path) {
-            Ok(raw) => Self::verified(raw, id),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(Error::NotFound(format!("page {id}")))
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Checks a whole page file's trailer, returning the payload.
-    fn verified(mut raw: Vec<u8>, id: PageId) -> Result<Bytes> {
-        if (raw.len() as u64) < TRAILER_LEN || &raw[raw.len() - 4..] != PAGE_MAGIC {
-            return Err(Error::Corrupted(format!("page {id}: bad trailer")));
-        }
-        let payload_len = raw.len() - TRAILER_LEN as usize;
-        let stored = u64::from_le_bytes(
-            raw[payload_len..payload_len + 8]
-                .try_into()
-                .expect("8-byte checksum slice"),
-        );
-        if page_checksum(&raw[..payload_len]) != stored {
-            return Err(Error::Corrupted(format!("page {id}: checksum mismatch")));
-        }
-        raw.truncate(payload_len);
-        Ok(Bytes::from(raw))
-    }
-
-    fn fd_shard(&self, id: PageId) -> &Mutex<LruMap<PageId, Descriptor>> {
-        &self.fds[(id.stable_hash() % FD_SHARDS as u64) as usize]
-    }
-
-    /// A page's open file and payload length; a miss opens it under the lock.
-    fn descriptor(&self, id: PageId) -> Result<Descriptor> {
-        let mut shard = self.fd_shard(id).lock();
-        if let Some(hit) = shard.get(&id) {
-            return Ok(hit.clone());
-        }
-        let file = File::open(self.page_path(id)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => Error::NotFound(format!("page {id}")),
-            _ => e.into(),
-        })?;
-        let len = file.metadata()?.len();
-        if len < TRAILER_LEN {
-            return Err(Error::Corrupted(format!("page {id}: truncated file")));
-        }
-        let entry = (Arc::new(file), len - TRAILER_LEN);
-        Self::admit(&mut shard, id, entry.clone());
-        Ok(entry)
-    }
-
-    /// Caches a descriptor `id` lacks, closing the oldest if the shard is full.
-    fn admit(shard: &mut LruMap<PageId, Descriptor>, id: PageId, entry: Descriptor) {
-        if shard.len() >= FD_PER_SHARD {
-            shard.pop_oldest();
-        }
-        shard.insert(id, entry);
-    }
-
-    /// Closes a page's cached descriptor, after its path was unlinked.
-    fn forget(&self, id: PageId) {
-        self.fd_shard(id).lock().remove(&id);
-    }
 }
 
 impl PageStore for LocalPageStore {
     fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
-        let dir = self.file_dir(id.file);
-        fs::create_dir_all(&dir)?;
-        let final_path = self.page_path(id);
-        let tmp_path = dir.join(format!(
-            ".{}.tmp{}",
-            id.index,
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let old_size = fs::metadata(&final_path)
-            .ok()
-            .map(|m| m.len().saturating_sub(TRAILER_LEN));
-        let write = (|| -> Result<File> {
-            let mut f = File::options()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            f.write_all(data)?;
-            f.write_all(&trailer(data))?;
-            Ok(f)
-        })();
-        let file = write.inspect_err(|_| _ = fs::remove_file(&tmp_path))?;
+        let len = data.len() as u64;
+        let class = self.classes.iter().rev().find(|c| c.cap >= len);
+        let class = class.ok_or_else(|| {
+            Error::InvalidArgument(format!("page {id}: {len} bytes exceed the page size"))
+        })?;
+        let slot = Arc::new(Slot::alloc(class, len, page_checksum(data)));
+        let (file, at) = slot.at();
+        file.write_all_at(data, at + HEADER)?;
         if self.crash_armed(CrashSite::PutTmpWritten) {
-            // Process dies with the tmp file orphaned; recovery discards it.
+            // Process dies before the commit: the slot is still free on disk.
             return Err(CrashPlan::crash_error(CrashSite::PutTmpWritten));
         }
-        let renamed = fs::rename(&tmp_path, &final_path);
-        // After the rename; a small page's writer takes its place (DESIGN.md §4).
-        let mut shard = self.fd_shard(id).lock();
-        shard.remove(&id);
-        renamed?;
-        if data.len() as u64 <= PREAD_FULL_MAX {
-            Self::admit(&mut shard, id, (Arc::new(file), data.len() as u64));
+        let record = Record {
+            id,
+            len,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            sum: slot.sum,
+        };
+        file.write_all_at(&record.encode(), at)?;
+        let old = self.shard(id).lock().insert(id, Arc::clone(&slot));
+        if let Some(old) = &old {
+            old.clear()?;
         }
         if self.crash_armed(CrashSite::PutTornTail) {
-            // The rename published the name, but the unsynced data blocks
-            // never hit the device: full length, torn content.
-            Self::tear_tail(&final_path)?;
+            // The header landed, but the unsynced payload never reached the
+            // device in full.
+            slot.tear()?;
             return Err(CrashPlan::crash_error(CrashSite::PutTornTail));
         }
-        if let Some(old) = old_size {
-            self.bytes_used.fetch_sub(old, Ordering::SeqCst);
-        }
-        self.bytes_used
-            .fetch_add(data.len() as u64, Ordering::SeqCst);
+        let freed = old.map_or(0, |old| old.len);
+        self.bytes_used.fetch_add(len, Ordering::SeqCst);
+        self.bytes_used.fetch_sub(freed, Ordering::SeqCst);
         Ok(())
     }
 
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
-        let (file, payload_len) = self.descriptor(id)?;
-        if offset == 0 && len >= payload_len {
-            // Full read: verify the checksum trailer.
+        let slot = self.shard(id).lock().get(&id).cloned();
+        let slot = slot.ok_or_else(|| Error::NotFound(format!("page {id}")))?;
+        let (file, at) = slot.at();
+        if offset == 0 && len >= slot.len {
+            // Full read: verify the payload against its checksum.
             let mut span = self.tracer.span("checksum_verify");
-            let got = if payload_len <= PREAD_FULL_MAX {
-                // A short read fails the trailer check, as a shrunk file would.
-                let mut raw = vec![0; (payload_len + TRAILER_LEN) as usize];
-                file.read_at(&mut raw, 0)
-                    .map_err(Error::from)
-                    .and_then(|n| {
-                        raw.truncate(n);
-                        Self::verified(raw, id)
-                    })
-            } else {
-                self.read_verified(&self.page_path(id), id)
+            let mut payload = vec![0; slot.len as usize];
+            let got = match file.read_exact_at(&mut payload, at + HEADER) {
+                Ok(()) if page_checksum(&payload) == slot.sum => Ok(Bytes::from(payload)),
+                Ok(()) => Err(Error::Corrupted(format!("page {id}: checksum mismatch"))),
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    Err(Error::Corrupted(format!("page {id}: truncated")))
+                }
+                Err(e) => Err(e.into()),
             };
             if span.is_recording() {
                 span.annotate("page", id);
@@ -363,49 +412,33 @@ impl PageStore for LocalPageStore {
             span.finish();
             return got;
         }
-        if offset >= payload_len {
+        if offset >= slot.len {
             return Ok(Bytes::new());
         }
         // One positional read into a zeroed allocation, which the returned
         // `Bytes` takes over; a short read is an error.
-        let mut buf = vec![0; len.min(payload_len - offset) as usize];
-        file.read_exact_at(&mut buf, offset)?;
+        let mut buf = vec![0; len.min(slot.len - offset) as usize];
+        file.read_exact_at(&mut buf, at + HEADER + offset)?;
         Ok(Bytes::from(buf))
     }
 
     fn delete(&self, id: PageId) -> Result<bool> {
-        let path = self.page_path(id);
-        let deleted = (|| {
-            let size = match fs::metadata(&path) {
-                Ok(m) => m.len().saturating_sub(TRAILER_LEN),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-                Err(e) => return Err(e.into()),
-            };
-            if self.crash_armed(CrashSite::DeleteTornTail) {
-                // Interrupted mid-delete/compaction: the page is neither intact
-                // nor gone — torn tail, unlink never happened.
-                Self::tear_tail(&path)?;
+        let slot = match self.shard(id).lock().entry(id) {
+            Entry::Vacant(_) => return Ok(false),
+            Entry::Occupied(page) if self.crash_armed(CrashSite::DeleteTornTail) => {
+                // Interrupted mid-delete: the page is neither intact nor gone.
+                page.get().tear()?;
                 return Err(CrashPlan::crash_error(CrashSite::DeleteTornTail));
             }
-            match fs::remove_file(&path) {
-                Ok(()) => {
-                    self.bytes_used.fetch_sub(size, Ordering::SeqCst);
-                    // Opportunistically clean the per-file dir; a failure
-                    // just means it is not empty.
-                    let _ = fs::remove_dir(self.file_dir(id.file));
-                    Ok(true)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-                Err(e) => Err(e.into()),
-            }
-        })();
-        // On every outcome, `Ok(false)` included.
-        self.forget(id);
-        deleted
+            Entry::Occupied(page) => page.remove(),
+        };
+        self.bytes_used.fetch_sub(slot.len, Ordering::SeqCst);
+        slot.clear()?;
+        Ok(true)
     }
 
     fn contains(&self, id: PageId) -> bool {
-        self.page_path(id).is_file()
+        self.shard(id).lock().contains_key(&id)
     }
 
     fn bytes_used(&self) -> u64 {
@@ -416,49 +449,92 @@ impl PageStore for LocalPageStore {
         true
     }
 
+    /// Reads every slot header and rebuilds the page map and free lists from
+    /// them: a committed header whose check holds is a page (with
+    /// `verify_on_recovery`, only if its payload checks out too), the newest
+    /// record of a page wins, and every other slot is free — cleared on disk
+    /// if its magic was still set. Runs at [`LocalPageStore::open`]; call it
+    /// again only while no read or write is in flight.
     fn recover(&self) -> Result<Vec<(PageId, u64)>> {
-        let mut out = Vec::new();
-        for bucket in fs::read_dir(&self.base)? {
-            let bucket = bucket?.path();
-            if !bucket.is_dir() {
-                continue;
+        // Each page's newest record: (class, slot, record).
+        let mut newest: HashMap<PageId, (usize, u64, Record)> = HashMap::new();
+        let mut stale = Vec::new();
+        let mut ends = Vec::new();
+        for (c, class) in self.classes.iter().enumerate() {
+            let mut end = 0;
+            for file in &class.files {
+                end = end.max(file.metadata()?.len().div_ceil(HEADER + class.cap) * STRIPES);
             }
-            for file_dir in fs::read_dir(&bucket)? {
-                let file_dir = file_dir?.path();
-                let Some(file_id) = file_dir
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(FileId::from_hex)
-                else {
+            ends.push(end);
+            for slot in 0..end {
+                let mut h = [0u8; HEADER as usize];
+                // A slot cut short at the end of its file reads as free.
+                let (file, at) = class.locate(slot);
+                if file.read_exact_at(&mut h, at).is_err() || h[..4] == [0; 4] {
+                    continue;
+                }
+                let Some(record) = Record::decode(&h).filter(|r| r.len <= class.cap) else {
+                    stale.push((c, slot));
                     continue;
                 };
-                for page in fs::read_dir(&file_dir)? {
-                    let page = page?.path();
-                    let Some(name) = page.file_name().and_then(|n| n.to_str()) else {
-                        continue;
-                    };
-                    if name.contains(".tmp") {
-                        // Leftover in-flight write from a crash: discard.
-                        let _ = fs::remove_file(&page);
-                        continue;
+                match newest.entry(record.id) {
+                    Entry::Occupied(mut e) if e.get().2.seq < record.seq => {
+                        let (c0, slot0, _) = e.insert((c, slot, record));
+                        stale.push((c0, slot0));
                     }
-                    let Ok(index) = name.parse::<u64>() else {
-                        continue;
-                    };
-                    let id = PageId::new(file_id, index);
-                    let len = fs::metadata(&page)?.len();
-                    if len < TRAILER_LEN
-                        || (self.config.verify_on_recovery
-                            && self.read_verified(&page, id).is_err())
-                    {
-                        let _ = fs::remove_file(&page);
-                        self.forget(id);
-                        continue;
-                    }
-                    out.push((id, len - TRAILER_LEN));
+                    Entry::Occupied(_) => stale.push((c, slot)),
+                    Entry::Vacant(e) => _ = e.insert((c, slot, record)),
                 }
             }
         }
+        if self.config.verify_on_recovery {
+            newest.retain(|_, &mut (c, slot, record)| {
+                let (file, at) = self.classes[c].locate(slot);
+                let mut payload = vec![0; record.len as usize];
+                let holds = file.read_exact_at(&mut payload, at + HEADER).is_ok()
+                    && page_checksum(&payload) == record.sum;
+                if !holds {
+                    stale.push((c, slot));
+                }
+                holds
+            });
+        }
+        for &(c, slot) in &stale {
+            let (file, at) = self.classes[c].locate(slot);
+            file.write_all_at(&[0; 4], at)?;
+        }
+        // Rebuild: every slot no page holds is free, lowest reused first.
+        let held: HashSet<(usize, u64)> = newest.values().map(|&(c, s, _)| (c, s)).collect();
+        for (c, (class, end)) in self.classes.iter().zip(ends).enumerate() {
+            let mut free = class.free.lock();
+            free.epoch += 1;
+            free.end = end;
+            free.slots = (0..end)
+                .rev()
+                .filter(|&s| !held.contains(&(c, s)))
+                .collect();
+        }
+        for shard in &self.pages {
+            // The old slots drop after the lock, and outside any free list.
+            let _old = std::mem::take(&mut *shard.lock());
+        }
+        let mut out = Vec::with_capacity(newest.len());
+        for (id, (c, index, record)) in newest {
+            out.push((id, record.len));
+            self.seq.fetch_max(record.seq + 1, Ordering::SeqCst);
+            let class = Arc::clone(&self.classes[c]);
+            let epoch = class.free.lock().epoch;
+            let slot = Slot {
+                class,
+                index,
+                len: record.len,
+                sum: record.sum,
+                epoch,
+            };
+            self.shard(id).lock().insert(id, Arc::new(slot));
+        }
+        let used = out.iter().map(|&(_, len)| len).sum();
+        self.bytes_used.store(used, Ordering::SeqCst);
         Ok(out)
     }
 }
@@ -468,7 +544,6 @@ mod tests {
     use super::*;
     use crate::page::bit_flip_sites;
     use edgecache_common::hash::fnv1a64;
-    use std::collections::HashSet;
 
     fn temp_store() -> (LocalPageStore, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
@@ -501,6 +576,37 @@ mod tests {
 
     fn pid(f: u64, i: u64) -> PageId {
         PageId::new(FileId(f), i)
+    }
+
+    /// Page `id`'s slot.
+    fn slot_of(store: &LocalPageStore, id: PageId) -> Arc<Slot> {
+        Arc::clone(&store.shard(id).lock()[&id])
+    }
+
+    /// XORs `mask` into byte `at` of page `id`'s payload on disk.
+    fn flip(store: &LocalPageStore, id: PageId, at: u64, mask: u8) {
+        let slot = slot_of(store, id);
+        let mut byte = [0];
+        let (file, header) = slot.at();
+        let at = header + HEADER + at;
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ mask], at).unwrap();
+    }
+
+    /// Page `id`'s committed header on disk.
+    fn header_of(store: &LocalPageStore, id: PageId) -> [u8; HEADER as usize] {
+        let slot = slot_of(store, id);
+        let mut h = [0; HEADER as usize];
+        let (file, at) = slot.at();
+        file.read_exact_at(&mut h, at).unwrap();
+        h
+    }
+
+    /// The class files' lengths, largest class first.
+    fn file_lens(store: &LocalPageStore) -> Vec<u64> {
+        let classes = store.classes.iter();
+        let files = classes.flat_map(|c| c.files.iter());
+        files.map(|f| f.metadata().unwrap().len()).collect()
     }
 
     #[test]
@@ -559,14 +665,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_page_is_rejected() {
+        let (store, dir) = temp_store();
+        let big = vec![0u8; (1 << 20) + 1];
+        assert!(matches!(
+            store.put(pid(1, 0), &big),
+            Err(Error::InvalidArgument(_))
+        ));
+        assert!(!store.contains(pid(1, 0)));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn corruption_is_detected_on_full_read() {
         let (store, dir) = temp_store();
         store.put(pid(4, 0), b"important payload").unwrap();
         // Flip a payload byte behind the store's back.
-        let path = store.page_path(pid(4, 0));
-        let mut raw = fs::read(&path).unwrap();
-        raw[3] ^= 0xff;
-        fs::write(&path, &raw).unwrap();
+        flip(&store, pid(4, 0), 3, 0xff);
         assert!(matches!(
             store.get_full(pid(4, 0)),
             Err(Error::Corrupted(_))
@@ -579,41 +694,44 @@ mod tests {
         let (store, dir) = temp_store();
         let page: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
         store.put(pid(4, 2), &page).unwrap();
-        let path = store.page_path(pid(4, 2));
-        let intact = fs::read(&path).unwrap();
         for (byte, mask) in bit_flip_sites(page.len()) {
-            let mut raw = intact.clone();
-            raw[byte] ^= mask;
-            fs::write(&path, &raw).unwrap();
+            flip(&store, pid(4, 2), byte as u64, mask);
             assert!(
                 matches!(store.get_full(pid(4, 2)), Err(Error::Corrupted(_))),
                 "flip of bit {mask:#04x} in byte {byte} went undetected"
             );
+            flip(&store, pid(4, 2), byte as u64, mask);
         }
-        fs::write(&path, &intact).unwrap();
         assert_eq!(store.get_full(pid(4, 2)).unwrap().as_ref(), &page[..]);
         let _ = fs::remove_dir_all(dir);
     }
 
-    /// Writes `payload` as a pre-bump page file: FNV-1a checksum, `ECP1`.
-    fn write_ecp1_page(store: &LocalPageStore, id: PageId, payload: &[u8]) {
-        fs::create_dir_all(store.file_dir(id.file)).unwrap();
-        let mut raw = payload.to_vec();
-        raw.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        raw.extend_from_slice(b"ECP1");
-        fs::write(store.page_path(id), raw).unwrap();
+    /// Stores `payload` as page `id` under a valid header whose checksum is
+    /// FNV-1a, the algorithm of pre-bump (`ECP1`) pages, and re-reads the
+    /// headers as a restart would.
+    fn write_pre_bump_page(store: &LocalPageStore, id: PageId, payload: &[u8]) {
+        store.put(id, payload).unwrap();
+        let slot = slot_of(store, id);
+        let record = Record {
+            sum: fnv1a64(payload),
+            ..Record::decode(&header_of(store, id)).unwrap()
+        };
+        let (file, at) = slot.at();
+        file.write_all_at(&record.encode(), at).unwrap();
+        drop(slot);
+        store.recover().unwrap();
     }
 
     #[test]
-    fn pre_bump_ecp1_page_is_corrupted_whole_but_ranged_reads_stay_correct() {
+    fn pre_bump_checksum_is_corrupted_whole_but_ranged_reads_stay_correct() {
         let (store, dir) = temp_store();
         let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
-        write_ecp1_page(&store, pid(6, 0), &payload);
+        write_pre_bump_page(&store, pid(6, 0), &payload);
         assert!(matches!(
             store.get_full(pid(6, 0)),
             Err(Error::Corrupted(_))
         ));
-        // Payload offsets and trailer length did not change with the bump.
+        // A ranged read does not check the payload.
         assert_eq!(
             store.get(pid(6, 0), 100, 900).unwrap().as_ref(),
             &payload[100..1000]
@@ -626,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_with_verification_drops_pre_bump_ecp1_pages() {
+    fn recovery_with_verification_drops_pre_bump_checksums() {
         let dir = std::env::temp_dir().join(format!("edgecache-ecp1-{}", rand_suffix()));
         let config = LocalStoreConfig {
             verify_on_recovery: true,
@@ -634,9 +752,9 @@ mod tests {
         };
         let store = LocalPageStore::open(&dir, config).unwrap();
         store.put(pid(1, 0), b"current").unwrap();
-        write_ecp1_page(&store, pid(1, 1), b"pre-bump");
+        write_pre_bump_page(&store, pid(1, 1), b"pre-bump");
         assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 7)]);
-        assert!(!store.page_path(pid(1, 1)).exists());
+        assert!(!store.contains(pid(1, 1)));
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -644,9 +762,9 @@ mod tests {
     fn truncated_file_is_corrupted() {
         let (store, dir) = temp_store();
         store.put(pid(4, 1), b"0123456789").unwrap();
-        let path = store.page_path(pid(4, 1));
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..5]).unwrap();
+        let slot = slot_of(&store, pid(4, 1));
+        let (file, at) = slot.at();
+        file.set_len(at + HEADER + 5).unwrap();
         assert!(matches!(
             store.get_full(pid(4, 1)),
             Err(Error::Corrupted(_))
@@ -669,19 +787,62 @@ mod tests {
         let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
         assert_eq!(recovered, pages);
         assert_eq!(store.bytes_used(), 225);
+        assert_eq!(store.get_full(pid(1, 1)).unwrap().as_ref(), &[0xab; 50][..]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A store over `dir` with a crash plan, verifying on recovery.
+    fn crash_store(dir: &Path, plan: &Arc<CrashPlan>) -> LocalPageStore {
+        let config = LocalStoreConfig {
+            verify_on_recovery: true,
+            crash_plan: Some(Arc::clone(plan)),
+            ..Default::default()
+        };
+        LocalPageStore::open(dir, config).unwrap()
+    }
+
+    #[test]
+    fn an_uncommitted_slot_is_free() {
+        let dir = std::env::temp_dir().join(format!("edgecache-uncommitted-{}", rand_suffix()));
+        let plan = CrashPlan::new();
+        let store = crash_store(&dir, &plan);
+        store.put(pid(1, 0), &[1u8; 10]).unwrap();
+        // The payload lands, the process dies before the header.
+        plan.arm(CrashSite::PutTmpWritten);
+        assert!(store.put(pid(1, 1), &[2u8; 10]).is_err());
+        let lens = file_lens(&store);
+        drop(store);
+        let store = crash_store(&dir, &plan);
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 10)]);
+        store.put(pid(1, 2), &[3u8; 10]).unwrap();
+        assert_eq!(file_lens(&store), lens, "the uncommitted slot is reused");
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn recovery_discards_tmp_files() {
-        let (store, dir) = temp_store();
-        store.put(pid(1, 0), &[1u8; 10]).unwrap();
-        // Simulate a crash mid-write.
-        let tmp = store.file_dir(FileId(1)).join(".7.tmp99");
-        fs::write(&tmp, b"partial").unwrap();
-        let recovered = store.recover().unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert!(!tmp.exists(), "tmp file must be cleaned up");
+    fn torn_puts_and_deletes_are_dropped_by_verified_recovery() {
+        let dir = std::env::temp_dir().join(format!("edgecache-torn-{}", rand_suffix()));
+        let plan = CrashPlan::new();
+        let store = crash_store(&dir, &plan);
+        for i in 0..3 {
+            store.put(pid(1, i), &[i as u8 + 1; 100]).unwrap();
+        }
+        // Committed headers over torn payloads: a replaced page, an empty
+        // one, and a page whose delete never cleared its magic.
+        plan.arm(CrashSite::PutTornTail);
+        assert!(store.put(pid(1, 0), &[9u8; 80]).is_err());
+        plan.arm(CrashSite::PutTornTail);
+        assert!(store.put(pid(1, 3), &[]).is_err());
+        plan.arm(CrashSite::DeleteTornTail);
+        assert!(store.delete(pid(1, 1)).is_err());
+        assert!(matches!(
+            store.get_full(pid(1, 1)),
+            Err(Error::Corrupted(_))
+        ));
+        drop(store);
+        let store = crash_store(&dir, &plan);
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 2), 100)]);
+        assert_eq!(plan.fired(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -695,13 +856,71 @@ mod tests {
         let store = LocalPageStore::open(&dir, config.clone()).unwrap();
         store.put(pid(1, 0), b"good").unwrap();
         store.put(pid(1, 1), b"bad!").unwrap();
-        let path = store.page_path(pid(1, 1));
-        let mut raw = fs::read(&path).unwrap();
-        raw[0] ^= 0x01;
-        fs::write(&path, &raw).unwrap();
+        flip(&store, pid(1, 1), 0, 0x01);
         let recovered = store.recover().unwrap();
         assert_eq!(recovered, vec![(pid(1, 0), 4)]);
-        assert!(!path.exists());
+        drop(store);
+        // Its slot was cleared: a restart without verification finds no page.
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 4)]);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Leaves two committed records of page `id` on disk, as a crash between
+    /// an overwrite's commit and its clear of the old slot would: `old`
+    /// (seq 0, in the returned slot), then `new` (seq 1).
+    fn two_records(store: &LocalPageStore, id: PageId, old: &[u8], new: &[u8]) -> u64 {
+        store.put(id, old).unwrap();
+        let (header, slot) = (header_of(store, id), slot_of(store, id));
+        store.put(id, new).unwrap();
+        let (file, at) = slot.at();
+        file.write_all_at(&header, at).unwrap();
+        slot.index
+    }
+
+    #[test]
+    fn the_newer_of_two_records_wins_and_the_loser_is_reused() {
+        let (store, dir) = temp_store();
+        let loser = two_records(&store, pid(1, 0), b"old version", b"new version");
+        drop(store);
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 11)]);
+        assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), b"new version");
+        let lens = file_lens(&store);
+        store.put(pid(2, 0), b"third").unwrap();
+        assert_eq!(slot_of(&store, pid(2, 0)).index, loser);
+        assert_eq!(file_lens(&store), lens);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_deleted_page_does_not_come_back() {
+        let (store, dir) = temp_store();
+        store.put(pid(1, 1), b"plain").unwrap();
+        assert!(store.delete(pid(1, 1)).unwrap());
+        two_records(&store, pid(1, 0), b"old version", b"new version");
+        drop(store);
+        // Recovery clears the losing record, so the winner's delete leaves
+        // nothing behind.
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        assert!(store.delete(pid(1, 0)).unwrap());
+        drop(store);
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        assert!(store.recover().unwrap().is_empty());
+        assert_eq!(store.bytes_used(), 0);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn old_layout_directory_is_wiped() {
+        let dir = std::env::temp_dir().join(format!("edgecache-old-layout-{}", rand_suffix()));
+        let bucket = dir.join("page_size=1048576/bucket_01");
+        fs::create_dir_all(bucket.join("0000000000000001")).unwrap();
+        fs::write(bucket.join("0000000000000001/0"), b"pageECP2").unwrap();
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        assert!(store.recover().unwrap().is_empty());
+        assert!(!bucket.exists());
+        store.put(pid(1, 0), b"fresh").unwrap();
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -728,6 +947,44 @@ mod tests {
         .unwrap();
         assert_eq!(store.bytes_used(), 0);
         assert!(store.recover().unwrap().is_empty());
+        assert!(!dir.join("page_size=1048576").exists());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_refill_reuses_every_slot_and_pages_fit_their_class() {
+        let (store, dir) = temp_store();
+        let lens = [0, 1, 4096, 4097, 10_000, 65_536, 65_537, 200_000, 1 << 20];
+        let ends = |s: &LocalPageStore| -> Vec<u64> {
+            s.classes.iter().map(|c| c.free.lock().end).collect()
+        };
+        let mut filled = Vec::new();
+        for round in 0..2 {
+            for (i, &len) in lens.iter().enumerate() {
+                store
+                    .put(pid(round, i as u64), &vec![i as u8; len])
+                    .unwrap();
+            }
+            filled.push(ends(&store));
+            if round == 0 {
+                for i in 0..lens.len() as u64 {
+                    assert!(store.delete(pid(0, i)).unwrap());
+                }
+            }
+        }
+        assert_eq!(filled[0], filled[1], "the refill took a new slot");
+        // No class file reaches past the slots its class has handed out.
+        for (class, end) in store.classes.iter().zip(&filled[1]) {
+            let span = end.div_ceil(STRIPES) * (HEADER + class.cap);
+            assert!(class
+                .files
+                .iter()
+                .all(|f| f.metadata().unwrap().len() <= span));
+        }
+        for (i, &len) in lens.iter().enumerate() {
+            let cap = slot_of(&store, pid(1, i as u64)).class.cap;
+            assert!(cap >= len as u64 && (cap == CLASS_FLOOR || cap < 2 * len as u64));
+        }
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -774,14 +1031,6 @@ mod tests {
             }
         )
         .is_err());
-        assert!(LocalPageStore::open(
-            &dir,
-            LocalStoreConfig {
-                buckets: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -802,8 +1051,8 @@ mod tests {
     #[test]
     fn overwrite_after_a_read_serves_the_new_version() {
         let (store, dir) = temp_store();
-        // A page whose writer `put` caches, and one it does not.
-        for (i, big) in [0, PREAD_FULL_MAX as usize].into_iter().enumerate() {
+        // A page of the floor class, and one of a larger class.
+        for (i, big) in [0, 128 << 10].into_iter().enumerate() {
             let id = pid(1, i as u64);
             store.put(id, &vec![1u8; big + 500]).unwrap();
             assert_eq!(store.get(id, 10, 20).unwrap().as_ref(), &[1u8; 20][..]);
@@ -819,101 +1068,78 @@ mod tests {
     }
 
     #[test]
-    fn delete_after_a_read_closes_the_page_file() {
+    fn open_files_are_four_per_class() {
         let (store, dir) = temp_store();
-        store.put(pid(1, 0), &[3u8; 100]).unwrap();
-        let path = store.page_path(pid(1, 0));
-        assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), &[3u8; 100][..]);
-        assert_eq!(open_fds_under(&path), 1);
-        assert!(store.delete(pid(1, 0)).unwrap());
-        assert!(matches!(store.get_full(pid(1, 0)), Err(Error::NotFound(_))));
-        assert_eq!(
-            open_fds_under(&dir),
-            0,
-            "the deleted page's inode is still open"
-        );
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn a_hit_walks_no_path_and_every_delete_outcome_drops_it() {
-        let (store, dir) = temp_store();
-        let data: Vec<u8> = (0..=255u8).collect();
-        store.put(pid(3, 0), &data).unwrap();
-        assert_eq!(store.get(pid(3, 0), 1, 8).unwrap().as_ref(), &data[1..9]);
-        fs::rename(store.bucket_dir(FileId(3)), dir.join("moved")).unwrap();
-        assert_eq!(
-            store.get(pid(3, 0), 40, 60).unwrap().as_ref(),
-            &data[40..100]
-        );
-        assert!(!store.delete(pid(3, 0)).unwrap());
-        assert!(matches!(
-            store.get(pid(3, 0), 40, 60),
-            Err(Error::NotFound(_))
-        ));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    /// Version `v` of the hammered page: `64 + v` bytes, all `v as u8`.
-    fn version(v: usize) -> Vec<u8> {
-        vec![v as u8; 64 + v]
-    }
-
-    /// Four readers and one writer on one page: every read is one whole
-    /// version, neither full nor ranged reads go back to an older version
-    /// (a full read of a page over 128 KiB goes by path, so between a put's
-    /// rename and its drop it may run ahead of a ranged one), and the
-    /// writer's ranged read of every eighth version it has just put returns
-    /// that version. Between reads of the page the readers read twice a
-    /// shard's worth of other pages in its shard, which keeps evicting its
-    /// descriptor: its reads then miss, and open it while the writer renames.
-    #[test]
-    fn descriptor_hammer_reads_whole_versions() {
-        const VERSIONS: usize = 1000;
-        let (store, dir) = temp_store();
-        let id = pid(5, 0);
-        store.put(id, &version(0)).unwrap();
-        let shard = |p: PageId| p.stable_hash() % FD_SHARDS as u64;
-        let others: Vec<PageId> = (0..)
-            .map(|i| pid(6, i))
-            .filter(|&p| shard(p) == shard(id))
-            .take(2 * FD_PER_SHARD)
-            .collect();
-        for &p in &others {
-            store.put(p, b"other").unwrap();
+        assert_eq!(store.classes.len(), 9, "1 MiB down to 4 KiB");
+        let ids: Vec<PageId> = (0..300).map(|i| pid(i % 97, i)).collect();
+        for &id in &ids {
+            store
+                .put(id, &vec![id.index as u8; 1 << (id.index % 21)])
+                .unwrap();
         }
+        for &id in &ids {
+            let page = store.get_full(id).unwrap();
+            assert_eq!(
+                page.as_ref(),
+                &vec![id.index as u8; 1 << (id.index % 21)][..]
+            );
+        }
+        let files = store.classes.len() * STRIPES as usize;
+        assert_eq!(open_fds_under(store.root()), files);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Version `v` of hammered page `p`: every byte is `(v * 4 + p) as u8`,
+    /// and that byte sets the length, so a read names the page and version
+    /// it came from.
+    fn version(p: u64, v: u64) -> Vec<u8> {
+        let tag = (v * 4 + p) as u8;
+        vec![tag; 1024 + 8 * tag as usize]
+    }
+
+    /// Four readers and one writer over four pages of the 4 KiB class: the
+    /// writer overwrites and deletes them in turn, so the slot a reader holds
+    /// is often freed under it and taken by the next put. Every full and
+    /// ranged read must be one whole version of the page it asked for.
+    #[test]
+    fn slot_reuse_hammer_reads_whole_versions() {
+        const ROUNDS: u64 = 20_000;
+        let (store, dir) = temp_store();
         let done = std::sync::atomic::AtomicBool::new(false);
-        // The version `bytes` is read `skipped` bytes into.
-        let whole = |bytes: &[u8], skipped: usize| {
-            let v = bytes.len() + skipped - 64;
-            assert!(v <= VERSIONS, "{} bytes is no version", bytes.len());
-            assert!(bytes.iter().all(|&b| b == v as u8), "version {v} is mixed");
-            v
+        // The page `bytes` is a version of, read `skipped` bytes in.
+        let whole = |bytes: &[u8], skipped: usize, p: u64| {
+            let tag = bytes[0];
+            assert!(bytes.iter().all(|&b| b == tag), "page {p} read mixed");
+            assert_eq!(tag as u64 % 4, p, "page {p} read another page");
+            assert_eq!(bytes.len() + skipped, 1024 + 8 * tag as usize);
         };
         std::thread::scope(|s| {
             for skip in 1..=4 {
-                let (store, done, others) = (&store, &done, &others);
+                let (store, done) = (&store, &done);
                 s.spawn(move || {
-                    let mut last = [0; 2];
-                    while !done.load(Ordering::Acquire) || last == [0; 2] {
-                        let full = whole(&store.get_full(id).unwrap(), 0);
-                        let ranged = store.get(id, skip, u64::MAX / 2).unwrap();
-                        let ranged = whole(&ranged, skip as usize);
-                        for (last, v) in last.iter_mut().zip([full, ranged]) {
-                            assert!(v >= *last, "version {v} read after {last}");
-                            *last = v;
+                    let mut reads = 0u64;
+                    while !done.load(Ordering::Acquire) || reads == 0 {
+                        let p = (reads + skip) % 4;
+                        let full = store.get_full(pid(5, p));
+                        let ranged = store.get(pid(5, p), skip, u64::MAX / 2);
+                        for (got, skipped) in [(full, 0), (ranged, skip as usize)] {
+                            match got {
+                                Ok(bytes) => whole(&bytes, skipped, p),
+                                Err(Error::NotFound(_)) => {}
+                                Err(e) => panic!("page {p}: {e}"),
+                            }
                         }
-                        for &p in others {
-                            assert_eq!(store.get(p, 1, 3).unwrap().as_ref(), b"the");
-                        }
+                        reads += 1;
                     }
                 });
             }
             let writer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for v in 1..=VERSIONS {
-                    store.put(id, &version(v)).unwrap();
-                    if v % 8 == 0 {
-                        assert_eq!(whole(&store.get(id, 1, u64::MAX / 2).unwrap(), 1), v);
+                for v in 0..ROUNDS {
+                    let p = v % 4;
+                    if v % 3 == 2 {
+                        store.delete(pid(5, p)).unwrap();
+                    } else {
+                        store.put(pid(5, p), &version(p, v)).unwrap();
                     }
                 }
             }));
@@ -922,26 +1148,8 @@ mod tests {
                 std::panic::resume_unwind(panic);
             }
         });
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn open_page_files_stay_within_the_descriptor_budget() {
-        let (store, dir) = temp_store();
-        let budget = FD_SHARDS * FD_PER_SHARD;
-        let ids: Vec<PageId> = (0..3 * budget as u64).map(|i| pid(i % 97, i)).collect();
-        for &id in &ids {
-            store.put(id, &[id.index as u8; 16]).unwrap();
-        }
-        let mut peak = 0;
-        for &id in &ids {
-            assert_eq!(
-                store.get_full(id).unwrap().as_ref(),
-                &[id.index as u8; 16][..]
-            );
-            peak = peak.max(open_fds_under(store.root()));
-        }
-        assert_eq!(peak, budget);
+        // Four pages, a put's new slot and a slot per reader at most.
+        assert!(store.classes.last().unwrap().free.lock().end <= 4 + 1 + 4);
         let _ = fs::remove_dir_all(dir);
     }
 }

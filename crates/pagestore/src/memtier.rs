@@ -201,7 +201,7 @@ impl PageStore for MemTierStore {
     /// The whole frame, re-verified against its publish-time checksum — the
     /// tier-exit read. Demotion goes through this, so bytes corrupted while
     /// resident in DRAM are detected *before* they can land on SSD (where
-    /// the store's own trailer would faithfully attest to garbage). Unlike
+    /// the store's own checksum would faithfully attest to garbage). Unlike
     /// `LocalPageStore`, a ranged `get` does not scan: hit serving is a
     /// zero-copy slice, and integrity is enforced at the tier boundary.
     fn get_full(&self, id: PageId) -> Result<Bytes> {

@@ -5,7 +5,7 @@ use std::fmt;
 use edgecache_common::hash::{combine, hash_str, xxh64};
 
 /// The page checksum: XXH64 (seed 0) over the payload. The one integrity
-/// function of this crate — the SSD trailer and the DRAM frame both store
+/// function of this crate — the SSD slot header and the DRAM frame both store
 /// this value.
 pub(crate) fn page_checksum(payload: &[u8]) -> u64 {
     xxh64(payload, 0)

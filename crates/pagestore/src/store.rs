@@ -26,8 +26,8 @@ pub trait PageStore: Send + Sync {
     /// Reads `len` bytes starting at `offset` within the page. Reading past
     /// the end of the payload returns the available prefix (possibly empty).
     ///
-    /// Full-page reads (offset 0 with `len >= payload`) verify the checksum
-    /// trailer where the backend has one.
+    /// Full-page reads (offset 0 with `len >= payload`) verify the page
+    /// checksum where the backend keeps one.
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes>;
 
     /// Reads the entire page payload, verifying integrity.
@@ -49,10 +49,10 @@ pub trait PageStore: Send + Sync {
     /// information that can be used in cache recovery").
     fn recover(&self) -> Result<Vec<(PageId, u64)>>;
 
-    /// Whether `put` is file-system I/O (create, write, rename) rather than
-    /// an in-memory copy. The cache manager publishes a read-through miss
-    /// into such a store behind the read, on a writer thread of its own; a
-    /// memory store is cheaper to fill inline than to hand over.
+    /// Whether `put` writes to files rather than copying into memory. The
+    /// cache manager publishes a read-through miss into such a store behind
+    /// the read, on a writer thread of its own; a memory store is cheaper to
+    /// fill inline than to hand over.
     fn put_is_file_io(&self) -> bool {
         false
     }

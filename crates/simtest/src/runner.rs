@@ -164,9 +164,8 @@ fn build_direct(
                 dir,
                 LocalStoreConfig {
                     page_size: sc.page_size,
-                    buckets: 16,
                     // The crash-safe restart mode: recovery drops any page
-                    // whose checksum trailer does not verify, so a torn
+                    // whose payload checksum does not verify, so a torn
                     // write can never be served (§4.3, §8).
                     verify_on_recovery: true,
                     crash_plan: Some(Arc::clone(crash_plan)),

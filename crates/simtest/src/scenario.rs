@@ -64,7 +64,7 @@ pub enum Backend {
     /// `FaultyStore<MemoryPageStore>` — fast, supports §8 store faults.
     Memory,
     /// `FaultyStore<LocalPageStore>` on a scratch directory — real on-disk
-    /// layout, checksum trailers, crash points, and restart recovery.
+    /// layout, checksummed slot records, crash points, and restart recovery.
     Local,
 }
 

@@ -95,17 +95,10 @@ fn corrupted_page_on_disk_is_detected_and_refetched() {
         let cache = open_cache(&dir, false);
         cache.read(&file, 0, 20_000, &remote).unwrap();
     }
-    // Flip a byte in one page file behind the cache's back.
-    let mut flipped = false;
-    for entry in walk(&dir) {
-        if entry.file_name().and_then(|n| n.to_str()) == Some("2") {
-            let mut raw = fs::read(&entry).unwrap();
-            raw[10] ^= 0xff;
-            fs::write(&entry, raw).unwrap();
-            flipped = true;
-        }
-    }
-    assert!(flipped, "expected a page named `2` on disk");
+    // Flip a payload byte of page 2 behind the cache's back.
+    let (path, mut raw, at) = slot_of(&dir, &file, 2);
+    raw[at + HEADER + 10] ^= 0xff;
+    fs::write(path, raw).unwrap();
 
     let cache = open_cache(&dir, true);
     let got = cache.read(&file, 0, 20_000, &remote).unwrap();
@@ -119,7 +112,7 @@ fn corrupted_page_on_disk_is_detected_and_refetched() {
 
 #[test]
 fn pre_bump_ecp1_page_is_evicted_and_refetched_exactly_once() {
-    use edgecache::common::hash::fnv1a64;
+    use edgecache::common::hash::{fnv1a64, xxh64};
 
     let dir = temp_dir("ecp1");
     let remote = CountingRemote::new(20_000);
@@ -128,18 +121,15 @@ fn pre_bump_ecp1_page_is_evicted_and_refetched_exactly_once() {
         let cache = open_cache(&dir, false);
         cache.read(&file, 0, 20_000, &remote).unwrap();
     }
-    // Rewrite page 2 as the previous format wrote it: same payload, FNV-1a
-    // checksum, `ECP1` magic.
-    let page = walk(&dir)
-        .into_iter()
-        .find(|p| p.file_name().and_then(|n| n.to_str()) == Some("2"))
-        .expect("a page named `2` on disk");
-    let mut raw = fs::read(&page).unwrap();
-    raw.truncate(raw.len() - 12);
-    let checksum = fnv1a64(&raw);
-    raw.extend_from_slice(&checksum.to_le_bytes());
-    raw.extend_from_slice(b"ECP1");
-    fs::write(&page, raw).unwrap();
+    // Re-commit page 2 with the checksum the previous format (`ECP1`) used:
+    // same payload, FNV-1a in the checksum field, a valid header check.
+    let (path, mut raw, at) = slot_of(&dir, &file, 2);
+    let len = u64::from_le_bytes(raw[at + 24..at + 32].try_into().unwrap()) as usize;
+    let checksum = fnv1a64(&raw[at + HEADER..at + HEADER + len]);
+    raw[at + 40..at + 48].copy_from_slice(&checksum.to_le_bytes());
+    let check = xxh64(&raw[at + 8..at + HEADER], 0) as u32;
+    raw[at + 4..at + 8].copy_from_slice(&check.to_le_bytes());
+    fs::write(path, raw).unwrap();
 
     let cache = open_cache(&dir, true);
     let reads_before = *remote.reads.lock();
@@ -170,19 +160,25 @@ fn leftover_tmp_files_are_discarded_on_recovery() {
         let cache = open_cache(&dir, false);
         cache.read(&file, 0, 10_000, &remote).unwrap();
     }
-    // Simulate a crash mid-write: drop a tmp file next to a real page.
-    for entry in walk(&dir) {
-        if entry.file_name().and_then(|n| n.to_str()) == Some("0") {
-            fs::write(entry.parent().unwrap().join(".9.tmp3"), b"half a page").unwrap();
-        }
-    }
+    // Simulate a crash mid-write: a whole slot's payload written into the
+    // slot after the three pages (the first of stripe 3), its header never.
+    let orphan = [vec![0; HEADER], vec![0xab; SLOT - HEADER]].concat();
+    fs::write(stripe(&dir, 3), orphan).unwrap();
+    let total = || (0..4).map(|k| fs::metadata(stripe(&dir, k)).unwrap().len());
+    let before: u64 = total().sum();
     let cache = open_cache(&dir, true);
     assert_eq!(cache.metrics().counter("recovered_pages").get(), 3);
-    assert!(
-        !walk(&dir)
-            .iter()
-            .any(|p| p.to_string_lossy().contains(".tmp")),
-        "tmp files must be cleaned"
+    // The orphaned slot is free: the next page commits into it, and no file
+    // grows.
+    let other = SourceFile::new("/t/g", 1, 4096, CacheScope::Global);
+    cache.read(&other, 0, 4096, &remote).unwrap();
+    cache.quiesce();
+    assert_eq!(cache.stats().pages, 4);
+    assert!(fs::read(stripe(&dir, 3)).unwrap().starts_with(b"ECS1"));
+    assert_eq!(
+        total().sum::<u64>(),
+        before,
+        "the uncommitted slot must be reused"
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -221,23 +217,32 @@ fn page_size_change_invalidates_the_cache_directory() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Recursively lists files under `dir`.
-fn walk(dir: &std::path::Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        if let Ok(entries) = fs::read_dir(&d) {
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else {
-                    out.push(p);
-                }
-            }
+/// Header bytes in front of each slot's payload.
+const HEADER: usize = 48;
+/// A slot of the one size class a 4 KiB store has.
+const SLOT: usize = HEADER + (4 << 10);
+
+/// Stripe file `k` (of four) of the one size class of a 4 KiB store.
+fn stripe(dir: &std::path::Path, k: u64) -> PathBuf {
+    dir.join(format!("page_size=4096/slots_4096.{k}"))
+}
+
+/// The stripe file holding page `index` of `file`, its bytes, and the offset
+/// of the page's slot: the slot whose committed header (`"ECS1"`, then file
+/// id and page index, little-endian, at bytes 8 and 16) names it.
+fn slot_of(dir: &std::path::Path, file: &SourceFile, index: u64) -> (PathBuf, Vec<u8>, usize) {
+    for k in 0..4 {
+        let raw = fs::read(stripe(dir, k)).unwrap();
+        let names = |at: usize| {
+            &raw[at..at + 4] == b"ECS1"
+                && raw[at + 8..at + 16] == file.file_id().0.to_le_bytes()
+                && raw[at + 16..at + 24] == index.to_le_bytes()
+        };
+        if let Some(at) = (0..raw.len()).step_by(SLOT).find(|&at| names(at)) {
+            return (stripe(dir, k), raw, at);
         }
     }
-    out
+    panic!("page {index} of {} not on disk", file.path)
 }
 
 fn open_crash_cache(
@@ -252,7 +257,6 @@ fn open_crash_cache(
                 page_size: 4 << 10,
                 verify_on_recovery: true,
                 crash_plan: Some(Arc::clone(plan)),
-                ..Default::default()
             },
         )
         .unwrap(),
@@ -278,14 +282,14 @@ fn crash_during_eviction_recovers_without_torn_pages() {
         let cache = open_crash_cache(&dir, &plan, 32 << 10);
         cache.read(&a, 0, 32 << 10, &remote).unwrap();
         // Arm the crash point: the next page delete — an eviction under
-        // capacity pressure — tears the page file's tail and dies before
-        // the unlink, leaving a full-length but unreadable page on disk.
+        // capacity pressure — tears the page's payload and dies before
+        // clearing its magic, leaving a committed but unreadable page.
         plan.arm(CrashSite::DeleteTornTail);
         let got = cache.read(&b, 0, 16 << 10, &remote).unwrap();
         assert_eq!(got.as_ref(), &remote.data[..16 << 10]);
         assert_eq!(plan.fired(), 1, "eviction must hit the armed crash point");
         // The process "dies" here: the manager drops with the torn page
-        // file still present in the directory.
+        // still committed on disk.
     }
 
     let cache = open_crash_cache(&dir, &plan, 32 << 10);
