@@ -784,7 +784,7 @@ impl CacheState {
         evicted += room.unwrap_or_else(|n| n);
         finish_eviction_span(evict_span, evicted, quota_rounds);
         room.map_err(|_| Error::NoSpace)?;
-        self.store_put(dir, id, data)?;
+        self.store_put(dir, size, |s| s.put(id, data))?;
 
         let info = PageInfo::new(id, size, file.scope.clone(), dir, self.now_ms());
         let old = self.place(lock, info);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use edgecache_common::error::{Error, Result};
 use edgecache_metrics::trace::SpanId;
-use edgecache_pagestore::PageId;
+use edgecache_pagestore::{PageId, PageStore};
 use parking_lot::{Condvar, Mutex};
 
 use super::write_behind::Deferred;
@@ -904,10 +904,18 @@ impl CacheState {
             .tracer
             .child(parent, if mem_hit { "mem_read" } else { "ssd_read" });
         read_span.annotate("page", id);
-        let got = self.store_get(info.dir, id, read_off, read_len);
+        // A promoting read is verified, and its checksum moves up with the
+        // bytes; the tier takes over the buffer the slice below is cut from.
+        let got = if promote {
+            let page = self.store_read(info.dir, move |s| s.get_verified(id));
+            page.map(|page| (page.bytes().clone(), Some(page)))
+        } else {
+            let bytes = self.store_read(info.dir, move |s| s.get(id, read_off, read_len));
+            bytes.map(|bytes| (bytes, None))
+        };
         if read_span.is_recording() {
             match &got {
-                Ok(bytes) => read_span.annotate("bytes", bytes.len()),
+                Ok((bytes, _)) => read_span.annotate("bytes", bytes.len()),
                 Err(e) => read_span.annotate("status", e.kind()),
             }
         }
@@ -915,26 +923,27 @@ impl CacheState {
         // A read that does not cover the requested range is a truncated
         // page: served, it would be wrong bytes, so it counts as corrupt.
         let covered = read_off + read_len >= plan.within_off + plan.within_len;
-        let got = got.and_then(|bytes| {
-            if bytes.len() as u64 == read_len && covered {
-                Ok(bytes)
+        let got = got.and_then(|read| {
+            if read.0.len() as u64 == read_len && covered {
+                Ok(read)
             } else {
                 Err(Error::Corrupted(format!("page {id}: short store read")))
             }
         });
         match got {
-            Ok(bytes) => {
+            Ok((bytes, page)) => {
                 // The policy access was recorded at classification time.
                 self.hot.hits.inc();
                 if mem_hit {
                     self.hot.mem_hits.inc();
                 }
-                let served = if promote {
-                    self.promote_to_mem(&info, &bytes, parent);
-                    let start = plan.within_off as usize;
-                    bytes.slice(start..start + plan.within_len as usize)
-                } else {
-                    bytes
+                let served = match page {
+                    Some(page) => {
+                        self.promote_to_mem(&info, page, parent);
+                        let start = plan.within_off as usize;
+                        bytes.slice(start..start + plan.within_len as usize)
+                    }
+                    None => bytes,
                 };
                 self.hot.bytes_from_cache.add(served.len() as u64);
                 Ok(served)
@@ -965,17 +974,22 @@ impl CacheState {
         }
     }
 
-    /// Local store read, under the configured read timeout if one is set.
-    fn store_get(&self, dir: usize, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
+    /// Runs `read` on directory `dir`'s store, under the configured read
+    /// timeout if one is set.
+    fn store_read<T: Send + 'static>(
+        &self,
+        dir: usize,
+        read: impl FnOnce(&dyn PageStore) -> Result<T> + Send + 'static,
+    ) -> Result<T> {
         let store = &self.stores[dir];
         match (&self.io_pool, self.config.read_timeout) {
             // DRAM cannot hang like a failing disk: it slices the frame
             // inline (zero-copy) instead of paying an io-pool dispatch.
             (Some(pool), Some(deadline)) if Some(dir) != self.mem_dir => {
                 let store = Arc::clone(store);
-                pool.run_with_deadline(deadline, move || store.get(id, offset, len))
+                pool.run_with_deadline(deadline, move || read(&*store))
             }
-            _ => store.get(id, offset, len),
+            _ => read(&**store),
         }
     }
 }

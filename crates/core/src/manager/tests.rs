@@ -1,7 +1,7 @@
 use super::*;
 use crate::admission::{FilterRule, FilterRuleAdmission, FilterRuleSet, SlidingWindowAdmission};
 use crate::config::EvictionPolicyKind;
-use edgecache_pagestore::{FaultPlan, FaultyStore, MemoryPageStore};
+use edgecache_pagestore::{FaultPlan, FaultyStore, MemoryPageStore, VerifiedPage};
 use parking_lot::Mutex as PlMutex;
 use std::collections::HashMap;
 
@@ -1823,7 +1823,8 @@ mod mem_tier {
         }
     }
 
-    /// An SSD store that logs every `(page, offset, len)` it is asked for.
+    /// An SSD store that logs every `(page, offset, len)` it is asked for;
+    /// a verified read is logged as one whole-page read.
     #[derive(Default)]
     struct LoggingStore {
         inner: MemoryPageStore,
@@ -1838,6 +1839,12 @@ mod mem_tier {
         fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
             self.gets.lock().push((id, offset, len));
             self.inner.get(id, offset, len)
+        }
+
+        fn get_verified(&self, id: PageId) -> Result<VerifiedPage> {
+            let page = self.inner.get_verified(id)?;
+            self.gets.lock().push((id, 0, page.bytes().len() as u64));
+            Ok(page)
         }
 
         fn delete(&self, id: PageId) -> Result<bool> {
@@ -2398,6 +2405,96 @@ mod mem_tier {
         for (store_bytes, indexed_bytes, _) in cache.dir_usage() {
             assert_eq!(store_bytes, indexed_bytes, "store/index drift");
         }
+    }
+
+    #[test]
+    fn concurrent_promote_demote_on_local_store_keeps_checksums() {
+        // The churn above over the slot store, whose verified paths a
+        // memory store never reaches: a promotion carries the SSD read's
+        // checksum up, a demotion writes the carried one down. Files of a
+        // page and a half give pages of two sizes (two slot classes). Every
+        // record left on disk must verify when the directory is reopened.
+        use edgecache_pagestore::{LocalPageStore, LocalStoreConfig};
+        use std::collections::HashSet;
+        const PAGE: u64 = 8 * 1024;
+        const LEN: u64 = PAGE + PAGE / 2;
+        const FILES: usize = 8;
+        const THREADS: usize = 4;
+        const ITERS: usize = 2_000;
+
+        let dir =
+            std::env::temp_dir().join(format!("edgecache-promote-local-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = LocalStoreConfig {
+            page_size: PAGE,
+            verify_on_recovery: true,
+            ..Default::default()
+        };
+        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        let cache = Arc::new(tiered_cache_on(Arc::new(store), PAGE, 1 << 20, 4 * PAGE));
+        let files: Vec<(SourceFile, Vec<u8>)> = (0..FILES)
+            .map(|i| {
+                let data = (0..LEN as usize).map(|b| ((b * 7 + i * 13) % 251) as u8);
+                (file(&format!("/l{i}"), LEN), data.collect())
+            })
+            .collect();
+        let mut remote = ScriptedRemote::new();
+        for (f, data) in &files {
+            remote = remote.with_file(&f.path, data.clone());
+        }
+        let (files, remote) = (Arc::new(files), Arc::new(remote));
+
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cache, files, remote) =
+                    (Arc::clone(&cache), Arc::clone(&files), Arc::clone(&remote));
+                std::thread::spawn(move || {
+                    for i in 0..ITERS {
+                        let (f, data) = &files[(t * 3 + i) % FILES];
+                        let off = ((i / FILES + t) % 2) as u64 * PAGE;
+                        let len = PAGE.min(LEN - off);
+                        let got = cache.read(f, off, len, remote.as_ref()).unwrap();
+                        assert_eq!(got.as_ref(), &data[off as usize..(off + len) as usize]);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+
+        cache.quiesce();
+        assert_eq!(cache.stats().pages, 2 * FILES, "no byte left the hierarchy");
+        assert!(counter(&cache, "mem.demotions") > 0, "the churn demoted");
+        assert_eq!(
+            counter(&cache, "evictions.corrupt"),
+            0,
+            "every exit check held"
+        );
+        assert_mem_balance(&cache);
+        cache.index().check_consistency().unwrap();
+        cache.check_policy_coherence().unwrap();
+        for (store_bytes, indexed_bytes, _) in cache.dir_usage() {
+            assert_eq!(store_bytes, indexed_bytes, "store/index drift");
+        }
+        let on_ssd: HashSet<PageId> = cache.index().pages_of_dir(0).into_iter().collect();
+        drop(cache);
+
+        let store = LocalPageStore::open(&dir, config).unwrap();
+        let recovered = store.recover().unwrap();
+        let ids: HashSet<PageId> = recovered.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, on_ssd, "every SSD page verifies on reopening");
+        for (f, data) in files.iter() {
+            for index in 0..2 {
+                let id = PageId::new(f.file_id(), index);
+                if on_ssd.contains(&id) {
+                    let off = (index * PAGE) as usize;
+                    let want = &data[off..(off + PAGE as usize).min(data.len())];
+                    assert_eq!(store.get_full(id).unwrap().as_ref(), want);
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -3,10 +3,9 @@
 
 use std::sync::atomic::Ordering;
 
-use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
 use edgecache_metrics::trace::SpanId;
-use edgecache_pagestore::{PageId, PageInfo, PageStore};
+use edgecache_pagestore::{PageId, PageInfo, PageStore, VerifiedPage};
 
 use super::{CacheState, PageLock};
 
@@ -108,8 +107,10 @@ impl CacheState {
             Ok(info) => info,
             Err(outcome) => return outcome,
         };
-        let data = match mem_store.get_full(*id) {
-            Ok(data) => data,
+        // The tier-exit check; the checksum it checked travels down with
+        // the bytes.
+        let page = match mem_store.get_verified(*id) {
+            Ok(page) => page,
             Err(e) => {
                 // Checksum mismatch (or the frame vanished): a counted exit
                 // through eviction — capacity is restored either way.
@@ -130,7 +131,7 @@ impl CacheState {
             span.annotate("status", "no_victim");
             return DemoteOutcome::Failed;
         }
-        if let Err(e) = self.store_put(dir, *id, &data) {
+        if let Err(e) = self.store_put(dir, info.size, |s| s.put_verified(*id, page.clone())) {
             self.metrics.record_error("demote", e.kind());
             span.annotate("status", e.kind());
             return DemoteOutcome::Failed;
@@ -149,11 +150,12 @@ impl CacheState {
 
     /// Moves a just-served SSD-resident page up into the DRAM tier on its
     /// second SSD hit (the mirror of [`Self::demote_page`], and the tier's
-    /// only way in). `data` is the page's freshly read full payload, checked
-    /// against `info.size`; the caller holds no page lock. Best-effort: any
+    /// only way in). `page` is the page's freshly read and verified full
+    /// payload, checked against `info.size`; the tier takes its buffer and
+    /// checksum over. The caller holds no page lock. Best-effort: any
     /// conflict (raced refresh, no room after demotion) leaves the page
     /// where it is.
-    pub(super) fn promote_to_mem(&self, info: &PageInfo, data: &Bytes, parent: SpanId) {
+    pub(super) fn promote_to_mem(&self, info: &PageInfo, page: VerifiedPage, parent: SpanId) {
         let (Some(mem), Some(mem_store)) = (self.mem_dir, self.mem_store.as_ref()) else {
             return;
         };
@@ -176,7 +178,7 @@ impl CacheState {
         }
         let mut span = self.tracer.child(parent, "promote");
         span.annotate("page", id);
-        if let Err(e) = mem_store.put(id, data) {
+        if let Err(e) = mem_store.put_verified(id, page) {
             self.metrics.record_error("promote", e.kind());
             span.annotate("status", e.kind());
             span.finish();
@@ -222,16 +224,22 @@ impl CacheState {
         Some(evicted)
     }
 
-    /// Writes a page to directory `dir`'s store. §8 "Insufficient disk
-    /// capacity": when the device fills up before the configured capacity
-    /// (`NoSpace`), evicts at least the page's size early and retries once.
-    pub(super) fn store_put(&self, dir: usize, id: PageId, data: &[u8]) -> Result<()> {
-        match self.stores[dir].put(id, data) {
+    /// Writes a page of `len` bytes to directory `dir`'s store with `put`.
+    /// §8 "Insufficient disk capacity": when the device fills up before the
+    /// configured capacity (`NoSpace`), evicts at least the page's size
+    /// early and retries once.
+    pub(super) fn store_put(
+        &self,
+        dir: usize,
+        len: u64,
+        put: impl Fn(&dyn PageStore) -> Result<()>,
+    ) -> Result<()> {
+        match put(&*self.stores[dir]) {
             Err(Error::NoSpace) => {}
             done => return done,
         }
         self.metrics.record_error("put", "no_space");
-        let want = (data.len() as u64).max(1);
+        let want = len.max(1);
         let mut freed = 0u64;
         while freed < want {
             let Some(evicted) = self.evict_victim(dir, "no_space") else {
@@ -240,7 +248,7 @@ impl CacheState {
             // A retired stale entry counts 1, so the loop makes progress.
             freed += evicted.map_or(1, |info| info.size);
         }
-        self.stores[dir].put(id, data)
+        put(&*self.stores[dir])
     }
 }
 

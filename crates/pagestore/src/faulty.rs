@@ -18,7 +18,7 @@ use edgecache_common::error::{Error, Result};
 use parking_lot::Mutex;
 
 use crate::page::PageId;
-use crate::store::PageStore;
+use crate::store::{PageStore, VerifiedPage};
 
 /// Mutable fault configuration shared with the wrapped store.
 #[derive(Debug, Default)]
@@ -96,13 +96,13 @@ impl<S: PageStore> FaultyStore<S> {
         &self.inner
     }
 
-    fn maybe_hang(&self) {
+    /// The faults every read meets: a hang (counted once per read), then
+    /// injected corruption.
+    fn before_read(&self, id: PageId) -> Result<()> {
         let period = self.plan.hang_every.load(Ordering::SeqCst);
-        if period == 0 {
-            return;
-        }
-        let n = self.plan.gets.fetch_add(1, Ordering::SeqCst) + 1;
-        if n.is_multiple_of(period) {
+        let hang = period > 0
+            && (self.plan.gets.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(period);
+        if hang {
             let delay = self.plan.get_delay_nanos.load(Ordering::SeqCst);
             if delay > 0 {
                 let delay = Duration::from_nanos(delay);
@@ -112,24 +112,41 @@ impl<S: PageStore> FaultyStore<S> {
                 }
             }
         }
+        if self.plan.corrupt.lock().contains(&id) {
+            return Err(Error::Corrupted(format!("page {id}: injected corruption")));
+        }
+        Ok(())
+    }
+
+    /// The simulated device's capacity, met by every write of `len` bytes.
+    fn before_write(&self, len: usize) -> Result<()> {
+        let cap = self.plan.device_capacity.load(Ordering::SeqCst);
+        if self.inner.bytes_used() + len as u64 > cap {
+            return Err(Error::NoSpace);
+        }
+        Ok(())
     }
 }
 
 impl<S: PageStore> PageStore for FaultyStore<S> {
     fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
-        let cap = self.plan.device_capacity.load(Ordering::SeqCst);
-        if self.inner.bytes_used() + data.len() as u64 > cap {
-            return Err(Error::NoSpace);
-        }
+        self.before_write(data.len())?;
         self.inner.put(id, data)
     }
 
+    fn put_verified(&self, id: PageId, page: VerifiedPage) -> Result<()> {
+        self.before_write(page.bytes.len())?;
+        self.inner.put_verified(id, page)
+    }
+
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
-        self.maybe_hang();
-        if self.plan.corrupt.lock().contains(&id) {
-            return Err(Error::Corrupted(format!("page {id}: injected corruption")));
-        }
+        self.before_read(id)?;
         self.inner.get(id, offset, len)
+    }
+
+    fn get_verified(&self, id: PageId) -> Result<VerifiedPage> {
+        self.before_read(id)?;
+        self.inner.get_verified(id)
     }
 
     fn delete(&self, id: PageId) -> Result<bool> {
@@ -159,6 +176,7 @@ mod tests {
     use super::*;
     use crate::memory::MemoryPageStore;
     use crate::page::FileId;
+    use edgecache_common::hash::xxh64;
     use std::time::Instant;
 
     fn pid(i: u64) -> PageId {
@@ -183,6 +201,44 @@ mod tests {
         store.delete(pid(0)).unwrap();
         store.put(pid(0), b"fresh").unwrap();
         assert_eq!(store.get_full(pid(0)).unwrap().as_ref(), b"fresh");
+    }
+
+    #[test]
+    fn verified_reads_and_writes_meet_the_same_faults() {
+        let plan = FaultPlan::none();
+        let store = FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan));
+        let page = VerifiedPage::new(Bytes::from_static(b"data"));
+        store.put_verified(pid(0), page).unwrap();
+        assert_eq!(
+            store.get_verified(pid(0)).unwrap().checksum(),
+            xxh64(b"data", 0)
+        );
+        plan.corrupt_page(pid(0));
+        assert!(matches!(
+            store.get_verified(pid(0)),
+            Err(Error::Corrupted(_))
+        ));
+        plan.set_device_capacity(6);
+        let page = VerifiedPage::new(Bytes::from_static(b"abc"));
+        assert!(matches!(
+            store.put_verified(pid(1), page),
+            Err(Error::NoSpace)
+        ));
+    }
+
+    #[test]
+    fn a_verified_read_counts_as_one_read_for_hangs() {
+        use edgecache_common::clock::{Clock, SimClock};
+        let sim = SimClock::new();
+        let plan = FaultPlan::none();
+        plan.set_clock(Arc::new(sim.clone()));
+        plan.set_read_hang(Duration::from_secs(1), 2);
+        let store = FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan));
+        store.put(pid(0), b"x").unwrap();
+        store.get_verified(pid(0)).unwrap();
+        assert_eq!(sim.now_millis(), 0, "first read: no hang");
+        store.get_verified(pid(0)).unwrap();
+        assert_eq!(sim.now_millis(), 1_000, "second read hangs once");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   ([`PageInfo`]), plus the hierarchical [`CacheScope`] used for quota and
 //!   bulk operations (§4.4).
 //! * [`store`] — the [`PageStore`] trait: put/get/delete of pages with
-//!   partial (ranged) reads.
+//!   partial (ranged) reads, and [`VerifiedPage`], a payload that carries
+//!   its checksum across tiers.
 //! * [`local`] — [`LocalPageStore`], the SSD-backed implementation: a
 //!   top-level `page_size=` directory that makes recovery self-describing
 //!   (§4.3), one file of fixed-size slots per size class, a self-describing
@@ -40,4 +41,4 @@ pub use local::{LocalPageStore, LocalStoreConfig};
 pub use memory::MemoryPageStore;
 pub use memtier::MemTierStore;
 pub use page::{CacheScope, FileId, PageId, PageInfo};
-pub use store::PageStore;
+pub use store::{PageStore, VerifiedPage};

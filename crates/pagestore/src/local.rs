@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 
 use crate::crash::{CrashPlan, CrashSite};
 use crate::page::{page_checksum, FileId, PageId};
-use crate::store::PageStore;
+use crate::store::{PageStore, VerifiedPage};
 
 /// Magic opening a committed slot header.
 const SLOT_MAGIC: &[u8; 4] = b"ECS1";
@@ -347,16 +347,16 @@ impl LocalPageStore {
             .as_ref()
             .is_some_and(|p| p.should_crash(site))
     }
-}
 
-impl PageStore for LocalPageStore {
-    fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
+    /// The one put: writes `data`, whose checksum is `sum`, into a free slot
+    /// and commits it.
+    fn write(&self, id: PageId, data: &[u8], sum: u64) -> Result<()> {
         let len = data.len() as u64;
         let class = self.classes.iter().rev().find(|c| c.cap >= len);
         let class = class.ok_or_else(|| {
             Error::InvalidArgument(format!("page {id}: {len} bytes exceed the page size"))
         })?;
-        let slot = Arc::new(Slot::alloc(class, len, page_checksum(data)));
+        let slot = Arc::new(Slot::alloc(class, len, sum));
         let (file, at) = slot.at();
         file.write_all_at(data, at + HEADER)?;
         if self.crash_armed(CrashSite::PutTmpWritten) {
@@ -386,37 +386,64 @@ impl PageStore for LocalPageStore {
         Ok(())
     }
 
+    /// The one full read: `pread`s the payload and verifies it against the
+    /// slot's checksum, which comes back with it.
+    fn read_full(&self, id: PageId, slot: &Slot) -> Result<VerifiedPage> {
+        let (file, at) = slot.at();
+        let mut span = self.tracer.span("checksum_verify");
+        let mut payload = vec![0; slot.len as usize];
+        let got = match file.read_exact_at(&mut payload, at + HEADER) {
+            Ok(()) if page_checksum(&payload) == slot.sum => Ok(Bytes::from(payload)),
+            Ok(()) => Err(Error::Corrupted(format!("page {id}: checksum mismatch"))),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                Err(Error::Corrupted(format!("page {id}: truncated")))
+            }
+            Err(e) => Err(e.into()),
+        };
+        if span.is_recording() {
+            span.annotate("page", id);
+            match &got {
+                Ok(bytes) => span.annotate("bytes", bytes.len()),
+                Err(e) => span.annotate("status", e.kind()),
+            }
+        }
+        span.finish();
+        got.map(|bytes| VerifiedPage {
+            bytes,
+            checksum: slot.sum,
+        })
+    }
+}
+
+impl PageStore for LocalPageStore {
+    fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
+        self.write(id, data, page_checksum(data))
+    }
+
+    /// Writes the carried checksum into the slot header; hashes nothing.
+    fn put_verified(&self, id: PageId, page: VerifiedPage) -> Result<()> {
+        debug_assert_eq!(page_checksum(&page.bytes), page.checksum);
+        self.write(id, &page.bytes, page.checksum)
+    }
+
+    fn get_verified(&self, id: PageId) -> Result<VerifiedPage> {
+        let slot = self.shard(id).lock().get(&id).cloned();
+        let slot = slot.ok_or_else(|| Error::NotFound(format!("page {id}")))?;
+        self.read_full(id, &slot)
+    }
+
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
         let slot = self.shard(id).lock().get(&id).cloned();
         let slot = slot.ok_or_else(|| Error::NotFound(format!("page {id}")))?;
-        let (file, at) = slot.at();
         if offset == 0 && len >= slot.len {
-            // Full read: verify the payload against its checksum.
-            let mut span = self.tracer.span("checksum_verify");
-            let mut payload = vec![0; slot.len as usize];
-            let got = match file.read_exact_at(&mut payload, at + HEADER) {
-                Ok(()) if page_checksum(&payload) == slot.sum => Ok(Bytes::from(payload)),
-                Ok(()) => Err(Error::Corrupted(format!("page {id}: checksum mismatch"))),
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                    Err(Error::Corrupted(format!("page {id}: truncated")))
-                }
-                Err(e) => Err(e.into()),
-            };
-            if span.is_recording() {
-                span.annotate("page", id);
-                match &got {
-                    Ok(bytes) => span.annotate("bytes", bytes.len()),
-                    Err(e) => span.annotate("status", e.kind()),
-                }
-            }
-            span.finish();
-            return got;
+            return self.read_full(id, &slot).map(|page| page.bytes);
         }
         if offset >= slot.len {
             return Ok(Bytes::new());
         }
         // One positional read into a zeroed allocation, which the returned
         // `Bytes` takes over; a short read is an error.
+        let (file, at) = slot.at();
         let mut buf = vec![0; len.min(slot.len - offset) as usize];
         file.read_exact_at(&mut buf, at + HEADER + offset)?;
         Ok(Bytes::from(buf))
@@ -616,6 +643,49 @@ mod tests {
         store.put(pid(1, 0), &data).unwrap();
         assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), &data[..]);
         assert_eq!(store.bytes_used(), 1000);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn get_verified_returns_the_checksum_of_its_bytes() {
+        let (store, dir) = temp_store();
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 251) as u8).collect();
+        store.put(pid(1, 0), &data).unwrap();
+        let page = store.get_verified(pid(1, 0)).unwrap();
+        assert_eq!(page.bytes().as_ref(), &data[..]);
+        assert_eq!(page.checksum(), xxh64(&data, 0));
+        flip(&store, pid(1, 0), 4999, 0x80);
+        assert!(matches!(
+            store.get_verified(pid(1, 0)),
+            Err(Error::Corrupted(_))
+        ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_put_verified_record_survives_verified_recovery() {
+        let dir = std::env::temp_dir().join(format!("edgecache-verified-{}", rand_suffix()));
+        let config = LocalStoreConfig {
+            verify_on_recovery: true,
+            ..Default::default()
+        };
+        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 13 % 241) as u8).collect();
+        let page = VerifiedPage::new(Bytes::from(data.clone()));
+        store.put_verified(pid(2, 0), page).unwrap();
+        // A page moved on with the checksum its read checked.
+        let moved = store.get_verified(pid(2, 0)).unwrap();
+        store.put_verified(pid(2, 1), moved).unwrap();
+        drop(store);
+        let store = LocalPageStore::open(&dir, config).unwrap();
+        let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
+        assert_eq!(
+            recovered,
+            HashSet::from([(pid(2, 0), 3000), (pid(2, 1), 3000)])
+        );
+        for index in 0..2 {
+            assert_eq!(store.get_full(pid(2, index)).unwrap().as_ref(), &data[..]);
+        }
         let _ = fs::remove_dir_all(dir);
     }
 

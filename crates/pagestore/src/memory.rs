@@ -104,6 +104,8 @@ impl PageStore for MemoryPageStore {
 mod tests {
     use super::*;
     use crate::page::FileId;
+    use crate::store::VerifiedPage;
+    use edgecache_common::hash::xxh64;
 
     fn pid(f: u64, i: u64) -> PageId {
         PageId::new(FileId(f), i)
@@ -120,6 +122,17 @@ mod tests {
         assert!(s.delete(pid(1, 0)).unwrap());
         assert_eq!(s.bytes_used(), 0);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn verified_pages_round_trip_through_the_defaults() {
+        let s = MemoryPageStore::new();
+        let page = VerifiedPage::new(Bytes::from_static(b"hello"));
+        s.put_verified(pid(1, 0), page).unwrap();
+        let page = s.get_verified(pid(1, 0)).unwrap();
+        assert_eq!(page.bytes().as_ref(), b"hello");
+        assert_eq!(page.checksum(), xxh64(b"hello", 0));
+        assert_eq!(s.bytes_used(), 5);
     }
 
     #[test]

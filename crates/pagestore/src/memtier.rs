@@ -8,12 +8,12 @@
 //! remote-backed eviction.
 //!
 //! Frame layout (after the Nexus page-cache spec): the payload plus a
-//! 64-bit XXH64 checksum computed at publish time, and a pin count that
-//! shields the frame from demotion while integrations hold a reference into
-//! it. Serving a memory hit is a zero-copy [`Bytes::slice`] of the frame —
-//! no write lock, no data copy. Integrity is enforced at the tier boundary:
-//! [`PageStore::get_full`] re-checks the checksum before any frame's bytes
-//! leave the tier whole.
+//! 64-bit XXH64 checksum, and a pin count that shields the frame from
+//! demotion while integrations hold a reference into it. A promoted
+//! [`VerifiedPage`] becomes a frame as it is: no copy, no hash. Serving a
+//! memory hit is a zero-copy [`Bytes::slice`] of the frame. Integrity is
+//! enforced at the tier boundary: [`PageStore::get_verified`] re-checks the
+//! checksum before any frame's bytes leave the tier whole.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -24,15 +24,15 @@ use edgecache_common::error::{Error, Result};
 use parking_lot::RwLock;
 
 use crate::page::{page_checksum, PageId};
-use crate::store::PageStore;
+use crate::store::{PageStore, VerifiedPage};
 
 /// One resident page: payload, integrity trailer, and pin count.
 #[derive(Debug)]
 struct Frame {
     data: Bytes,
-    /// XXH64 over the payload, computed once at publish. Full-frame reads
-    /// (the demotion path, `get_full`) re-verify it, so a frame corrupted in
-    /// memory is detected before its bytes can be demoted to SSD or served
+    /// XXH64 over the payload, carried in by the publish. Full-frame reads
+    /// (the demotion path, `get_verified`) re-verify it, so a frame corrupted
+    /// in memory is detected before its bytes can be demoted to SSD or served
     /// whole.
     checksum: u64,
     /// Demotion shield: a pinned frame is skipped by victim selection and
@@ -168,9 +168,17 @@ impl MemTierStore {
 
 impl PageStore for MemTierStore {
     fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
+        self.put_verified(id, VerifiedPage::new(Bytes::copy_from_slice(data)))
+    }
+
+    /// Takes `page`'s buffer over as the frame, with its carried checksum:
+    /// no copy, no hash.
+    fn put_verified(&self, id: PageId, page: VerifiedPage) -> Result<()> {
+        debug_assert_eq!(page_checksum(&page.bytes), page.checksum);
+        let len = page.bytes.len() as u64;
         let frame = Arc::new(Frame {
-            data: Bytes::copy_from_slice(data),
-            checksum: page_checksum(data),
+            data: page.bytes,
+            checksum: page.checksum,
             pins: AtomicU32::new(0),
         });
         let mut frames = self.frames.write();
@@ -183,8 +191,7 @@ impl PageStore for MemTierStore {
             self.bytes_used
                 .fetch_sub(old.data.len() as u64, Ordering::Relaxed);
         }
-        self.bytes_used
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.bytes_used.fetch_add(len, Ordering::Relaxed);
         Ok(())
     }
 
@@ -200,16 +207,17 @@ impl PageStore for MemTierStore {
 
     /// The whole frame, re-verified against its publish-time checksum — the
     /// tier-exit read. Demotion goes through this, so bytes corrupted while
-    /// resident in DRAM are detected *before* they can land on SSD (where
-    /// the store's own checksum would faithfully attest to garbage). Unlike
+    /// resident in DRAM are detected *before* they can land on SSD, and the
+    /// checksum it checks is the one the SSD record then carries. Unlike
     /// `LocalPageStore`, a ranged `get` does not scan: hit serving is a
     /// zero-copy slice, and integrity is enforced at the tier boundary.
-    fn get_full(&self, id: PageId) -> Result<Bytes> {
+    fn get_verified(&self, id: PageId) -> Result<VerifiedPage> {
         let frame = self.frame(id)?;
         if page_checksum(&frame.data) != frame.checksum {
             return Err(Error::Corrupted(format!("memory frame {id}")));
         }
-        Ok(frame.data.clone())
+        let (bytes, checksum) = (frame.data.clone(), frame.checksum);
+        Ok(VerifiedPage { bytes, checksum })
     }
 
     fn delete(&self, id: PageId) -> Result<bool> {
@@ -248,6 +256,7 @@ impl PageStore for MemTierStore {
 mod tests {
     use super::*;
     use crate::page::{bit_flip_sites, FileId};
+    use edgecache_common::hash::xxh64;
 
     fn pid(f: u64, i: u64) -> PageId {
         PageId::new(FileId(f), i)
@@ -265,6 +274,32 @@ mod tests {
         assert!(s.delete(pid(1, 0)).unwrap());
         assert_eq!(s.bytes_used(), 0);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn get_verified_returns_the_frame_checksum() {
+        let s = MemTierStore::new();
+        s.put(pid(1, 0), b"payload").unwrap();
+        let page = s.get_verified(pid(1, 0)).unwrap();
+        assert_eq!(page.bytes().as_ref(), b"payload");
+        assert_eq!(page.checksum(), xxh64(b"payload", 0));
+    }
+
+    #[test]
+    fn put_verified_takes_the_buffer_over() {
+        let s = MemTierStore::new();
+        let bytes = Bytes::from(vec![7u8; 4096]);
+        let buffer = bytes.as_ptr();
+        s.put_verified(pid(1, 0), VerifiedPage::new(bytes)).unwrap();
+        let frame = s.get(pid(1, 0), 0, 4096).unwrap();
+        assert_eq!(
+            frame.as_ptr(),
+            buffer,
+            "the frame is the handed-over buffer"
+        );
+        assert_eq!(s.bytes_used(), 4096);
+        let page = s.get_verified(pid(1, 0)).unwrap();
+        assert_eq!(page.checksum(), xxh64(&[7u8; 4096], 0));
     }
 
     #[test]

@@ -3,7 +3,34 @@
 use bytes::Bytes;
 use edgecache_common::error::Result;
 
-use crate::page::PageId;
+use crate::page::{page_checksum, PageId};
+
+/// A page payload and the XXH64 checksum it is known to match: a tier move
+/// carries the checksum instead of hashing the bytes again. Only
+/// [`VerifiedPage::new`], and a store from a checksum it holds, build one.
+#[derive(Debug, Clone)]
+pub struct VerifiedPage {
+    pub(crate) bytes: Bytes,
+    pub(crate) checksum: u64,
+}
+
+impl VerifiedPage {
+    /// Hashes `bytes`.
+    pub fn new(bytes: Bytes) -> Self {
+        let checksum = page_checksum(&bytes);
+        Self { bytes, checksum }
+    }
+
+    /// The payload.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// XXH64 of the payload.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+}
 
 /// A backend that stores page payloads.
 ///
@@ -32,7 +59,20 @@ pub trait PageStore: Send + Sync {
 
     /// Reads the entire page payload, verifying integrity.
     fn get_full(&self, id: PageId) -> Result<Bytes> {
-        self.get(id, 0, u64::MAX)
+        self.get_verified(id).map(|page| page.bytes)
+    }
+
+    /// Reads the entire page payload, verified, with its checksum. A store
+    /// that keeps a checksum returns the one it checked the bytes against;
+    /// the default hashes a full `get`.
+    fn get_verified(&self, id: PageId) -> Result<VerifiedPage> {
+        self.get(id, 0, u64::MAX).map(VerifiedPage::new)
+    }
+
+    /// Stores a verified page, as [`Self::put`] does. A store that keeps a
+    /// checksum takes the carried one instead of hashing the bytes again.
+    fn put_verified(&self, id: PageId, page: VerifiedPage) -> Result<()> {
+        self.put(id, page.bytes())
     }
 
     /// Deletes a page. Deleting a missing page returns `Ok(false)`.

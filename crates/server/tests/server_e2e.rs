@@ -2,8 +2,9 @@
 //! raw byte-level clients, and the ISSUE's acceptance criteria — set then
 //! get returns the value byte-identical, pipelined bursts are answered in
 //! order, the semaphore refuses over-limit connections, stalled peers are
-//! dropped, shutdown drains and joins every thread, and the request
-//! accounting obeys the server conservation laws.
+//! dropped, shutdown drains, and the request accounting obeys the server
+//! conservation laws. That a start/stop loop leaks no thread is checked in
+//! `thread_leak.rs`, a test binary of its own.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -391,44 +392,4 @@ fn pipelined_mix_against_live_server_conserves_and_hits() {
     let diff = SnapshotDiff::between(&before, &cache.metrics().snapshot());
     assert_conserved(&diff, &server_laws()).unwrap();
     assert_eq!(diff.counter("server.requests"), 4 * 500);
-}
-
-/// Counts this process's live threads via /proc (Linux CI target).
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
-}
-
-#[test]
-fn start_stop_loop_leaks_no_threads() {
-    // Warm up allocator/runtime threads once.
-    {
-        let (handle, _cache) = start_server(ephemeral());
-        let mut c = connect(&handle);
-        c.write_all(b"version\r\n").unwrap();
-        let _ = read_exact_bytes(&mut c, 8);
-        drop(c);
-        handle.shutdown();
-    }
-    let base = thread_count();
-    for round in 0..8 {
-        {
-            let (handle, _cache) = start_server(ephemeral());
-            let mut c = connect(&handle);
-            c.write_all(b"set k 0 0 1\r\nv\r\nget k\r\n").unwrap();
-            let _ = read_exact_bytes(&mut c, 8);
-            // One connection left open and idle: shutdown must sever it,
-            // not wait out the read timeout.
-            let _idle = connect(&handle);
-            std::thread::sleep(Duration::from_millis(20));
-            handle.shutdown();
-            // `_cache` drops here; its pool drops join synchronously.
-        }
-        let now = thread_count();
-        assert!(
-            now <= base,
-            "server leaked threads after round {round}: {base} before, {now} now"
-        );
-    }
 }
