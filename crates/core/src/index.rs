@@ -191,9 +191,13 @@ impl IndexManager {
         old
     }
 
-    /// Removes a page from every index. Returns its info if present.
-    pub fn remove(&self, id: &PageId) -> Option<PageInfo> {
+    /// Removes a page from every index if it is cached on directory `dir`.
+    /// Returns its info if it was.
+    pub fn remove(&self, id: &PageId, dir: usize) -> Option<PageInfo> {
         let mut shard = self.shard(id).write();
+        if shard.get(id)?.info.dir != dir {
+            return None;
+        }
         let mut agg = self.aggregates.write();
         let info = shard.remove(id)?.info;
         agg.unindex(&info);
@@ -205,6 +209,11 @@ impl IndexManager {
     /// Looks up a page's metadata. Touches only the page's shard.
     pub fn get(&self, id: &PageId) -> Option<PageInfo> {
         self.shard(id).read().get(id).map(|e| e.info.clone())
+    }
+
+    /// The directory caching a page, if any. Touches only the page's shard.
+    pub fn dir_of(&self, id: &PageId) -> Option<usize> {
+        self.shard(id).read().get(id).map(|e| e.info.dir)
     }
 
     /// The hit path's classify probe: if the page is resident, records the
@@ -522,6 +531,7 @@ mod tests {
         assert_eq!(idx.pages_of_file(FileId(1)).len(), 2);
         assert_eq!(idx.pages_of_dir(0).len(), 1);
         assert_eq!(idx.pages_of_dir(1).len(), 1);
+        assert_eq!(idx.dir_of(&PageId::new(FileId(1), 1)), Some(1));
         idx.check_consistency().unwrap();
     }
 
@@ -547,7 +557,11 @@ mod tests {
         let idx = IndexManager::new(1);
         let scope = CacheScope::partition("s", "t", "p");
         idx.insert(info(1, 0, 100, scope.clone(), 0));
-        let removed = idx.remove(&PageId::new(FileId(1), 0)).unwrap();
+        assert!(
+            idx.remove(&PageId::new(FileId(1), 0), 1).is_none(),
+            "other dir"
+        );
+        let removed = idx.remove(&PageId::new(FileId(1), 0), 0).unwrap();
         assert_eq!(removed.size, 100);
         assert!(idx.is_empty());
         assert_eq!(idx.total_bytes(), 0);
@@ -578,7 +592,7 @@ mod tests {
         let mut parts = idx.partitions_of_table("s", "t");
         parts.sort();
         assert_eq!(parts.len(), 2);
-        idx.remove(&PageId::new(FileId(1), 0));
+        idx.remove(&PageId::new(FileId(1), 0), 0);
         assert_eq!(idx.partitions_of_table("s", "t").len(), 1);
     }
 
@@ -624,7 +638,8 @@ mod tests {
     fn missing_lookups_are_empty() {
         let idx = IndexManager::new(1);
         assert!(idx.get(&PageId::new(FileId(1), 0)).is_none());
-        assert!(idx.remove(&PageId::new(FileId(1), 0)).is_none());
+        assert!(idx.dir_of(&PageId::new(FileId(1), 0)).is_none());
+        assert!(idx.remove(&PageId::new(FileId(1), 0), 0).is_none());
         assert!(idx.pages_of_file(FileId(9)).is_empty());
         assert!(idx.pages_of_dir(5).is_empty());
         assert_eq!(idx.bytes_of_scope(&CacheScope::parse("none")), 0);
@@ -686,7 +701,7 @@ mod tests {
                         idx.insert(info(t, i, 10, scope, (i % 2) as usize));
                         idx.get(&PageId::new(FileId(t), i));
                         if i % 3 == 0 {
-                            idx.remove(&PageId::new(FileId(t), i));
+                            idx.remove(&PageId::new(FileId(t), i), (i % 2) as usize);
                         }
                     }
                 })

@@ -542,6 +542,12 @@ pub struct CacheState {
     mem_capacity: AtomicU64,
     allocator: Allocator,
     index: IndexManager,
+    /// One eviction policy per directory. Directory `d`'s policy lock is
+    /// held across every change to `d`'s index membership and the matching
+    /// policy change, so the two never drift apart. Lock order: a page
+    /// stripe, then a policy lock, then the write-behind queue and the
+    /// index locks; no stripe and no second policy lock under a policy
+    /// lock.
     policies: Vec<PolicyCell>,
     quota: QuotaManager,
     admission: Arc<dyn AdmissionPolicy>,
@@ -808,6 +814,7 @@ impl CacheState {
     fn place(&self, lock: &mut PageLock<'_>, info: PageInfo) -> Option<PageInfo> {
         let (id, dir) = (info.id, info.dir);
         let queued = lock.inflight().and_then(|latch| latch.page());
+        let mut policy = self.policies[dir].lock();
         let old = match (&self.write_behind, queued) {
             (Some(queue), Some(page)) => {
                 lock.take_inflight();
@@ -815,15 +822,17 @@ impl CacheState {
             }
             _ => self.index.insert(info),
         };
-        if let Some(old) = &old {
+        if old.as_ref().is_some_and(|old| old.dir == dir) {
+            policy.on_remove(id);
+        }
+        policy.on_insert(id);
+        drop(policy);
+        if let Some(old) = old.as_ref().filter(|old| old.dir != dir) {
             self.policies[old.dir].lock().on_remove(id);
-            if old.dir != dir {
-                if let Err(e) = self.stores[old.dir].delete(id) {
-                    self.metrics.record_error("delete", e.kind());
-                }
+            if let Err(e) = self.stores[old.dir].delete(id) {
+                self.metrics.record_error("delete", e.kind());
             }
         }
-        self.policies[dir].lock().on_insert(id);
         old
     }
 
@@ -875,8 +884,21 @@ impl CacheState {
     /// Removes a page from the index, its policy, and its store. Returns the
     /// page's info if it was present.
     fn evict_page(&self, id: &PageId, cause: &str) -> Option<PageInfo> {
-        let info = self.index.remove(id)?;
-        self.policies[info.dir].lock().on_remove(*id);
+        let info = loop {
+            let dir = self.index.dir_of(id)?;
+            let mut policy = self.policies[dir].lock();
+            if let Some(info) = self.index.remove(id, dir) {
+                policy.on_remove(*id);
+                break info;
+            }
+        };
+        Some(self.delete_evicted(info, cause))
+    }
+
+    /// The store half of an eviction whose index and policy entries are
+    /// gone: deletes the page's bytes and counts the eviction.
+    fn delete_evicted(&self, info: PageInfo, cause: &str) -> PageInfo {
+        let id = &info.id;
         if let Err(e) = self.stores[info.dir].delete(*id) {
             self.metrics.record_error("delete", e.kind());
         }
@@ -886,7 +908,7 @@ impl CacheState {
             // these against promotions.
             self.hot.mem_evictions.inc();
         }
-        Some(info)
+        info
     }
 
     /// Removes a page from the index and policy only (store already lost
@@ -900,10 +922,12 @@ impl CacheState {
             if self.stores[info.dir].contains(*id) {
                 return; // raced a tier move: the page is real again
             }
-            self.index.remove(id);
-            self.policies[info.dir].lock().on_remove(*id);
-            if Some(info.dir) == self.mem_dir {
-                self.hot.mem_evictions.inc();
+            let mut policy = self.policies[info.dir].lock();
+            if self.index.remove(id, info.dir).is_some() {
+                policy.on_remove(*id);
+                if Some(info.dir) == self.mem_dir {
+                    self.hot.mem_evictions.inc();
+                }
             }
         }
     }

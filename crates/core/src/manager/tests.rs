@@ -139,17 +139,22 @@ fn version_change_invalidates() {
 
 #[test]
 fn capacity_eviction_lru() {
-    // Capacity of 3 pages; touch 4 distinct pages.
+    // Capacity of 3 pages; touch 4 distinct pages, hitting page 0 again
+    // before the fourth.
     let cache = small_cache(100, 300);
     let remote = ScriptedRemote::new().with_file("/f", pattern(400));
     let f = file("/f", 400);
-    for page in 0..4u64 {
+    for page in [0, 1, 2, 0, 3u64] {
         cache.read(&f, page * 100, 100, &remote).unwrap();
     }
     assert_eq!(cache.index().len(), 3);
     assert_eq!(cache.metrics().counter("evictions.capacity").get(), 1);
-    // Page 0 was least recently used → evicted → re-reading it misses.
+    assert_eq!(cache.stats().misses, 4);
+    // The hit made page 0 recent, so page 1 was least recently used →
+    // evicted: page 0 still hits, page 1 misses.
     cache.read(&f, 0, 100, &remote).unwrap();
+    assert_eq!(cache.stats().misses, 4);
+    cache.read(&f, 100, 100, &remote).unwrap();
     assert_eq!(cache.stats().misses, 5);
 }
 
@@ -802,6 +807,62 @@ fn concurrent_reads_are_consistent() {
     // boundary), so page-level accesses land in [400, 800].
     let stats = cache.stats();
     assert!((400..=800).contains(&(stats.hits + stats.misses)));
+}
+
+#[test]
+fn concurrent_hits_and_capacity_evictions_keep_policy_coherent() {
+    // The working set is twice the directory, so every thread's hits keep
+    // meeting other threads' capacity evictions of the same pages, and
+    // several publishers draw the same policy victim at once: a victim one
+    // thread evicts and another republishes must stay tracked, and a hit
+    // whose page is evicted between its index touch and its policy event
+    // must not leave the policy tracking a page the index dropped.
+    const THREADS: u64 = 8;
+    const ITERS: u64 = 1_500;
+    const PAGE: u64 = 256;
+    const CAPACITY_PAGES: u64 = 32;
+    const PAGES: u64 = 2 * CAPACITY_PAGES;
+
+    let cache = Arc::new(small_cache(PAGE, CAPACITY_PAGES * PAGE));
+    let data = pattern((PAGES * PAGE) as usize);
+    let remote = Arc::new(ScriptedRemote::new().with_file("/f", data.clone()));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let cache = Arc::clone(&cache);
+            let remote = Arc::clone(&remote);
+            let data = data.clone();
+            std::thread::spawn(move || {
+                let f = file("/f", PAGES * PAGE);
+                let mut x = t.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                for _ in 0..ITERS {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let off = (x % PAGES) * PAGE;
+                    let got = cache.read(&f, off, PAGE, remote.as_ref()).unwrap();
+                    assert_eq!(got.as_ref(), &data[off as usize..(off + PAGE) as usize]);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let stats = cache.stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        THREADS * ITERS,
+        "every page access counted"
+    );
+    assert!(stats.hits > 0, "the hammer produced hits");
+    assert!(
+        cache.metrics().counter("evictions.capacity").get() > 0,
+        "the hammer produced capacity evictions"
+    );
+    assert!(cache.index().len() as u64 <= CAPACITY_PAGES);
+    cache.index().check_consistency().unwrap();
+    cache.check_policy_coherence().unwrap();
 }
 
 /// A remote that blocks every fetch on a gate until released, counting

@@ -68,25 +68,27 @@ impl CacheState {
     /// stale policy entry retired: `Stale`. A pinned one is recycled to
     /// most-recently-used so the scan moves on: `Pinned`. Both are safe
     /// only under the page lock, which a concurrent promotion re-inserting
-    /// the policy entry needs too, so neither can clobber a fresh insert.
-    /// Otherwise returns the victim's index entry.
+    /// the policy entry needs too, and under the policy lock, which an
+    /// eviction holds across its index removal, so neither can clobber a
+    /// fresh insert or revive an evicted page. Otherwise returns the
+    /// victim's index entry.
     fn mem_victim(
         &self,
         lock: &PageLock<'_>,
         mem: usize,
     ) -> std::result::Result<PageInfo, DemoteOutcome> {
         let id = lock.id;
+        let mut policy = self.policies[mem].lock();
         let info = match self.index.get(&id) {
             Some(info) if info.dir == mem => info,
             _ => {
-                self.policies[mem].lock().on_remove(id);
+                policy.on_remove(id);
                 return Err(DemoteOutcome::Stale);
             }
         };
         if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(id)) {
-            let mut guard = self.policies[mem].lock();
-            guard.on_remove(id);
-            guard.on_insert(id);
+            policy.on_remove(id);
+            policy.on_insert(id);
             return Err(DemoteOutcome::Pinned);
         }
         Ok(info)
@@ -212,16 +214,18 @@ impl CacheState {
 
     /// Draws directory `dir`'s policy victim and evicts it, without its
     /// page lock: `None` when the policy is empty, `Some(None)` when the
-    /// victim was a page the index no longer holds (a racing eviction
-    /// through another path). That stale entry is retired, or the caller's
-    /// loop would redraw the same victim forever.
+    /// victim was a page the index no longer holds in `dir` (a racing
+    /// eviction or move through another path). That stale entry is retired
+    /// too, or the caller's loop would redraw the same victim forever.
     fn evict_victim(&self, dir: usize, cause: &str) -> Option<Option<PageInfo>> {
-        let victim = self.policies[dir].lock().victim()?;
-        let evicted = self.evict_page(&victim, cause);
-        if evicted.is_none() {
-            self.policies[dir].lock().on_remove(victim);
-        }
-        Some(evicted)
+        let evicted = {
+            let mut policy = self.policies[dir].lock();
+            let victim = policy.victim()?;
+            let evicted = self.index.remove(&victim, dir);
+            policy.on_remove(victim);
+            evicted
+        };
+        Some(evicted.map(|info| self.delete_evicted(info, cause)))
     }
 
     /// Writes a page of `len` bytes to directory `dir`'s store with `put`.
