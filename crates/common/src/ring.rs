@@ -81,11 +81,6 @@ impl ConsistentRing {
         }
     }
 
-    /// Creates a ring with default configuration and the system clock.
-    pub fn with_defaults() -> Self {
-        Self::new(RingConfig::default(), crate::clock::system_clock())
-    }
-
     fn node_points(&self, node: &str) -> impl Iterator<Item = u64> + '_ {
         let base = hash_str(node);
         (0..self.config.vnodes_per_node as u64).map(move |i| combine(base, mix64(i)))

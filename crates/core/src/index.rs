@@ -316,22 +316,6 @@ impl IndexManager {
         self.total_bytes.load(Ordering::Relaxed)
     }
 
-    /// The `n` scopes holding the most cached bytes at the given level of
-    /// the hierarchy (partitions by default) — the §6.1.3 "hot partition"
-    /// drill-down. Returns `(scope, bytes)` sorted descending.
-    pub fn hottest_scopes(&self, n: usize) -> Vec<(CacheScope, u64)> {
-        let agg = self.aggregates.read();
-        let mut out: Vec<(CacheScope, u64)> = agg
-            .scope_bytes
-            .iter()
-            .filter(|(s, _)| matches!(s, CacheScope::Partition { .. }))
-            .map(|(s, b)| (s.clone(), *b))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(n);
-        out
-    }
-
     /// Number of cached pages. O(1), lock-free.
     pub fn len(&self) -> usize {
         self.pages.load(Ordering::Relaxed)
@@ -615,23 +599,6 @@ mod tests {
         ));
         let old = idx.pages_created_before(150);
         assert_eq!(old, vec![PageId::new(FileId(1), 0)]);
-    }
-
-    #[test]
-    fn hottest_scopes_rank_partitions() {
-        let idx = IndexManager::new(1);
-        idx.insert(info(1, 0, 500, CacheScope::partition("s", "t", "hot"), 0));
-        idx.insert(info(2, 0, 300, CacheScope::partition("s", "t", "warm"), 0));
-        idx.insert(info(3, 0, 100, CacheScope::partition("s", "u", "cold"), 0));
-        let top = idx.hottest_scopes(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0], (CacheScope::partition("s", "t", "hot"), 500));
-        assert_eq!(top[1], (CacheScope::partition("s", "t", "warm"), 300));
-        // Table/schema/global scopes are not listed at this level.
-        assert!(idx
-            .hottest_scopes(10)
-            .iter()
-            .all(|(s, _)| matches!(s, CacheScope::Partition { .. })));
     }
 
     #[test]

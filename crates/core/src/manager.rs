@@ -317,7 +317,9 @@ impl CacheManagerBuilder {
 
     /// Rebuilds the in-memory index from the page stores on startup (§4.3's
     /// cache recovery). Scopes are not persisted per page, so every
-    /// recovered page is tracked under [`CacheScope::Global`].
+    /// recovered page is tracked under [`CacheScope::Global`]. A directory
+    /// that holds more than its capacity (a failed delete leaves its page on
+    /// disk) is evicted back within it.
     pub fn with_recovery(mut self) -> Self {
         self.recover = true;
         self
@@ -1001,11 +1003,14 @@ impl CacheState {
         self.evict_all(self.index.pages_created_before(cutoff), "ttl")
     }
 
-    /// Evicts every listed page still cached, in list order; returns how
-    /// many were. Each under its page lock: a store's writers of one page
-    /// must be serialized, and a publish of the page (inline or landing)
-    /// may run concurrently.
-    fn evict_all(&self, ids: Vec<PageId>, cause: &str) -> usize {
+    /// Evicts every listed page still cached, in page order; returns how
+    /// many were. Callers list pages in hash-map order, which differs
+    /// between runs; sorting keeps which delete meets a fault or crash
+    /// point the same in every run. Each under its page lock: a store's
+    /// writers of one page must be serialized, and a publish of the page
+    /// (inline or landing) may run concurrently.
+    fn evict_all(&self, mut ids: Vec<PageId>, cause: &str) -> usize {
+        ids.sort_unstable();
         ids.iter()
             .filter(|&&id| {
                 let _lock = self.lock_page(id);
@@ -1029,6 +1034,11 @@ impl CacheState {
                 let info = PageInfo::new(id, size, CacheScope::Global, dir, self.now_ms());
                 self.place(&mut self.lock_page(id), info);
                 self.metrics.counter("recovered_pages").inc();
+            }
+            // A delete that failed or crashed leaves a page on disk that the
+            // capacity no longer counted. The DRAM tier recovers empty.
+            if Some(dir) != self.mem_dir {
+                let _ = self.make_room(dir, 0);
             }
         }
         Ok(())

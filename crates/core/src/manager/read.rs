@@ -711,11 +711,9 @@ impl CacheState {
         let workers = self.config.max_concurrent_fetches.max(1).min(fetches.len());
         self.metrics.gauge("fetch.parallelism").set(workers as i64);
         let path = file.path.as_str();
-        // Per-thread timestamps of concurrent chunks are only deterministic
-        // when the tracer explicitly allows them (see the trace module's
-        // determinism contract); otherwise every chunk reports the issuing
-        // thread's fetch window.
-        let per_thread = self.tracer.concurrent_timing();
+        // Every chunk reports the issuing thread's fetch window: per-thread
+        // timestamps of concurrent chunks would not be deterministic (see
+        // the trace module's determinism contract).
         let now = || self.tracer.now_nanos().unwrap_or(0);
         let window_start = now();
         // Contiguous chunks, sized as evenly as possible, one per worker:
@@ -731,18 +729,14 @@ impl CacheState {
                 Some((a, *start))
             })
             .collect();
-        type ChunkSlot = Mutex<Option<(Result<Vec<Bytes>>, (u64, u64))>>;
-        let results: Vec<ChunkSlot> = bounds.iter().map(|_| Mutex::new(None)).collect();
-        let now = &now;
+        let results: Vec<Mutex<Option<Result<Vec<Bytes>>>>> =
+            bounds.iter().map(|_| Mutex::new(None)).collect();
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = bounds
             .iter()
             .zip(&results)
             .map(|(&(a, b), slot)| {
                 Box::new(move || {
-                    let t0 = if per_thread { now() } else { 0 };
-                    let result = source.read_ranges(path, &fetches[a..b]);
-                    let t1 = if per_thread { now() } else { 0 };
-                    *slot.lock() = Some((result, (t0, t1)));
+                    *slot.lock() = Some(source.read_ranges(path, &fetches[a..b]));
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
@@ -751,21 +745,17 @@ impl CacheState {
             None => jobs.into_iter().for_each(|job| job()),
         }
         let window = (window_start, now());
-        // Slot count, fetch outcome, and timing interval of each chunk.
+        // Slot count and fetch outcome of each chunk.
         let chunk_results = bounds.iter().zip(results).map(|(&(a, b), slot)| {
-            let (result, interval) = slot
+            let result = slot
                 .into_inner()
-                .unwrap_or_else(|| (Err(Error::Other("fetch worker panicked".into())), (0, 0)));
-            (b - a, result, if per_thread { interval } else { window })
+                .unwrap_or_else(|| Err(Error::Other("fetch worker panicked".into())));
+            (b - a, result)
         });
         // Flatten chunk responses into per-slot results; a failed chunk
         // fails each of its slots.
         let mut out: Vec<Result<Bytes>> = Vec::with_capacity(fetches.len());
-        let mut slot_intervals: Vec<(u64, u64)> = Vec::new();
-        for (want, result, interval) in chunk_results {
-            for _ in 0..want {
-                slot_intervals.push(interval);
-            }
+        for (want, result) in chunk_results {
             match result {
                 Ok(buffers) if buffers.len() == want => {
                     for bytes in buffers {
@@ -804,10 +794,9 @@ impl CacheState {
             }
         }
         if self.tracer.is_enabled() {
-            // One child span per coalesced range, timed by the chunk (the
-            // `read_ranges` call on the wire) that carried it.
+            // One child span per coalesced range, timed by the fetch window.
+            let (t0, t1) = window;
             for (slot, &(off, len)) in fetches.iter().enumerate() {
-                let (t0, t1) = slot_intervals[slot];
                 let status = match &out[slot] {
                     Ok(_) => "ok".to_string(),
                     Err(e) => e.kind().to_string(),

@@ -742,6 +742,37 @@ fn recovery_keeps_one_copy_of_a_page_found_in_two_directories() {
 }
 
 #[test]
+fn recovery_leaves_each_directory_within_capacity() {
+    // A delete that failed or crashed leaves a page on disk that the
+    // capacity no longer counted: the store can hold more than it.
+    let dir = std::env::temp_dir().join(format!("edgecache-mgr-over-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = edgecache_pagestore::LocalPageStore::open(
+        &dir,
+        edgecache_pagestore::LocalStoreConfig {
+            page_size: 100,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let id = file("/a", 1500).file_id();
+    for index in 0..15 {
+        store.put(PageId::new(id, index), &pattern(100)).unwrap();
+    }
+    let cache = CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(100)))
+        .with_store(Arc::new(store), 1000)
+        .with_recovery()
+        .build()
+        .unwrap();
+    assert!(cache.index().bytes_of_dir(0) <= 1000);
+    let (stored, indexed, _) = cache.dir_usage()[0];
+    assert_eq!(stored, indexed, "store bytes differ from the index");
+    cache.index().check_consistency().unwrap();
+    cache.check_policy_coherence().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn clear_wipes_everything() {
     let cache = small_cache(100, 1 << 20);
     let remote = ScriptedRemote::new().with_file("/a", pattern(300));
@@ -2488,7 +2519,6 @@ mod mem_tier {
         let _ = std::fs::remove_dir_all(&dir);
         let config = LocalStoreConfig {
             page_size: PAGE,
-            verify_on_recovery: true,
             ..Default::default()
         };
         let store = LocalPageStore::open(&dir, config.clone()).unwrap();
@@ -2544,7 +2574,7 @@ mod mem_tier {
         let store = LocalPageStore::open(&dir, config).unwrap();
         let recovered = store.recover().unwrap();
         let ids: HashSet<PageId> = recovered.iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids, on_ssd, "every SSD page verifies on reopening");
+        assert_eq!(ids, on_ssd, "every SSD page is back on reopening");
         for (f, data) in files.iter() {
             for index in 0..2 {
                 let id = PageId::new(f.file_id(), index);

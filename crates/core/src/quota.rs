@@ -50,11 +50,6 @@ impl QuotaManager {
         self.quotas.write().insert(scope, quota.as_u64());
     }
 
-    /// Removes a scope's quota.
-    pub fn clear_quota(&self, scope: &CacheScope) {
-        self.quotas.write().remove(scope);
-    }
-
     /// The quota for a scope, if set.
     pub fn quota_of(&self, scope: &CacheScope) -> Option<ByteSize> {
         self.quotas.read().get(scope).copied().map(ByteSize::new)
@@ -223,16 +218,5 @@ mod tests {
             .unwrap();
         // Custom tenants share like table scopes: random eviction inside.
         assert_eq!(v, QuotaViolation::SharedScope(tenant));
-    }
-
-    #[test]
-    fn clear_quota_removes_enforcement() {
-        let qm = QuotaManager::new();
-        let scope = CacheScope::table("s", "t");
-        qm.set_quota(scope.clone(), ByteSize::new(10));
-        assert!(qm.quota_of(&scope).is_some());
-        qm.clear_quota(&scope);
-        assert!(qm.quota_of(&scope).is_none());
-        assert!(qm.first_violation(&scope, 1000, |_| 1000).is_none());
     }
 }

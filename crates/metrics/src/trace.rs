@@ -27,10 +27,9 @@
 //! seed produce byte-identical span trees. The one hazard is concurrent
 //! work — virtual-time charges from parallel fetch-pool workers commute on
 //! the clock *value* but interleave per thread, so per-thread timestamps
-//! race. [`Tracer::with_concurrent_timing`] therefore gates whether spans
-//! for concurrently executed work are timed on the executing thread
-//! (`true`: wall-clock profiles, benches) or pinned to the issuing thread's
-//! stage window (`false`, the default: deterministic simulation).
+//! race. Spans for concurrently executed work are therefore timed on the
+//! issuing thread: each is recorded with [`Tracer::record_interval`] over
+//! the window in which that thread waited for the work.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -126,7 +125,6 @@ struct Inner {
     registry: Option<Arc<MetricRegistry>>,
     slow_threshold: Option<Duration>,
     slow_ops: Mutex<Vec<SlowOp>>,
-    concurrent_timing: bool,
 }
 
 /// Span recorder handle; cheap to clone, no-op when disabled.
@@ -159,7 +157,6 @@ impl Tracer {
                 registry: None,
                 slow_threshold: None,
                 slow_ops: Mutex::new(Vec::new()),
-                concurrent_timing: false,
             })),
         }
     }
@@ -191,29 +188,9 @@ impl Tracer {
         self
     }
 
-    /// Whether spans for concurrently executed work may be timed on the
-    /// executing thread (see the module-level determinism contract).
-    ///
-    /// Must be called before the tracer is cloned/shared.
-    pub fn with_concurrent_timing(mut self, on: bool) -> Self {
-        if let Some(inner) = self.inner.as_mut() {
-            Arc::get_mut(inner)
-                .expect("configure the tracer before sharing it")
-                .concurrent_timing = on;
-        }
-        self
-    }
-
     /// Whether this tracer records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether per-thread timing of concurrent work is allowed.
-    pub fn concurrent_timing(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.concurrent_timing)
     }
 
     /// Starts a root span.

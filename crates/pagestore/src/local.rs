@@ -27,14 +27,16 @@
 //! crash between a put's commit and that clear leaves two records of one
 //! page, and recovery keeps the newer.
 //!
-//! In memory each page is an `Arc<Slot>` (class, slot, length, checksum).
-//! A read clones it under a shard lock and reads outside the lock: a ranged
-//! read is one `pread`, a full read `pread`s the payload and checks it
-//! against the checksum, surfacing
-//! [`Error::Corrupted`](edgecache_common::error::Error) — the signal that
-//! drives early eviction (§8, "Corrupted files"). A slot returns to its
-//! class's free list only when its last `Arc` drops, so a reader that found
-//! a version of a page reads all of it, never a later tenant of its slot.
+//! In memory each page is an `Arc<Slot>` (class, slot, length, checksum,
+//! verified bit). A read clones it under a shard lock and reads outside the
+//! lock. A full read `pread`s the payload and checks it against the
+//! checksum, surfacing [`Error::Corrupted`](edgecache_common::error::Error)
+//! — the signal that drives early eviction (§8, "Corrupted files"). A slot
+//! is verified once this process wrote it or a full read checked it; a
+//! ranged read of a verified slot is one `pread`, of any other a full read
+//! it slices. A slot returns to its class's free list only when its last
+//! `Arc` drops, so a reader that found a version of a page reads all of it,
+//! never a later tenant of its slot.
 //!
 //! Page data is rebuildable from the remote source by definition, so nothing
 //! is fsynced; a crash can lose recent pages but never serves a torn one.
@@ -44,7 +46,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -145,6 +147,11 @@ struct Slot {
     len: u64,
     sum: u64,
     epoch: u64,
+    /// The payload on disk is known to match `sum`: this process wrote it,
+    /// or a full read checked it. Until then every read is a full read.
+    /// `Relaxed`: the bit publishes no memory, and a reader that misses a
+    /// set only verifies again.
+    verified: AtomicBool,
 }
 
 impl Slot {
@@ -160,6 +167,7 @@ impl Slot {
             len,
             sum,
             epoch: free.epoch,
+            verified: AtomicBool::new(true),
         }
     }
 
@@ -178,6 +186,7 @@ impl Slot {
     /// half of the payload (the header's checksum, for an empty page) with a
     /// pattern, leaving a committed but torn page.
     fn tear(&self) -> Result<()> {
+        self.verified.store(false, Ordering::Relaxed);
         let (file, at) = self.at();
         let (from, to) = match self.len {
             0 => (at + SUM_AT, at + HEADER),
@@ -196,16 +205,15 @@ impl Drop for Slot {
     }
 }
 
-/// Configuration for a [`LocalPageStore`].
+/// Configuration for a [`LocalPageStore`]. There is one recovery path:
+/// [`LocalPageStore::recover`] reads headers only, and a recovered page's
+/// payload is checked by its first read.
 #[derive(Debug, Clone)]
 pub struct LocalStoreConfig {
     /// Nominal page size; recorded in the top-level directory name because
     /// it is "required to calculate the page index" during recovery (§4.3).
     /// Also the largest page the store takes.
     pub page_size: u64,
-    /// Verify page checksums during [`LocalPageStore::recover`]; corrupt
-    /// pages are dropped instead of reported.
-    pub verify_on_recovery: bool,
     /// Optional crash-point plan (test harnesses only): armed sites make the
     /// matching operation leave a realistic half-effect on disk and fail
     /// with a simulated-crash error. `None` in production.
@@ -216,7 +224,6 @@ impl Default for LocalStoreConfig {
     fn default() -> Self {
         Self {
             page_size: 1 << 20, // 1 MB, the paper's production default (§7).
-            verify_on_recovery: false,
             crash_plan: None,
         }
     }
@@ -387,13 +394,17 @@ impl LocalPageStore {
     }
 
     /// The one full read: `pread`s the payload and verifies it against the
-    /// slot's checksum, which comes back with it.
+    /// slot's checksum, which comes back with it. A match marks the slot
+    /// verified.
     fn read_full(&self, id: PageId, slot: &Slot) -> Result<VerifiedPage> {
         let (file, at) = slot.at();
         let mut span = self.tracer.span("checksum_verify");
         let mut payload = vec![0; slot.len as usize];
         let got = match file.read_exact_at(&mut payload, at + HEADER) {
-            Ok(()) if page_checksum(&payload) == slot.sum => Ok(Bytes::from(payload)),
+            Ok(()) if page_checksum(&payload) == slot.sum => {
+                slot.verified.store(true, Ordering::Relaxed);
+                Ok(Bytes::from(payload))
+            }
             Ok(()) => Err(Error::Corrupted(format!("page {id}: checksum mismatch"))),
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                 Err(Error::Corrupted(format!("page {id}: truncated")))
@@ -435,8 +446,12 @@ impl PageStore for LocalPageStore {
     fn get(&self, id: PageId, offset: u64, len: u64) -> Result<Bytes> {
         let slot = self.shard(id).lock().get(&id).cloned();
         let slot = slot.ok_or_else(|| Error::NotFound(format!("page {id}")))?;
-        if offset == 0 && len >= slot.len {
-            return self.read_full(id, &slot).map(|page| page.bytes);
+        // A whole page, or any range of one not yet verified: the full read,
+        // which checks it, and a zero-copy slice of its bytes.
+        if (offset == 0 && len >= slot.len) || !slot.verified.load(Ordering::Relaxed) {
+            let bytes = self.read_full(id, &slot)?.bytes;
+            let end = offset.saturating_add(len).min(slot.len);
+            return Ok(bytes.slice(offset.min(end) as usize..end as usize));
         }
         if offset >= slot.len {
             return Ok(Bytes::new());
@@ -477,11 +492,13 @@ impl PageStore for LocalPageStore {
     }
 
     /// Reads every slot header and rebuilds the page map and free lists from
-    /// them: a committed header whose check holds is a page (with
-    /// `verify_on_recovery`, only if its payload checks out too), the newest
+    /// them: a committed header whose check holds is a page, the newest
     /// record of a page wins, and every other slot is free — cleared on disk
-    /// if its magic was still set. Runs at [`LocalPageStore::open`]; call it
-    /// again only while no read or write is in flight.
+    /// if its magic was still set. No payload is read: every recovered page
+    /// starts unverified, so its first read of any range checks it, and a
+    /// torn or stale payload is `Corrupted` instead of served. Runs at
+    /// [`LocalPageStore::open`]; call it again only while no read or write
+    /// is in flight.
     fn recover(&self) -> Result<Vec<(PageId, u64)>> {
         // Each page's newest record: (class, slot, record).
         let mut newest: HashMap<PageId, (usize, u64, Record)> = HashMap::new();
@@ -514,18 +531,6 @@ impl PageStore for LocalPageStore {
                 }
             }
         }
-        if self.config.verify_on_recovery {
-            newest.retain(|_, &mut (c, slot, record)| {
-                let (file, at) = self.classes[c].locate(slot);
-                let mut payload = vec![0; record.len as usize];
-                let holds = file.read_exact_at(&mut payload, at + HEADER).is_ok()
-                    && page_checksum(&payload) == record.sum;
-                if !holds {
-                    stale.push((c, slot));
-                }
-                holds
-            });
-        }
         for &(c, slot) in &stale {
             let (file, at) = self.classes[c].locate(slot);
             file.write_all_at(&[0; 4], at)?;
@@ -557,6 +562,7 @@ impl PageStore for LocalPageStore {
                 len: record.len,
                 sum: record.sum,
                 epoch,
+                verified: AtomicBool::new(false),
             };
             self.shard(id).lock().insert(id, Arc::new(slot));
         }
@@ -663,13 +669,9 @@ mod tests {
     }
 
     #[test]
-    fn a_put_verified_record_survives_verified_recovery() {
+    fn a_put_verified_record_verifies_after_recovery() {
         let dir = std::env::temp_dir().join(format!("edgecache-verified-{}", rand_suffix()));
-        let config = LocalStoreConfig {
-            verify_on_recovery: true,
-            ..Default::default()
-        };
-        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
         let data: Vec<u8> = (0..3000u32).map(|i| (i * 13 % 241) as u8).collect();
         let page = VerifiedPage::new(Bytes::from(data.clone()));
         store.put_verified(pid(2, 0), page).unwrap();
@@ -677,13 +679,16 @@ mod tests {
         let moved = store.get_verified(pid(2, 0)).unwrap();
         store.put_verified(pid(2, 1), moved).unwrap();
         drop(store);
-        let store = LocalPageStore::open(&dir, config).unwrap();
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
         let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
         assert_eq!(
             recovered,
             HashSet::from([(pid(2, 0), 3000), (pid(2, 1), 3000)])
         );
         for index in 0..2 {
+            // A ranged first read runs the verifying full read.
+            let range = store.get(pid(2, index), 1000, 10).unwrap();
+            assert_eq!(range.as_ref(), &data[1000..1010]);
             assert_eq!(store.get_full(pid(2, index)).unwrap().as_ref(), &data[..]);
         }
         let _ = fs::remove_dir_all(dir);
@@ -776,6 +781,24 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Every read of page `id` (`len` bytes), ranged or whole, is
+    /// `Corrupted`: an unverified page serves no byte until it checks out.
+    fn assert_corrupted(store: &LocalPageStore, id: PageId, len: u64) {
+        let ranges = [
+            (len / 2, 1),
+            (0, len / 2 + 1),
+            (len.saturating_sub(1), 100),
+            (0, len),
+        ];
+        for (offset, n) in ranges {
+            assert!(
+                matches!(store.get(id, offset, n), Err(Error::Corrupted(_))),
+                "page {id}: range {offset}+{n} was served"
+            );
+        }
+        assert!(matches!(store.get_verified(id), Err(Error::Corrupted(_))));
+    }
+
     /// Stores `payload` as page `id` under a valid header whose checksum is
     /// FNV-1a, the algorithm of pre-bump (`ECP1`) pages, and re-reads the
     /// headers as a restart would.
@@ -793,38 +816,34 @@ mod tests {
     }
 
     #[test]
-    fn pre_bump_checksum_is_corrupted_whole_but_ranged_reads_stay_correct() {
+    fn a_pre_bump_page_is_corrupted_whole_and_ranged() {
         let (store, dir) = temp_store();
         let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        store.put(pid(6, 1), &payload).unwrap();
         write_pre_bump_page(&store, pid(6, 0), &payload);
-        assert!(matches!(
-            store.get_full(pid(6, 0)),
-            Err(Error::Corrupted(_))
-        ));
-        // A ranged read does not check the payload.
+        // The payload is intact, but its checksum is not this format's.
+        assert_corrupted(&store, pid(6, 0), 5000);
         assert_eq!(
-            store.get(pid(6, 0), 100, 900).unwrap().as_ref(),
+            store.get(pid(6, 1), 100, 900).unwrap().as_ref(),
             &payload[100..1000]
         );
-        assert_eq!(
-            store.get(pid(6, 0), 4990, 100).unwrap().as_ref(),
-            &payload[4990..]
-        );
+        assert_eq!(store.get_full(pid(6, 1)).unwrap().as_ref(), &payload[..]);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn recovery_with_verification_drops_pre_bump_checksums() {
+    fn a_pre_bump_page_is_recovered_and_corrupted_at_first_read() {
         let dir = std::env::temp_dir().join(format!("edgecache-ecp1-{}", rand_suffix()));
-        let config = LocalStoreConfig {
-            verify_on_recovery: true,
-            ..Default::default()
-        };
-        let store = LocalPageStore::open(&dir, config).unwrap();
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
         store.put(pid(1, 0), b"current").unwrap();
         write_pre_bump_page(&store, pid(1, 1), b"pre-bump");
-        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 7)]);
-        assert!(!store.contains(pid(1, 1)));
+        drop(store);
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
+        let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
+        assert_eq!(recovered, HashSet::from([(pid(1, 0), 7), (pid(1, 1), 8)]));
+        assert_corrupted(&store, pid(1, 1), 8);
+        assert_eq!(store.get(pid(1, 0), 3, 4).unwrap().as_ref(), b"rent");
+        assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), b"current");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -861,10 +880,9 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
-    /// A store over `dir` with a crash plan, verifying on recovery.
+    /// A store over `dir` with a crash plan.
     fn crash_store(dir: &Path, plan: &Arc<CrashPlan>) -> LocalPageStore {
         let config = LocalStoreConfig {
-            verify_on_recovery: true,
             crash_plan: Some(Arc::clone(plan)),
             ..Default::default()
         };
@@ -890,7 +908,30 @@ mod tests {
     }
 
     #[test]
-    fn torn_puts_and_deletes_are_dropped_by_verified_recovery() {
+    fn a_torn_overwrite_is_corrupted_at_its_first_ranged_read() {
+        let dir = std::env::temp_dir().join(format!("edgecache-torn-range-{}", rand_suffix()));
+        let plan = CrashPlan::new();
+        let config = LocalStoreConfig {
+            page_size: 16 << 10,
+            crash_plan: Some(Arc::clone(&plan)),
+        };
+        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        store.put(pid(1, 0), &[1u8; 8 << 10]).unwrap();
+        plan.arm(CrashSite::PutTornTail);
+        assert!(store.put(pid(1, 0), &[2u8; 8 << 10]).is_err());
+        drop(store);
+        let store = LocalPageStore::open(&dir, config).unwrap();
+        assert!(store.contains(pid(1, 0)));
+        // Bytes 4096.. of the new payload never reached the device.
+        assert!(matches!(
+            store.get(pid(1, 0), 6000, 100),
+            Err(Error::Corrupted(_))
+        ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn torn_puts_and_deletes_are_recovered_and_corrupted_at_first_read() {
         let dir = std::env::temp_dir().join(format!("edgecache-torn-{}", rand_suffix()));
         let plan = CrashPlan::new();
         let store = crash_store(&dir, &plan);
@@ -911,28 +952,37 @@ mod tests {
         ));
         drop(store);
         let store = crash_store(&dir, &plan);
-        assert_eq!(store.recover().unwrap(), vec![(pid(1, 2), 100)]);
+        // The empty page's tear hit its header's checksum field, so that
+        // header fails its own check and recovery finds no page 3.
+        let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
+        let torn = [(pid(1, 0), 80), (pid(1, 1), 100)];
+        assert_eq!(
+            recovered,
+            HashSet::from([torn[0], torn[1], (pid(1, 2), 100)])
+        );
+        for (id, len) in torn {
+            assert_corrupted(&store, id, len);
+        }
+        assert_eq!(store.get(pid(1, 2), 10, 5).unwrap().as_ref(), &[3u8; 5]);
+        assert_eq!(store.get_full(pid(1, 2)).unwrap().as_ref(), &[3u8; 100]);
         assert_eq!(plan.fired(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn recovery_with_verification_drops_corrupt_pages() {
+    fn recovered_corrupt_pages_are_corrupted_at_first_read() {
         let dir = std::env::temp_dir().join(format!("edgecache-verify-{}", rand_suffix()));
-        let config = LocalStoreConfig {
-            verify_on_recovery: true,
-            ..Default::default()
-        };
-        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
         store.put(pid(1, 0), b"good").unwrap();
         store.put(pid(1, 1), b"bad!").unwrap();
         flip(&store, pid(1, 1), 0, 0x01);
-        let recovered = store.recover().unwrap();
-        assert_eq!(recovered, vec![(pid(1, 0), 4)]);
         drop(store);
-        // Its slot was cleared: a restart without verification finds no page.
         let store = LocalPageStore::open(&dir, LocalStoreConfig::default()).unwrap();
-        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 4)]);
+        let recovered: HashSet<(PageId, u64)> = store.recover().unwrap().into_iter().collect();
+        assert_eq!(recovered, HashSet::from([(pid(1, 0), 4), (pid(1, 1), 4)]));
+        assert_corrupted(&store, pid(1, 1), 4);
+        assert_eq!(store.get(pid(1, 0), 1, 2).unwrap().as_ref(), b"oo");
+        assert_eq!(store.get_full(pid(1, 0)).unwrap().as_ref(), b"good");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -13,7 +13,8 @@
 //! A fired crash point (simulated process death inside the page store) is
 //! detected at the op boundary; the runner finalizes the epoch's
 //! conservation laws, drops the whole cache, and re-opens the same directory
-//! with `verify_on_recovery` — the §4.3 restart path — before continuing.
+//! through the one §4.3 restart path before continuing: recovery reads
+//! headers only, and a torn page is `Corrupted` at its first read.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,10 +165,6 @@ fn build_direct(
                 dir,
                 LocalStoreConfig {
                     page_size: sc.page_size,
-                    // The crash-safe restart mode: recovery drops any page
-                    // whose payload checksum does not verify, so a torn
-                    // write can never be served (§4.3, §8).
-                    verify_on_recovery: true,
                     crash_plan: Some(Arc::clone(crash_plan)),
                 },
             )

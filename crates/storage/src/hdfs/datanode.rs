@@ -378,11 +378,6 @@ impl DataNode {
     pub fn hdd_model(&self) -> DeviceModel {
         self.config.hdd
     }
-
-    /// The SSD device model.
-    pub fn ssd_model(&self) -> DeviceModel {
-        self.config.ssd
-    }
 }
 
 #[cfg(test)]

@@ -57,15 +57,6 @@ impl DeviceModel {
         }
     }
 
-    /// Intra-datacenter network hop: ~0.5 ms, ~1.2 GB/s.
-    pub fn datacenter_network() -> Self {
-        Self {
-            request_latency: Duration::from_micros(500),
-            bandwidth: (12 * (1u64 << 30)) / 10,
-            pipeline_depth: 4,
-        }
-    }
-
     /// Time to serve one read of `bytes`.
     pub fn read_time(&self, bytes: u64) -> Duration {
         self.request_latency

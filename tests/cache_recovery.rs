@@ -152,6 +152,45 @@ fn pre_bump_ecp1_page_is_evicted_and_refetched_exactly_once() {
 }
 
 #[test]
+fn a_torn_page_is_refetched_at_its_first_ranged_read_after_restart() {
+    use edgecache::pagestore::{CrashPlan, CrashSite, PageId};
+
+    let dir = temp_dir("torn-range");
+    let remote = CountingRemote::new(8 << 10);
+    let file = SourceFile::new("/t/f", 1, 8 << 10, CacheScope::Global);
+    let plan = CrashPlan::new();
+    let config = LocalStoreConfig {
+        page_size: 16 << 10,
+        crash_plan: Some(Arc::clone(&plan)),
+    };
+    {
+        // The page is overwritten, and the process dies before the new
+        // payload's second half reaches the device.
+        let store = LocalPageStore::open(&dir, config.clone()).unwrap();
+        let id = PageId::new(file.file_id(), 0);
+        store.put(id, &[1; 8 << 10]).unwrap();
+        plan.arm(CrashSite::PutTornTail);
+        assert!(store.put(id, &remote.data).is_err());
+    }
+
+    let store = Arc::new(LocalPageStore::open(&dir, config).unwrap());
+    let cache = CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::kib(16)))
+        .with_store(store, ByteSize::mib(1).as_u64())
+        .with_recovery()
+        .build()
+        .unwrap();
+    let got = cache.read(&file, 6000, 100, &remote).unwrap();
+    assert_eq!(got.as_ref(), &remote.data[6000..6100]);
+    assert_eq!(cache.metrics().counter("errors.get.corrupted").get(), 1);
+    assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
+    assert_eq!(*remote.reads.lock(), 1, "one refetch");
+    let got = cache.read(&file, 6000, 100, &remote).unwrap();
+    assert_eq!(got.as_ref(), &remote.data[6000..6100]);
+    assert_eq!(*remote.reads.lock(), 1, "the second read hit");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn leftover_tmp_files_are_discarded_on_recovery() {
     let dir = temp_dir("tmp");
     let remote = CountingRemote::new(10_000);
@@ -255,7 +294,6 @@ fn open_crash_cache(
             dir,
             LocalStoreConfig {
                 page_size: 4 << 10,
-                verify_on_recovery: true,
                 crash_plan: Some(Arc::clone(plan)),
             },
         )
@@ -297,8 +335,9 @@ fn crash_during_eviction_recovers_without_torn_pages() {
         cache.metrics().counter("recovered_pages").get() >= 1,
         "surviving pages must be re-indexed"
     );
-    // Recovery must have discarded the torn page rather than re-indexing
-    // it: every read after restart returns ground-truth bytes.
+    // Recovery re-indexes the torn page unverified, so its first read is
+    // `Corrupted` and refetched: every read after restart returns
+    // ground-truth bytes.
     for (file, len) in [(&a, 32usize << 10), (&b, 16 << 10)] {
         let got = cache.read(file, 0, len as u64, &remote).unwrap();
         assert_eq!(
