@@ -37,7 +37,7 @@ use edgecache_common::error::{Error, Result};
 use edgecache_common::ByteSize;
 use edgecache_metrics::trace::{Span, SpanId, Tracer};
 use edgecache_metrics::{Counter, Histogram, MetricRegistry};
-use edgecache_pagestore::{CacheScope, FileId, MemTierStore, PageId, PageInfo, PageStore};
+use edgecache_pagestore::{CacheScope, FileId, MemoryPageStore, PageId, PageInfo, PageStore};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::accessq::AccessQueue;
@@ -339,7 +339,7 @@ impl CacheManagerBuilder {
         // memory placement is explicit (promote, demote).
         let mut stores = self.stores;
         let mem_store = if self.config.memory_capacity > 0 {
-            let store = Arc::new(MemTierStore::new());
+            let store = Arc::new(MemoryPageStore::new());
             stores.push(Arc::clone(&store) as Arc<dyn PageStore>);
             Some(store)
         } else {
@@ -532,8 +532,8 @@ pub struct CacheState {
     config: CacheConfig,
     stores: Vec<Arc<dyn PageStore>>,
     /// The DRAM tier, when mounted: also present in `stores` as the last
-    /// directory (`mem_dir`), kept typed here for pin/verify operations.
-    mem_store: Option<Arc<MemTierStore>>,
+    /// directory (`mem_dir`), kept typed here for introspection.
+    mem_store: Option<Arc<MemoryPageStore>>,
     /// Index directory of the DRAM tier. Always the *last* directory; the
     /// allocator only knows the SSD directories, so its `pick` never lands
     /// here — tier placement is explicit (promote/demote).
@@ -940,28 +940,14 @@ impl CacheState {
     }
 
     /// The DRAM tier store, when one is mounted (frame introspection,
-    /// pin/unpin, corruption hooks for tests).
-    pub fn memory_tier(&self) -> Option<&Arc<MemTierStore>> {
+    /// corruption hooks for tests).
+    pub fn memory_tier(&self) -> Option<&Arc<MemoryPageStore>> {
         self.mem_store.as_ref()
     }
 
     /// Current DRAM-tier byte capacity (zero when no tier is mounted).
     pub fn memory_capacity(&self) -> u64 {
         self.mem_capacity.load(Ordering::Relaxed)
-    }
-
-    /// Pins a memory-resident page against demotion and pressure eviction.
-    /// Returns `false` when no tier is mounted or the page is not resident
-    /// in memory. Pins nest; balance each with [`Self::unpin_page`].
-    pub fn pin_page(&self, file: &SourceFile, page_index: u64) -> bool {
-        let id = PageId::new(file.file_id(), page_index);
-        self.mem_store.as_ref().is_some_and(|s| s.pin(id))
-    }
-
-    /// Releases one pin taken by [`Self::pin_page`].
-    pub fn unpin_page(&self, file: &SourceFile, page_index: u64) -> bool {
-        let id = PageId::new(file.file_id(), page_index);
-        self.mem_store.as_ref().is_some_and(|s| s.unpin(id))
     }
 
     /// Reclaims an admission slot consumed by a failed insert: `admit()` is

@@ -2255,42 +2255,6 @@ mod mem_tier {
     }
 
     #[test]
-    fn pinned_frames_survive_pressure_until_unpinned() {
-        let cache = tiered_cache(1024, 1 << 20, 4 * 1024);
-        let remote = ScriptedRemote::new().with_file("/f", pattern(4096));
-        let f = file("/f", 4096);
-        warm(&cache, &f, 0, 4096, &remote);
-        let mem = cache.memory_dir().unwrap();
-        assert!(cache.pin_page(&f, 1), "page 1 is memory-resident");
-
-        // Shrink to one page: everything unpinned demotes, the pinned
-        // frame stays (pins outrank pressure).
-        cache.set_memory_capacity(1024);
-        let id1 = PageId::new(f.file_id(), 1);
-        assert_eq!(
-            cache.index().get(&id1).unwrap().dir,
-            mem,
-            "pinned frame stays"
-        );
-        assert_eq!(mem_resident_pages(&cache), 1);
-        assert_eq!(cache.stats().pages, 4, "demotion kept every byte");
-        assert_mem_balance(&cache);
-
-        assert!(cache.unpin_page(&f, 1));
-        assert_eq!(cache.memory_tier().unwrap().pinned_count(), 0);
-        cache.set_memory_capacity(0);
-        assert_ne!(
-            cache.index().get(&id1).unwrap().dir,
-            mem,
-            "demoted once unpinned"
-        );
-        assert_eq!(cache.stats().pages, 4);
-        assert_mem_balance(&cache);
-        cache.index().check_consistency().unwrap();
-        cache.check_policy_coherence().unwrap();
-    }
-
-    #[test]
     fn corrupt_frame_is_evicted_not_demoted() {
         // A frame whose DRAM bytes fail the tier-exit checksum must not
         // land on SSD wearing a fresh checksum: it exits via (counted)
@@ -2406,7 +2370,6 @@ mod mem_tier {
             total * PAGE,
             "byte conservation under contention"
         );
-        assert_eq!(cache.memory_tier().unwrap().pinned_count(), 0);
         assert_mem_balance(&cache);
         cache.index().check_consistency().unwrap();
         cache.check_policy_coherence().unwrap();
@@ -2416,8 +2379,7 @@ mod mem_tier {
     fn concurrent_promote_demote_churn_conserves_bytes() {
         // Working set twice the memory budget: every reader keeps
         // promoting SSD hits while its siblings' promotions demote them
-        // back, and a pin thread pins/unpins frames mid-flight. The
-        // books must balance when the dust settles.
+        // back. The books must balance when the dust settles.
         const THREADS: usize = 8;
         const ITERS: usize = 400;
         const PAGE: u64 = 1024;
@@ -2434,7 +2396,7 @@ mod mem_tier {
         // A read that races a tier move of its page can find the bytes gone
         // from the directory it looked in; it repairs the page from the
         // remote like any lost page (a refresh that retires the moved copy).
-        let mut handles: Vec<_> = (0..THREADS)
+        let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let cache = Arc::clone(&cache);
                 let remote = Arc::clone(&remote);
@@ -2455,19 +2417,6 @@ mod mem_tier {
                 })
             })
             .collect();
-        handles.push({
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                // Balanced pin/unpin churn racing the demotion scans.
-                for i in 0..ITERS {
-                    let page = (i * 7) as u64 % PAGES as u64;
-                    let f = file("/f", PAGES as u64 * PAGE);
-                    if cache.pin_page(&f, page) {
-                        cache.unpin_page(&f, page);
-                    }
-                }
-            })
-        });
         for h in handles {
             h.join().unwrap();
         }
@@ -2481,11 +2430,6 @@ mod mem_tier {
             cache.metrics().counter("mem.evictions").get(),
             0,
             "pressure only ever demoted"
-        );
-        assert_eq!(
-            cache.memory_tier().unwrap().pinned_count(),
-            0,
-            "pins balanced"
         );
         assert_mem_balance(&cache);
         let diff = edgecache_metrics::SnapshotDiff::from_start(&cache.metrics().snapshot());

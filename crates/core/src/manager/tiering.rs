@@ -14,21 +14,19 @@ impl CacheState {
     /// mounted tier). Shrinking demotes resident frames to SSD until the
     /// tier fits; a frame whose demotion fails (every SSD directory refuses
     /// the bytes) is evicted outright — a counted, remote-backed exit,
-    /// never a silent drop. Pinned frames stay resident: pins outrank
-    /// pressure, so a capacity smaller than the pinned set is honoured only
-    /// once those pins release.
+    /// never a silent drop.
     pub fn set_memory_capacity(&self, bytes: u64) {
         let Some(mem) = self.mem_dir else { return };
         self.mem_capacity.store(bytes, Ordering::Relaxed);
         // First pass: demote down to the new capacity.
         self.shrink_mem(mem, bytes, |victim| self.demote_page(victim, SpanId::NONE));
         // Fallback pass: demotion could not free enough (SSD full beyond
-        // eviction, or pinned frames in the victim stream) — evict what
-        // remains unpinned so the over-capacity invariant holds.
+        // eviction) — evict what remains so the over-capacity invariant
+        // holds.
         self.shrink_mem(mem, bytes, |victim| {
             let lock = self.lock_page(*victim);
-            if let Err(outcome) = self.mem_victim(&lock, mem) {
-                return outcome;
+            if self.mem_victim(&lock, mem).is_none() {
+                return DemoteOutcome::Stale;
             }
             self.evict_page(victim, "mem_pressure");
             DemoteOutcome::Freed
@@ -38,60 +36,38 @@ impl CacheState {
     /// Passes memory-tier victims to `exit` (demotion, or eviction under
     /// pressure) until the tier holds at most `target` bytes. Must be called
     /// while holding **no** page lock: `exit` takes the victim's, and page
-    /// locks never nest. Stops early when nothing more can be
-    /// freed: a full lap found only pinned frames, or `exit` failed (SSD
-    /// refuses the bytes). Only promotion and [`Self::set_memory_capacity`]
-    /// shrink the tier: publishes land on SSD and never make room here.
+    /// locks never nest. Stops early when `exit` failed (SSD refuses the
+    /// bytes). Only promotion and [`Self::set_memory_capacity`] shrink the
+    /// tier: publishes land on SSD and never make room here.
     fn shrink_mem(&self, mem: usize, target: u64, exit: impl Fn(&PageId) -> DemoteOutcome) {
-        let mut pinned_skips = 0usize;
         while self.index.bytes_of_dir(mem) > target {
             let victim = self.policies[mem].lock().victim();
             let Some(victim) = victim else { return };
-            // `exit` retires stale entries and recycles pinned ones itself
-            // (`mem_victim`), under the victim's page lock — doing it here
-            // would race a concurrent promotion re-inserting the same page.
-            match exit(&victim) {
-                DemoteOutcome::Freed | DemoteOutcome::Stale => pinned_skips = 0,
-                DemoteOutcome::Pinned => {
-                    pinned_skips += 1;
-                    if pinned_skips >= self.policies[mem].lock().len() {
-                        return;
-                    }
-                }
-                DemoteOutcome::Failed => return,
+            // `exit` retires stale entries itself (`mem_victim`), under the
+            // victim's page lock — doing it here would race a concurrent
+            // promotion re-inserting the same page.
+            if let DemoteOutcome::Failed = exit(&victim) {
+                return;
             }
         }
     }
 
-    /// The checks every memory victim passes first, under its page lock.
-    /// A victim no longer in memory (it raced another exit or move) has its
-    /// stale policy entry retired: `Stale`. A pinned one is recycled to
-    /// most-recently-used so the scan moves on: `Pinned`. Both are safe
-    /// only under the page lock, which a concurrent promotion re-inserting
-    /// the policy entry needs too, and under the policy lock, which an
-    /// eviction holds across its index removal, so neither can clobber a
-    /// fresh insert or revive an evicted page. Otherwise returns the
-    /// victim's index entry.
-    fn mem_victim(
-        &self,
-        lock: &PageLock<'_>,
-        mem: usize,
-    ) -> std::result::Result<PageInfo, DemoteOutcome> {
-        let id = lock.id;
+    /// The check every memory victim passes first, under its page lock:
+    /// the victim's index entry, or `None` for a victim no longer in memory
+    /// (it raced another exit or move), whose stale policy entry is
+    /// retired. That is safe only under the page lock, which a concurrent
+    /// promotion re-inserting the policy entry needs too, and under the
+    /// policy lock, which an eviction holds across its index removal, so it
+    /// can neither clobber a fresh insert nor revive an evicted page.
+    fn mem_victim(&self, lock: &PageLock<'_>, mem: usize) -> Option<PageInfo> {
         let mut policy = self.policies[mem].lock();
-        let info = match self.index.get(&id) {
-            Some(info) if info.dir == mem => info,
+        match self.index.get(&lock.id) {
+            Some(info) if info.dir == mem => Some(info),
             _ => {
-                policy.on_remove(id);
-                return Err(DemoteOutcome::Stale);
+                policy.on_remove(lock.id);
+                None
             }
-        };
-        if self.mem_store.as_ref().is_some_and(|s| s.is_pinned(id)) {
-            policy.on_remove(id);
-            policy.on_insert(id);
-            return Err(DemoteOutcome::Pinned);
         }
-        Ok(info)
     }
 
     /// Moves one memory-resident page down to SSD — the "demotion, not
@@ -105,9 +81,8 @@ impl CacheState {
             return DemoteOutcome::Failed;
         };
         let mut lock = self.lock_page(*id);
-        let info = match self.mem_victim(&lock, mem) {
-            Ok(info) => info,
-            Err(outcome) => return outcome,
+        let Some(info) = self.mem_victim(&lock, mem) else {
+            return DemoteOutcome::Stale;
         };
         // The tier-exit check; the checksum it checked travels down with
         // the bytes.
@@ -166,7 +141,7 @@ impl CacheState {
         };
         self.shrink_mem(mem, room, |victim| self.demote_page(victim, parent));
         if self.index.bytes_of_dir(mem) > room {
-            return; // could not make room (pinned frames, demotion failure)
+            return; // could not make room (demotion failure)
         }
         let id = info.id;
         let mut lock = self.lock_page(id);
@@ -264,8 +239,6 @@ enum DemoteOutcome {
     /// The policy's victim is no longer memory-resident (racing eviction or
     /// move): retire the stale entry and redraw.
     Stale,
-    /// The frame is pinned; pressure must look elsewhere.
-    Pinned,
     /// No SSD directory would take the bytes; stop demoting.
     Failed,
 }

@@ -262,13 +262,25 @@ impl DistCacheTier {
         }
     }
 
-    /// Reads `len` bytes at `offset` of `file` through the tier: the file's
-    /// replica workers are tried in ring order; a worker that is occupied,
-    /// missing, **or errors** fails over to the next candidate; when every
-    /// candidate is exhausted the read goes to origin directly, bypassing
-    /// the cache (§7's hybrid fallback). A read only fails when origin
-    /// itself fails.
+    /// Reads `len` bytes at `offset` of `file` through the tier: the
+    /// one-range case of [`Self::read_multi`].
     pub fn read(&self, file: &SourceFile, offset: u64, len: u64) -> Result<Bytes> {
+        let mut parts = self.read_multi(file, &[(offset, len)])?;
+        Ok(parts.pop().expect("one buffer per range"))
+    }
+
+    /// Reads a batch of ranges of `file` through the tier as ONE hop: the
+    /// batch is routed once and occupies one worker request slot, and the
+    /// serving worker reads all ranges together through its cache. The
+    /// file's replica workers are tried in ring order; a worker that is
+    /// occupied, missing, **or errors** fails over to the next candidate;
+    /// when every candidate is exhausted the batch goes to origin directly,
+    /// bypassing the cache (§7's hybrid fallback), length-guarded per range.
+    /// A read only fails when origin itself fails.
+    pub fn read_multi(&self, file: &SourceFile, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+        if ranges.is_empty() {
+            return Ok(Vec::new());
+        }
         // Lazy data movement (§7): purge seats whose offline grace period
         // has expired, so their keys rehash to surviving workers.
         self.sweep_expired();
@@ -287,18 +299,20 @@ impl DistCacheTier {
             if hop.is_recording() {
                 hop.annotate("worker", name);
                 hop.annotate("path", &file.path);
-                hop.annotate("len", len);
+                if ranges.len() > 1 {
+                    hop.annotate("fragments", ranges.len());
+                }
+                hop.annotate("len", ranges.iter().map(|&(_, l)| l).sum::<u64>());
             }
-            let out = worker.serve(file, offset, len, self.origin.as_ref());
-            match out {
-                Ok(bytes) => {
+            match worker.serve(file, ranges, self.origin.as_ref()) {
+                Ok(parts) => {
                     self.record_tier_serve(errors);
                     hop.finish();
                     drop(_guard);
                     if self.replicate_on_read && rank == 0 {
-                        self.warm_secondary(&candidates, file, &[(offset, len)]);
+                        self.warm_secondary(&candidates, file, ranges);
                     }
-                    return Ok(bytes);
+                    return Ok(parts);
                 }
                 Err(e) => {
                     // The headline churn bug used to live here: the first
@@ -312,80 +326,31 @@ impl DistCacheTier {
             }
         }
         // Every candidate occupied, missing, offline, or erroring: origin.
-        let out = self.origin.read(&file.path, offset, len).and_then(|bytes| {
-            Self::check_origin_len(file, offset, len, &bytes)?;
-            Ok(bytes)
-        });
+        let out = self.read_origin(file, ranges);
         self.record_origin_outcome(&out.as_ref().map(|_| ()), errors);
         out
     }
 
-    /// Reads a whole fragment batch of `file` through the tier as ONE hop:
-    /// the batch is routed once, occupies one worker request slot, and the
-    /// serving worker classifies and fetches all fragments together via its
-    /// cache's vectored read path. Worker errors fail the batch over to the
-    /// next candidate, then to origin (one `read_ranges` call,
-    /// length-guarded per fragment).
-    pub fn read_multi(&self, file: &SourceFile, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
+    /// The origin fallback: one `read` for a single range, one
+    /// `read_ranges` for a batch, each range checked against the file
+    /// length.
+    fn read_origin(&self, file: &SourceFile, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+        let chunks = match ranges {
+            [(offset, len)] => vec![self.origin.read(&file.path, *offset, *len)?],
+            _ => self.origin.read_ranges(&file.path, ranges)?,
+        };
+        if chunks.len() != ranges.len() {
+            return Err(Error::Decode(format!(
+                "origin returned {} chunks for a {}-range batch of {}",
+                chunks.len(),
+                ranges.len(),
+                file.path
+            )));
         }
-        self.sweep_expired();
-        let candidates = self.ring.candidates(&file.path, self.max_replicas);
-        let mut errors = 0u64;
-        for (rank, name) in candidates.iter().enumerate() {
-            let Some(worker) = self.worker(name) else {
-                continue;
-            };
-            let Some(_guard) = worker.try_acquire() else {
-                self.metrics.counter("occupied_probes").inc();
-                continue;
-            };
-            let mut hop = self.tracer.span("distcache_hop");
-            if hop.is_recording() {
-                hop.annotate("worker", name);
-                hop.annotate("path", &file.path);
-                hop.annotate("fragments", ranges.len());
-                hop.annotate("len", ranges.iter().map(|&(_, l)| l).sum::<u64>());
-            }
-            let out = worker.serve_multi(file, ranges, self.origin.as_ref());
-            match out {
-                Ok(parts) => {
-                    self.record_tier_serve(errors);
-                    hop.finish();
-                    drop(_guard);
-                    if self.replicate_on_read && rank == 0 {
-                        self.warm_secondary(&candidates, file, ranges);
-                    }
-                    return Ok(parts);
-                }
-                Err(e) => {
-                    errors += 1;
-                    self.metrics.counter("worker_errors").inc();
-                    hop.annotate("status", e.kind());
-                    hop.finish();
-                }
-            }
+        for (&(offset, len), bytes) in ranges.iter().zip(&chunks) {
+            Self::check_origin_len(file, offset, len, bytes)?;
         }
-        let out = self
-            .origin
-            .read_ranges(&file.path, ranges)
-            .and_then(|chunks| {
-                if chunks.len() != ranges.len() {
-                    return Err(Error::Decode(format!(
-                        "origin returned {} chunks for a {}-range batch of {}",
-                        chunks.len(),
-                        ranges.len(),
-                        file.path
-                    )));
-                }
-                for (&(offset, len), bytes) in ranges.iter().zip(&chunks) {
-                    Self::check_origin_len(file, offset, len, bytes)?;
-                }
-                Ok(chunks)
-            });
-        self.record_origin_outcome(&out.as_ref().map(|_| ()), errors);
-        out
+        Ok(chunks)
     }
 
     /// Books a successful worker serve (and the failover that led to it).
@@ -427,16 +392,7 @@ impl DistCacheTier {
         let Some(_guard) = worker.try_acquire() else {
             return;
         };
-        let ok = if let [(offset, len)] = ranges {
-            worker
-                .serve(file, *offset, *len, self.origin.as_ref())
-                .is_ok()
-        } else {
-            worker
-                .serve_multi(file, ranges, self.origin.as_ref())
-                .is_ok()
-        };
-        if ok {
+        if worker.serve(file, ranges, self.origin.as_ref()).is_ok() {
             self.metrics.counter("replica_warms").inc();
         }
     }

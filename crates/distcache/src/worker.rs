@@ -122,24 +122,10 @@ impl CacheWorker {
         }
     }
 
-    /// Serves a ranged read through this worker's local cache.
+    /// Serves a batch of ranges through this worker's local cache: a single
+    /// range as one `read`, a batch as one vectored `read_multi`, whose
+    /// misses across all ranges classify, coalesce, and fetch together.
     pub(crate) fn serve(
-        &self,
-        file: &SourceFile,
-        offset: u64,
-        len: u64,
-        origin: &dyn RemoteSource,
-    ) -> Result<Bytes> {
-        if self.failing.load(Ordering::Relaxed) {
-            return Err(Error::Other(format!("worker {} is degraded", self.name)));
-        }
-        self.cache.read(file, offset, len, origin)
-    }
-
-    /// Serves a whole fragment batch through this worker's local cache as
-    /// one vectored read: misses across all fragments classify, coalesce,
-    /// and fetch together.
-    pub(crate) fn serve_multi(
         &self,
         file: &SourceFile,
         ranges: &[(u64, u64)],
@@ -148,7 +134,10 @@ impl CacheWorker {
         if self.failing.load(Ordering::Relaxed) {
             return Err(Error::Other(format!("worker {} is degraded", self.name)));
         }
-        self.cache.read_multi(file, ranges, origin)
+        match ranges {
+            [(offset, len)] => Ok(vec![self.cache.read(file, *offset, *len, origin)?]),
+            _ => self.cache.read_multi(file, ranges, origin),
+        }
     }
 }
 
@@ -188,18 +177,18 @@ mod tests {
         let w = CacheWorker::new("w0", WorkerCacheConfig::default(), system_clock()).unwrap();
         let file = SourceFile::new("/f", 1, 1 << 20, CacheScope::Global);
         w.set_failing(true);
-        assert!(w.serve(&file, 0, 1024, &Zero).is_err());
-        assert!(w.serve_multi(&file, &[(0, 1024)], &Zero).is_err());
+        assert!(w.serve(&file, &[(0, 1024)], &Zero).is_err());
+        assert!(w.serve(&file, &[(0, 1024), (4096, 1024)], &Zero).is_err());
         w.set_failing(false);
-        assert!(w.serve(&file, 0, 1024, &Zero).is_ok());
+        assert!(w.serve(&file, &[(0, 1024)], &Zero).is_ok());
     }
 
     #[test]
     fn serve_caches_locally() {
         let w = CacheWorker::new("w0", WorkerCacheConfig::default(), system_clock()).unwrap();
         let file = SourceFile::new("/f", 1, 1 << 20, CacheScope::Global);
-        w.serve(&file, 0, 1024, &Zero).unwrap();
-        w.serve(&file, 0, 1024, &Zero).unwrap();
+        w.serve(&file, &[(0, 1024)], &Zero).unwrap();
+        w.serve(&file, &[(0, 1024)], &Zero).unwrap();
         assert_eq!(w.cache().stats().hits, 1);
     }
 }

@@ -254,17 +254,6 @@ impl Deserialize for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> Self {
-        Self {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
     /// Rehydrates into a [`Histogram`] for quantile queries.
     pub fn to_histogram(&self) -> Histogram {
         let h = Histogram::new();

@@ -13,8 +13,6 @@
 //!   lossless merging, used for latency distributions (P50/P90/P95 figures).
 //! * [`MetricRegistry`] — a named collection of metrics with error-breakdown
 //!   recording, snapshots, and JSON export.
-//! * [`ClusterAggregator`] — merges snapshots from many nodes into one
-//!   cluster-level view (the paper's "aggregated metrics system").
 //! * [`conservation`] — snapshot-diff conservation laws
 //!   ([`assert_conserved`]), the invariant-oracle vocabulary of the
 //!   simulation harness.
@@ -23,14 +21,12 @@
 //!   disabled, exporting per-stage histograms, a slow-op log, and Chrome
 //!   trace-event JSON.
 
-pub mod aggregate;
 pub mod conservation;
 pub mod histogram;
 pub mod registry;
 pub mod scalar;
 pub mod trace;
 
-pub use aggregate::ClusterAggregator;
 pub use conservation::{assert_conserved, server_laws, ConservationLaw, Relation, SnapshotDiff};
 pub use histogram::{Histogram, HistogramSnapshot, Percentiles};
 pub use registry::{MetricRegistry, RegistrySnapshot};

@@ -15,10 +15,9 @@
 //!   thread-locals), finished on drop. Spans carry string annotations
 //!   (byte counts, page counts, fallback reasons).
 //! * Exports: per-stage log-bucketed histograms rolled into a
-//!   [`MetricRegistry`] (`trace.<stage>_us`, mergeable across workers by the
-//!   existing [`ClusterAggregator`](crate::ClusterAggregator)), a slow-op
-//!   log with a configurable threshold, and Chrome trace-event JSON loadable
-//!   in `chrome://tracing` / Perfetto.
+//!   [`MetricRegistry`] (`trace.<stage>_us`), a slow-op log with a
+//!   configurable threshold, and Chrome trace-event JSON loadable in
+//!   `chrome://tracing` / Perfetto.
 //!
 //! # Determinism contract
 //!

@@ -15,11 +15,10 @@
 //!   (§4.3), one file of fixed-size slots per size class, a self-describing
 //!   header per page that commits it after its payload, and a payload
 //!   checksum for corruption detection (§8).
-//! * [`memory`] — [`MemoryPageStore`], an in-memory implementation for tests
-//!   and metadata-style payloads.
-//! * [`memtier`] — [`MemTierStore`], the DRAM cache tier: checksummed,
-//!   pinnable frames the `CacheManager` mounts above its SSD directories
-//!   (pages are demoted to SSD under pressure, not dropped).
+//! * [`memory`] — [`MemoryPageStore`], the heap-backed implementation: the
+//!   DRAM tier the `CacheManager` mounts above its SSD directories (pages
+//!   are demoted to SSD under pressure, not dropped; a promoted page keeps
+//!   the checksum it carried), and the store of in-memory caches.
 //! * [`faulty`] — [`FaultyStore`], a fault-injection wrapper reproducing the
 //!   failure modes of §8 (corruption, `No space left on device`, read hangs).
 //! * [`crash`] — [`CrashPlan`], armable crash points that make a
@@ -31,7 +30,6 @@ pub mod crash;
 pub mod faulty;
 pub mod local;
 pub mod memory;
-pub mod memtier;
 pub mod page;
 pub mod store;
 
@@ -39,6 +37,9 @@ pub use crash::{is_simulated_crash, CrashPlan, CrashSite};
 pub use faulty::{FaultPlan, FaultyStore};
 pub use local::{LocalPageStore, LocalStoreConfig};
 pub use memory::MemoryPageStore;
-pub use memtier::MemTierStore;
+/// The DRAM tier's former name. The standalone `benchmark/` package
+/// (`embed.rs`) still names it; the alias goes when that package next
+/// changes.
+pub type MemTierStore = MemoryPageStore;
 pub use page::{CacheScope, FileId, PageId, PageInfo};
 pub use store::{PageStore, VerifiedPage};

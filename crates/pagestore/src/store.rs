@@ -35,10 +35,9 @@ impl VerifiedPage {
 /// A backend that stores page payloads.
 ///
 /// Implementations: [`LocalPageStore`](crate::local::LocalPageStore) (SSD
-/// files, the production path), [`MemTierStore`](crate::memtier::MemTierStore)
-/// (the DRAM tier), [`MemoryPageStore`](crate::memory::MemoryPageStore)
-/// (tests/metadata), and [`FaultyStore`](crate::faulty::FaultyStore)
-/// (fault injection).
+/// files, the production path), [`MemoryPageStore`](crate::memory::MemoryPageStore)
+/// (the DRAM tier, in-memory caches, tests), and
+/// [`FaultyStore`](crate::faulty::FaultyStore) (fault injection).
 ///
 /// Thread safety: all methods take `&self`; implementations must be safe for
 /// concurrent readers and writers of *different* pages. Writers of the *same*

@@ -1,9 +1,9 @@
 //! Integration: the three-level hierarchy (DRAM → SSD → remote) end to end
 //! over a real disk-backed store. Publishes land on SSD, a page's second SSD
 //! hit promotes it into DRAM, pressure demotes frames to SSD instead of
-//! dropping them, pins outrank pressure, and a process restart recovers the
-//! SSD tier while DRAM starts empty — all without the conservation books
-//! ever going out of balance.
+//! dropping them, and a process restart recovers the SSD tier while DRAM
+//! starts empty — all without the conservation books ever going out of
+//! balance.
 
 use std::fs;
 use std::path::PathBuf;
@@ -171,18 +171,7 @@ fn three_tier_read_demote_promote_restart() {
             "memory hits must stay on the lock-free fast path"
         );
 
-        // Pins outrank pressure: the pinned page survives a shrink-to-zero,
-        // everything else demotes; unpinning lets the next shrink drain it.
-        let pinned = cache.index().pages_of_dir(mem)[0];
-        assert!(cache.pin_page(&f, pinned.index));
-        cache.set_memory_capacity(0);
-        assert_eq!(
-            cache.index().pages_of_dir(mem),
-            vec![pinned],
-            "only the pinned frame may remain under pressure"
-        );
-        assert_books_balance(&cache);
-        assert!(cache.unpin_page(&f, pinned.index));
+        // A shrink to zero demotes every frame.
         cache.set_memory_capacity(0);
         assert!(cache.index().pages_of_dir(mem).is_empty());
         assert_eq!(cache.metrics().counter("mem.evictions").get(), 0);
